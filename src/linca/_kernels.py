@@ -1,6 +1,6 @@
 """Kernel selection: compiled elimination core when available, numpy fallback
-otherwise.  Set LINCA_PURE_PYTHON=1 to force the fallback (the benchmark
-uses this to compare both backends)."""
+otherwise.  Set LINCA_PURE_PYTHON=1 to force the fallback, for example to
+run the tests on the numpy kernel where the compiled one is built."""
 
 import os
 

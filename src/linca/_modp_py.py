@@ -31,9 +31,7 @@ def rref_inplace(a: np.ndarray, p: int) -> list[int]:
         col[r] = 0
         hit = np.nonzero(col)[0]
         if hit.size:
-            a[np.ix_(hit, range(c, cols))] = (
-                a[np.ix_(hit, range(c, cols))] - np.outer(col[hit], a[r, c:])
-            ) % p
+            a[hit, c:] = (a[hit, c:] - np.outer(col[hit], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return pivots

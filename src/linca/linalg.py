@@ -12,6 +12,17 @@ member.
 The single hot primitive, in-place Gauss-Jordan elimination, lives in the
 kernel backends (see ``_kernels``); everything here is thin bookkeeping on
 top of it.
+
+Coercion happens once, at the edge: ``rref`` and the public functions
+accept any integer array-like (lists, read-only or non-contiguous arrays)
+and ``as_matrix`` makes the single C-ordered int64 copy that the kernel
+reduces in place, so no caller's array is ever written.  Internal callers
+pass int64 arrays and do not reduce them mod p first.
+
+Moduli are primes p < 2^20 (``require_prime``).  Every product here
+accumulates up to dim * (p-1)^2 in int64, which stays below 2^63 for the
+dimensions in scope (< 10^4); a larger p would wrap silently and give a
+wrong "exact" answer.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ import numpy as np
 from ._kernels import rref_inplace
 
 ENUMERATION_CAP = 200_000
+MODULUS_BOUND = 1 << 20
 
 
 class LinalgError(ValueError):
@@ -34,6 +46,8 @@ class LinalgError(ValueError):
 def require_prime(p: int) -> int:
     if isinstance(p, bool) or not isinstance(p, int) or p < 2:
         raise LinalgError(f"modulus must be a prime integer, got {p!r}")
+    if p >= MODULUS_BOUND:
+        raise LinalgError(f"modulus {p} is not below 2^20, the exact int64 range")
     if p in (2, 3):
         return p
     if p % 2 == 0:
@@ -47,11 +61,12 @@ def require_prime(p: int) -> int:
 
 
 def as_matrix(data, p: int) -> np.ndarray:
-    """Coerce to a 2-d int64 array reduced mod p."""
-    a = np.array(data, dtype=np.int64)
+    """A fresh C-ordered 2-d int64 copy of ``data``, reduced mod p."""
+    a = np.array(data, dtype=np.int64, order="C")
     if a.ndim != 2:
         raise LinalgError(f"expected a matrix, got array of ndim {a.ndim}")
-    return a % p
+    a %= p
+    return a
 
 
 def as_vector(data, p: int) -> np.ndarray:
@@ -66,12 +81,12 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     dimensions (< 10^4) and moduli (< 2^20) in scope."""
     if a.shape[-1] != b.shape[0]:
         raise LinalgError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return (a.astype(np.int64) @ b.astype(np.int64)) % p
+    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
     """Reduced row-echelon form over GF(p): (matrix, pivot columns, rank)."""
-    a = np.ascontiguousarray(as_matrix(mat, p))
+    a = as_matrix(mat, p)
     pivots = rref_inplace(a, p)
     return a, tuple(pivots), len(pivots)
 
@@ -80,15 +95,12 @@ def rank(mat, p: int) -> int:
     return rref(mat, p)[2]
 
 
-def _kernel_from_rref(r: np.ndarray, pivots: Sequence[int], cols: int, p: int):
+def _kernel_from_rref(r: np.ndarray, pivots: Sequence[int], p: int):
     """Right null space read off an RREF; returned as spanning rows."""
-    pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
-    vecs = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        vecs[k, f] = 1
-        for i, c in enumerate(pivots):
-            vecs[k, c] = (-r[i, f]) % p
+    free = np.setdiff1d(np.arange(r.shape[1]), pivots)
+    vecs = np.zeros((free.size, r.shape[1]), dtype=np.int64)
+    vecs[np.arange(free.size), free] = 1
+    vecs[:, list(pivots)] = -r[: len(pivots), free].T % p
     return vecs
 
 
@@ -103,9 +115,8 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, vectors, ambient: int, p: int) -> "Subspace":
-        arr = np.array(list(vectors), dtype=np.int64)
-        arr = (arr.reshape(0, ambient) if arr.size == 0 else arr.reshape(-1, ambient)) % p
-        r, pivots, rk = rref(arr, p)
+        arr = np.asarray(vectors, dtype=np.int64)
+        r, pivots, rk = rref(arr.reshape(-1 if arr.size else 0, ambient), p)
         basis = r[:rk].copy()
         basis.setflags(write=False)
         return cls(ambient, p, basis, pivots)
@@ -128,11 +139,9 @@ class Subspace:
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """Residue of v modulo the subspace (pivot coordinates eliminated)."""
-        w = np.array(v, dtype=np.int64) % self.p
-        for i, c in enumerate(self.pivots):
-            if w[c]:
-                w = (w - w[c] * self.basis[i]) % self.p
-        return w
+        w = np.asarray(v, dtype=np.int64) % self.p
+        # Exact in one product: basis row i is zero at every other pivot.
+        return (w - w[list(self.pivots)] @ self.basis) % self.p
 
     def contains(self, v) -> bool:
         return not np.any(self.reduce(v))
@@ -227,21 +236,15 @@ class AffineSubspace:
 
 def kernel_basis(mat, p: int) -> Subspace:
     """Basis of the right null space of ``mat`` over GF(p)."""
-    a = as_matrix(mat, p)
-    r, pivots, _ = rref(a, p)
-    vecs = _kernel_from_rref(r, pivots, a.shape[1], p)
-    return Subspace.from_spanning(vecs, a.shape[1], p)
+    r, pivots, _ = rref(mat, p)
+    return Subspace.from_spanning(_kernel_from_rref(r, pivots, p), r.shape[1], p)
 
 
 def solve_affine(mat, rhs, p: int) -> AffineSubspace:
     """The full solution set {x : mat x = rhs} in canonical form."""
-    a = as_matrix(mat, p)
-    b = as_vector(rhs, p)
-    if b.shape[0] != a.shape[0]:
-        raise LinalgError(f"solve shape mismatch: {a.shape} vs rhs {b.shape}")
-    kernel, points = solve_affine_multi(a, b.reshape(-1, 1), p)
+    kernel, points = solve_affine_multi(mat, as_vector(rhs, p).reshape(-1, 1), p)
     if points[0] is None:
-        return AffineSubspace.empty(a.shape[1], p)
+        return AffineSubspace.empty(kernel.ambient, p)
     return AffineSubspace.from_point_subspace(points[0], kernel)
 
 
@@ -251,28 +254,20 @@ def solve_affine_multi(
     """Solve mat x = b for every column b of ``rhs_cols`` with one
     elimination; the kernel is shared by all right-hand sides.  A column
     without a solution yields None in the returned point list."""
-    a = as_matrix(mat, p)
-    b = as_matrix(rhs_cols, p)
+    a, b = np.asarray(mat), np.asarray(rhs_cols)
+    if a.ndim != 2 or b.ndim != 2:
+        raise LinalgError(f"expected matrices, got arrays of ndim {a.ndim} and {b.ndim}")
     rows, cols = a.shape
     if b.shape[0] != rows:
         raise LinalgError(f"rhs rows {b.shape[0]} do not match matrix rows {rows}")
     aug, pivots, _ = rref(np.hstack([a, b]), p)
-    left_pivots = tuple(c for c in pivots if c < cols)
+    left_pivots = [c for c in pivots if c < cols]
     rk = len(left_pivots)
-    kernel = Subspace.from_spanning(
-        _kernel_from_rref(aug[:, :cols], left_pivots, cols, p), cols, p
-    )
-    points: list[Optional[np.ndarray]] = []
-    for j in range(b.shape[1]):
-        col = aug[:, cols + j]
-        if np.any(col[rk:]):
-            points.append(None)
-            continue
-        x = np.zeros(cols, dtype=np.int64)
-        for i, c in enumerate(left_pivots):
-            x[c] = col[i]
-        points.append(x)
-    return kernel, points
+    kernel = Subspace.from_spanning(_kernel_from_rref(aug[:, :cols], left_pivots, p), cols, p)
+    xs = np.zeros((b.shape[1], cols), dtype=np.int64)
+    xs[:, left_pivots] = aug[:rk, cols:].T
+    solvable = ~np.any(aug[rk:, cols:], axis=0)
+    return kernel, [x if ok else None for x, ok in zip(xs, solvable)]
 
 
 def image_of_subspace(mat, subspace: Subspace, p: int) -> Subspace:
@@ -282,10 +277,14 @@ def image_of_subspace(mat, subspace: Subspace, p: int) -> Subspace:
         raise LinalgError(
             f"image shape mismatch: {a.shape} applied to ambient {subspace.ambient}"
         )
+    return _image(a, subspace, p)
+
+
+def _image(a: np.ndarray, subspace: Subspace, p: int) -> Subspace:
+    """``image_of_subspace`` for a matrix that is already coerced."""
     if subspace.dim == 0:
         return Subspace.zero(a.shape[0], p)
-    vecs = matmul(subspace.basis, a.T, p)
-    return Subspace.from_spanning(vecs, a.shape[0], p)
+    return Subspace.from_spanning(matmul(subspace.basis, a.T, p), a.shape[0], p)
 
 
 def image_of_affine(mat, affine: AffineSubspace, p: int) -> AffineSubspace:
@@ -294,8 +293,7 @@ def image_of_affine(mat, affine: AffineSubspace, p: int) -> AffineSubspace:
     if affine.is_empty:
         return AffineSubspace.empty(a.shape[0], p)
     point = matmul(a, affine.point.reshape(-1, 1), p).reshape(-1)
-    dirs = image_of_subspace(a, affine.directions, p)
-    return AffineSubspace.from_point_subspace(point, dirs)
+    return AffineSubspace.from_point_subspace(point, _image(a, affine.directions, p))
 
 
 def constrain_affine(

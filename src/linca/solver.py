@@ -450,7 +450,6 @@ def _solve_left_inverse(ca: LinearCA, candidates: tuple) -> Optional[list]:
         for wi, bm in pairs:
             blockview = coeff[ui * d : (ui + 1) * d, wi * d : (wi + 1) * d]
             blockview += bm.T
-    coeff %= p
     rhs = np.zeros((d * len(us), d), dtype=np.int64)
     e = g.identity()
     ei = uindex[e]
@@ -459,9 +458,7 @@ def _solve_left_inverse(ca: LinearCA, candidates: tuple) -> Optional[list]:
     if any(pt is None for pt in points):
         return None
     stacked = np.stack(points, axis=1)
-    return [
-        stacked[wi * d : (wi + 1) * d, :].T % p for wi in range(len(candidates))
-    ]
+    return [stacked[wi * d : (wi + 1) * d, :].T for wi in range(len(candidates))]
 
 
 def _support_kernel_witness(ca: LinearCA, radius: int) -> Optional[FiniteSupportConfig]:
@@ -481,7 +478,7 @@ def _support_kernel_witness(ca: LinearCA, radius: int) -> Optional[FiniteSupport
             j = pos.get(g.multiply(cell, m))
             if j is not None:
                 mat[ri * d : (ri + 1) * d, j * d : (j + 1) * d] += bm
-    kern = kernel_basis(mat % ca.p, ca.p)
+    kern = kernel_basis(mat, ca.p)
     if kern.dim == 0:
         return None
     vec = kern.basis[0]
@@ -518,7 +515,7 @@ def _periodic_kernel_witness(ca: LinearCA, q: int) -> Optional[PeriodicConfig]:
         for m, bm in zip(ca.memory, ca.blocks):
             j = (i + m) % q
             mat[i * d : (i + 1) * d, j * d : (j + 1) * d] += bm
-    kern = kernel_basis(mat % ca.p, ca.p)
+    kern = kernel_basis(mat, ca.p)
     if kern.dim == 0:
         return None
     vec = kern.basis[0]

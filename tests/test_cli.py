@@ -202,6 +202,9 @@ def test_parse_error_exit_code(tmp_path):
     valid_ca = write(tmp_path, "ca.json", shift_ca_json())
     not_a_config = write(tmp_path, "x.json", {"format": "nope"})
     assert main(["eval", valid_ca, not_a_config]) == 3
+    # The smallest prime above 2^20 is outside the exact int64 range.
+    big_p = write(tmp_path, "big_p.json", dict(shift_ca_json(), p=1048583))
+    assert main(["invert", big_p]) == 3
 
 
 def test_domain_error_exit_code(tmp_path):

@@ -1,4 +1,5 @@
-"""Parity between the compiled elimination kernel and the numpy fallback."""
+"""The numpy elimination kernel against a reference Gauss-Jordan, and parity
+between the compiled kernel and the numpy fallback."""
 
 import random
 
@@ -16,6 +17,45 @@ except ImportError:
 
 def test_backend_reports_name():
     assert _kernels.backend() in ("cy", "py")
+
+
+def reference_rref(rows: list, cols: int, p: int) -> tuple[list, list]:
+    """Textbook Gauss-Jordan over GF(p) on lists of Python integers."""
+    m = [list(row) for row in rows]
+    pivots: list = []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def test_numpy_kernel_matches_reference():
+    rng = random.Random(202)
+    fixed = [(0, 0), (0, 4), (4, 0), (1, 1), (9, 3), (3, 9), (7, 7)]
+    for p in (2, 3, 5, 1048573):
+        shapes = fixed + [(rng.randrange(0, 9), rng.randrange(0, 9)) for _ in range(12)]
+        for rows, cols in shapes:
+            for low_rank in (False, True):
+                if low_rank:
+                    k = rng.randrange(0, 3)
+                    m = random_matrix(rng, rows, k, p) @ random_matrix(rng, k, cols, p) % p
+                else:
+                    m = random_matrix(rng, rows, cols, p)
+                a = m.copy()
+                pivots = _modp_py.rref_inplace(a, p)
+                expected, expected_pivots = reference_rref(m.tolist(), cols, p)
+                assert list(pivots) == expected_pivots
+                assert a.tolist() == expected
 
 
 @pytest.mark.skipif(_modp_cy is None, reason="compiled kernel not built")

@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_matrix
+from conftest import random_ca, random_matrix
+from linca import IntegerGroup
 from linca.linalg import (
     AffineSubspace,
     LinalgError,
@@ -38,9 +39,9 @@ def brute_force_members(mat, rhs, p):
 
 
 def test_require_prime():
-    for p in (2, 3, 5, 7, 97):
+    for p in (2, 3, 5, 7, 97, 1048573):
         assert require_prime(p) == p
-    for bad in (1, 4, 6, 9, 0, -3):
+    for bad in (1, 4, 6, 9, 0, -3, 1048583):
         with pytest.raises(LinalgError):
             require_prime(bad)
 
@@ -53,6 +54,27 @@ def test_rref_examples():
     # Rows proportional mod 3: 2*(1,2) = (2,1).
     r, piv, rk = rref([[2, 1], [1, 2]], 3)
     assert rk == 1 and r.tolist() == [[1, 2], [0, 0]]
+
+
+def test_inputs_read_only_or_non_contiguous_are_accepted_and_kept():
+    frozen = random_ca(random.Random(17), IntegerGroup(), 3, 2, (-1, 0, 2)).window_map(2).matrix
+    assert not frozen.flags.writeable
+    unreduced = (frozen + 3).T  # writable, Fortran-ordered, entries >= p
+    for m in (frozen, frozen.T, unreduced):
+        before = m.copy()
+        c = np.array(m, order="C") % 3
+        r, piv, rk = rref(m, 3)
+        assert r.flags.c_contiguous and r.flags.writeable
+        assert np.array_equal(r, rref(c, 3)[0]) and piv == rref(c, 3)[1]
+        assert kernel_basis(m, 3) == kernel_basis(c, 3)
+        rhs = m[:, 1:3]
+        kern, points = solve_affine_multi(m, rhs, 3)
+        kern_c, points_c = solve_affine_multi(c, np.array(rhs) % 3, 3)
+        assert kern == kern_c and len(points) == len(points_c) == 2
+        for j, (x, y) in enumerate(zip(points, points_c)):
+            assert np.array_equal(x, y)
+            assert np.array_equal(matmul(c, x.reshape(-1, 1), 3).ravel(), c[:, 1 + j])
+        assert np.array_equal(m, before)
 
 
 def test_rref_postconditions_randomized():
