@@ -3,7 +3,10 @@
 Exit codes follow the certification contract: 0 for a certified positive
 answer (or a plain successful transformation), 10 for a certified negative
 answer with an enclosed witness, 20 for inconclusive-at-cutoff.  Usage
-errors exit 2 (argparse), malformed files exit 3, incompatible data exits 4.
+errors exit 2 (argparse), malformed files exit 3, incompatible data exits 4
+(including a ``demo --p`` that is not a prime below 2^20), and a ``demo``
+whose gallery witness fails its own check exits 1 after writing the
+certificate.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from . import gallery, jsonio, solver, transfer
 from .ca import LinearCA, compose
 from .groups import subgroup_generated
 from .jsonio import FormatError
+from .linalg import require_prime
 
 EXIT_OK = 0
+EXIT_DEMO_FAILED = 1
 EXIT_NEGATIVE = 10
 EXIT_UNKNOWN = 20
 EXIT_PARSE = 3
@@ -170,6 +175,7 @@ def _sigma_round_trips(p: int, j0: int, seed: int, count: int = 3) -> list:
 
 
 def cmd_demo(args) -> int:
+    require_prime(args.p)
     if args.which == "sigma":
         witness = gallery.sigma_nonreversibility_witness(
             args.j0, args.window or max(args.j0, 1), p=args.p
@@ -178,13 +184,13 @@ def cmd_demo(args) -> int:
         cert = jsonio.sigma_witness_certificate(witness, trips)
         _emit(cert, args.out)
         if not witness.ok or not all(t["ok"] for t in trips):
-            return 1
+            return EXIT_DEMO_FAILED
         return EXIT_OK
     closure = gallery.sigma_prime_closure_witness(args.window or 8, p=args.p)
     forced = gallery.sigma_prime_forced_support(args.depth, p=args.p)
     cert = jsonio.sigma_prime_certificate(closure, forced)
     _emit(cert, args.out)
-    return EXIT_OK if closure.ok and forced.ok else 1
+    return EXIT_OK if closure.ok and forced.ok else EXIT_DEMO_FAILED
 
 
 def cmd_verify(args) -> int:

@@ -370,6 +370,7 @@ def preimage_certificate(
     ws = solver.WindowSystem(ca)
     w = ws.window(window)
     vec = pattern_to_vec(result.pattern, w.source, ca.dim_v, ca.p)
+    # Plain int64 product on purpose: independent of matmul's float64 path.
     image_vec = (w.matrix @ vec) % ca.p
     image = vec_to_pattern(image_vec, w.target, ca.dim_v)
     payload = {
@@ -542,6 +543,7 @@ def _verify_preimage(cert) -> tuple[bool, str]:
     if set(pattern.cells) != set(w.source):
         return False, "pattern domain does not match the window"
     vec = pattern_to_vec(pattern, w.source, ca.dim_v, ca.p)
+    # Plain int64 product on purpose: independent of matmul's float64 path.
     image_vec = (w.matrix @ vec) % ca.p
     if not np.array_equal(image_vec, ws.target_vec(target, window)):
         return False, "pattern image does not match the target"

@@ -19,10 +19,14 @@ and ``as_matrix`` makes the single C-ordered int64 copy that the kernel
 reduces in place, so no caller's array is ever written.  Internal callers
 pass int64 arrays and do not reduce them mod p first.
 
-Moduli are primes p < 2^20 (``require_prime``).  Every product here
-accumulates up to dim * (p-1)^2 in int64, which stays below 2^63 for the
-dimensions in scope (< 10^4); a larger p would wrap silently and give a
-wrong "exact" answer.
+Moduli are primes p < 2^20 (``require_prime``).  ``matmul`` computes
+every matrix product in float64 through BLAS, in blocks of the inner
+dimension short enough that each partial sum stays an exact integer below
+2^53 (see its docstring); that holds for any p in range.  The elimination
+kernel and ``Subspace.reduce`` stay in int64, accumulating up to
+dim * (p-1)^2, which is below 2^63 for the dimensions in scope (< 10^4);
+they are why the bound p < 2^20 is still required, since a larger p would
+wrap silently and give a wrong "exact" answer.
 """
 
 from __future__ import annotations
@@ -77,11 +81,28 @@ def as_vector(data, p: int) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact mod-p product; int64 accumulation never overflows at the
-    dimensions (< 10^4) and moduli (< 2^20) in scope."""
+    """Exact mod-p product as int64, computed in float64 through BLAS.
+
+    Precondition: both operands are already reduced into [0, p), as every
+    caller in ``linalg``, ``solver`` and ``ca.compose`` guarantees.  Then
+    each term is at most (p-1)^2, so a product over an inner dimension of at
+    most ``step = (2^53 - 1) // (p-1)^2`` has every partial sum a
+    non-negative integer below 2^53, in any summation order and with or
+    without FMA, and float64 holds it exactly.  A longer inner dimension is
+    cut into blocks of ``step``; each block's product is reduced mod p
+    before the blocks are summed.  For p < 2^20, ``step`` >= 8192."""
     if a.shape[-1] != b.shape[0]:
         raise LinalgError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    k = b.shape[0]
+    step = ((1 << 53) - 1) // (p - 1) ** 2
+    if k <= step:
+        out = x @ y
+    else:
+        blocks = range(0, k, step)
+        out = sum((x[..., s : s + step] @ y[s : s + step]) % p for s in blocks)
+    return (out % p).astype(np.int64)
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:

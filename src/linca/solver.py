@@ -558,7 +558,8 @@ def _window_fiber_counterexample(
     _, pivots, rk = linalg.rref(w.matrix.T, ca.p)
     if rk == out_dim:
         return None
-    missing = next(j for j in range(out_dim) if j not in set(pivots))
+    pivot_set = set(pivots)
+    missing = next(j for j in range(out_dim) if j not in pivot_set)
     vec = np.zeros(out_dim, dtype=np.int64)
     vec[missing] = 1
     witness = EmptyFiberWitness(

@@ -210,6 +210,11 @@ def test_parse_error_exit_code(tmp_path):
 def test_domain_error_exit_code(tmp_path):
     ca = write(tmp_path, "ca.json", add_rule_json())
     assert main(["restrict", ca, "--generators", "[2]"]) == 4
+    # demo --p must be a prime below 2^20; nothing is written otherwise.
+    for which, p in (("sigma", "4"), ("sigma-prime", "1048583")):
+        out = tmp_path / f"{which}.json"
+        assert main(["demo", which, "--p", p, "--out", str(out)]) == 4
+        assert not out.exists()
 
 
 def test_determinism_byte_identical(tmp_path):

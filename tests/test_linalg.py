@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_ca, random_matrix
 from linca import IntegerGroup
@@ -44,6 +46,58 @@ def test_require_prime():
     for bad in (1, 4, 6, 9, 0, -3, 1048583):
         with pytest.raises(LinalgError):
             require_prime(bad)
+
+
+def python_matmul(a, b, p, cols):
+    """Mod-p product in Python ints: the reference for ``matmul``."""
+    rows, inner = len(a), len(b)
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(inner)) % p for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+def test_matmul_exact_across_float_block_boundary():
+    # For p = 1048573 one float64 product is exact up to k = 8192; beyond
+    # that matmul sums reduced blocks.  Entries p-2 are odd, so an unblocked
+    # sum above 2^53 would lose its last bit.
+    p = 1048573
+    for k in (1, 8192, 8193, 3 * 8192 + 5):
+        for fill in (p - 1, p - 2):
+            a = np.full((2, k), fill, dtype=np.int64)
+            b = np.full((k, 3), fill, dtype=np.int64)
+            got = matmul(a, b, p)
+            assert got.dtype == np.int64
+            assert (got == k * fill * fill % p).all(), (k, fill)
+
+
+@st.composite
+def matmul_operands(draw):
+    p = draw(st.sampled_from((2, 3, 5, 1048573)))
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    ops = []
+    for shape in ((rows, inner), (inner, cols)):
+        size = shape[0] * shape[1]
+        flat = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+        m = np.array(flat, dtype=np.int64).reshape(shape)
+        if draw(st.booleans()):
+            m = np.ascontiguousarray(m.T).T  # same values, Fortran-ordered view
+        if draw(st.booleans()):
+            m.setflags(write=False)
+        ops.append(m)
+    return p, ops[0], ops[1]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(matmul_operands())
+def test_matmul_matches_python_ints(case):
+    p, a, b = case
+    before = (a.copy(), b.copy())
+    got = matmul(a, b, p)
+    assert got.dtype == np.int64 and got.shape == (a.shape[0], b.shape[1])
+    assert ((got >= 0) & (got < p)).all()
+    assert got.tolist() == python_matmul(a.tolist(), b.tolist(), p, b.shape[1])
+    assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
 
 
 def test_rref_examples():
