@@ -157,6 +157,7 @@ def cmd_induce(args) -> int:
 
 
 def _sigma_round_trips(p: int, j0: int, seed: int, count: int = 3) -> list:
+    """Seeded sparse configurations for the certificate's round-trip checks."""
     rng = random.Random(seed)
     trips = []
     top = gallery.block_end(j0 + 1)
@@ -168,9 +169,7 @@ def _sigma_round_trips(p: int, j0: int, seed: int, count: int = 3) -> list:
                 for _ in range(rng.randint(1, 3))
             }
             cells[n] = gallery.sparse_vector(p, entries)
-        x = gallery.lazy_config(p, cells)
-        ok = gallery.sigma_inverse_apply(gallery.sigma_apply(x)) == x
-        trips.append({"config": jsonio.encode_sparse_config(x), "ok": ok})
+        trips.append(gallery.lazy_config(p, cells))
     return trips
 
 
@@ -183,7 +182,8 @@ def cmd_demo(args) -> int:
         trips = _sigma_round_trips(args.p, args.j0, args.seed)
         cert = jsonio.sigma_witness_certificate(witness, trips)
         _emit(cert, args.out)
-        if not witness.ok or not all(t["ok"] for t in trips):
+        trips_ok = all(t["ok"] for t in cert["transcript"]["round_trips"])
+        if not witness.ok or not trips_ok:
             return EXIT_DEMO_FAILED
         return EXIT_OK
     closure = gallery.sigma_prime_closure_witness(args.window or 8, p=args.p)

@@ -14,9 +14,12 @@ Formats:
   linca-pattern/1  {"cells": [[element, vector], ...]}
   linca-cert/1     {"kind", "ca", "ca_sha256"?, "payload", "transcript"}
 
-A certificate stores everything needed to re-check it from scratch; the
-verifier recomputes the transcript with the library's own operations and
-compares byte-for-byte.
+A certificate stores everything needed to re-check it from scratch.  The
+verifier decodes the payload into the library's own objects, checks the
+claim with their own check, rebuilds the whole certificate from them with
+the same builder that wrote it, and compares the two as parsed JSON with
+``==``.  That comparison equates ``1``, ``1.0`` and ``true``, exactly as the
+``int()`` decoders do; every other difference rejects the certificate.
 """
 
 from __future__ import annotations
@@ -34,15 +37,11 @@ from .ca import (
     LinearCA,
     Pattern,
     PeriodicConfig,
-    compose,
-    config_equal,
     constant,
-    equals_identity,
     finite_support,
     pattern_to_vec,
     periodic,
     vec_to_pattern,
-    zero_config,
 )
 from .groups import (
     FiniteGroup,
@@ -148,15 +147,19 @@ def decode_element(group: Group, data):
     raise FormatError(f"unsupported group kind {group.kind!r}")
 
 
-def _vec(v) -> list:
-    return [int(x) for x in v]
-
-
-def _mat(m) -> list:
-    return [[int(x) for x in row] for row in m]
+def _ints(a) -> list:
+    """A vector or matrix as (nested) lists of Python ints."""
+    return np.asarray(a, dtype=np.int64).tolist()
 
 
 # -- automata -----------------------------------------------------------------
+
+
+def _rule_json(ca: LinearCA) -> dict:
+    return {
+        "memory": [encode_element(ca.group, m) for m in ca.memory],
+        "blocks": [_ints(b) for b in ca.blocks],
+    }
 
 
 def encode_ca(ca: LinearCA) -> dict:
@@ -165,8 +168,7 @@ def encode_ca(ca: LinearCA) -> dict:
         "group": encode_group(ca.group),
         "p": ca.p,
         "dimV": ca.dim_v,
-        "memory": [encode_element(ca.group, m) for m in ca.memory],
-        "blocks": [_mat(b) for b in ca.blocks],
+        **_rule_json(ca),
     }
 
 
@@ -190,25 +192,27 @@ def ca_hash(ca: LinearCA) -> str:
 # -- configurations and patterns ----------------------------------------------
 
 
+def _encode_cells(group: Group, cells: dict) -> list:
+    """[element, vector] pairs, sorted by the element encoding's repr."""
+    pairs = [[encode_element(group, g), _ints(v)] for g, v in cells.items()]
+    return sorted(pairs, key=lambda pair: repr(pair[0]))
+
+
 def encode_config(group: Group, config) -> dict:
     if isinstance(config, FiniteSupportConfig):
-        cells = sorted(
-            ((encode_element(group, g), _vec(v)) for g, v in config.cells.items()),
-            key=lambda pair: repr(pair[0]),
-        )
         return {
             "format": CONFIG_FORMAT,
             "kind": "finite-support",
-            "cells": [list(pair) for pair in cells],
+            "cells": _encode_cells(group, config.cells),
         }
     if isinstance(config, PeriodicConfig):
         return {
             "format": CONFIG_FORMAT,
             "kind": "periodic",
-            "values": [_vec(v) for v in config.values],
+            "values": [_ints(v) for v in config.values],
         }
     if isinstance(config, ConstantConfig):
-        return {"format": CONFIG_FORMAT, "kind": "constant", "value": _vec(config.value)}
+        return {"format": CONFIG_FORMAT, "kind": "constant", "value": _ints(config.value)}
     raise FormatError(f"unsupported configuration {type(config).__name__}")
 
 
@@ -236,11 +240,7 @@ def decode_config(group: Group, p: int, dim_v: int, data):
 
 
 def encode_pattern(group: Group, pattern: Pattern) -> dict:
-    cells = sorted(
-        ((encode_element(group, g), _vec(v)) for g, v in pattern.cells.items()),
-        key=lambda pair: repr(pair[0]),
-    )
-    return {"format": PATTERN_FORMAT, "cells": [list(pair) for pair in cells]}
+    return {"format": PATTERN_FORMAT, "cells": _encode_cells(group, pattern.cells)}
 
 
 def decode_pattern(group: Group, p: int, dim_v: int, data) -> Pattern:
@@ -306,6 +306,15 @@ def decode_sparse_config(p: int, data) -> gallery.LazySparseConfig:
 # -- certificates ---------------------------------------------------------------
 
 
+class CertificateError(ValueError):
+    """A certificate's claim does not hold."""
+
+
+def _require(ok: bool, reason: str) -> None:
+    if not ok:
+        raise CertificateError(reason)
+
+
 def _cert(kind: str, ca_obj, payload: dict, transcript: dict) -> dict:
     cert = {
         "format": CERT_FORMAT,
@@ -317,13 +326,6 @@ def _cert(kind: str, ca_obj, payload: dict, transcript: dict) -> dict:
     if isinstance(ca_obj, dict) and ca_obj.get("format") == CA_FORMAT:
         cert["ca_sha256"] = sha256_of(ca_obj)
     return cert
-
-
-def _rule_json(ca: LinearCA) -> dict:
-    return {
-        "memory": [encode_element(ca.group, m) for m in ca.memory],
-        "blocks": [_mat(b) for b in ca.blocks],
-    }
 
 
 def reversible_certificate(cert: solver.ReversibilityCertificate) -> dict:
@@ -338,28 +340,32 @@ def reversible_certificate(cert: solver.ReversibilityCertificate) -> dict:
 
 def kernel_witness_certificate(witness: solver.KernelWitness) -> dict:
     ca = witness.automaton
-    image = ca.apply_config(witness.config)
     payload = {"witness": encode_config(ca.group, witness.config)}
-    transcript = {"image": encode_config(ca.group, image)}
+    transcript = {"image": encode_config(ca.group, witness.image)}
     return _cert("kernel-witness", encode_ca(ca), payload, transcript)
 
 
 def empty_fiber_certificate(
     witness: solver.EmptyFiberWitness, target=None
 ) -> dict:
+    """Raises CertificateError if a given target does not restrict to the
+    witness pattern on its window."""
     ca = witness.automaton
-    ws = solver.WindowSystem(ca)
-    w = ws.window(witness.level)
-    vec = pattern_to_vec(witness.pattern, w.target, ca.dim_v, ca.p)
-    r_plain = linalg.rank(w.matrix, ca.p)
-    r_aug = linalg.rank(np.hstack([w.matrix, vec.reshape(-1, 1)]), ca.p)
     payload = {
         "level": witness.level,
         "window": [encode_element(ca.group, g) for g in witness.window_cells],
         "pattern": encode_pattern(ca.group, witness.pattern),
     }
     if target is not None:
+        _require(
+            all(
+                np.array_equal(target.value_at(g, ca.dim_v), witness.pattern.cells[g])
+                for g in witness.window_cells
+            ),
+            "pattern does not restrict the target",
+        )
         payload["target"] = encode_config(ca.group, target)
+    r_plain, r_aug = witness.ranks
     transcript = {"rank": r_plain, "rank_augmented": r_aug}
     return _cert("empty-fiber", encode_ca(ca), payload, transcript)
 
@@ -367,11 +373,21 @@ def empty_fiber_certificate(
 def preimage_certificate(
     ca: LinearCA, target, result: solver.PreimageResult, window: int, cutoff: int
 ) -> dict:
+    """Raises CertificateError unless the pattern covers exactly the
+    window's source cells and its image equals the target on the window."""
     ws = solver.WindowSystem(ca)
     w = ws.window(window)
+    _require(
+        set(result.pattern.cells) == set(w.source),
+        "pattern domain does not match the window",
+    )
     vec = pattern_to_vec(result.pattern, w.source, ca.dim_v, ca.p)
     # Plain int64 product on purpose: independent of matmul's float64 path.
     image_vec = (w.matrix @ vec) % ca.p
+    _require(
+        np.array_equal(image_vec, ws.target_vec(target, window)),
+        "pattern image does not match the target",
+    )
     image = vec_to_pattern(image_vec, w.target, ca.dim_v)
     payload = {
         "window": window,
@@ -389,6 +405,9 @@ def preimage_certificate(
 def sigma_witness_certificate(
     witness: gallery.NonreversibilityWitness, round_trips: Optional[list] = None
 ) -> dict:
+    """``round_trips`` are sparse configurations x on which sigma and its
+    inverse are spot-checked in both orders; each is recorded with its
+    result."""
     payload = {
         "j0": witness.j0,
         "window_radius": witness.window_radius,
@@ -406,7 +425,14 @@ def sigma_witness_certificate(
         "note": witness.note,
     }
     if round_trips is not None:
-        transcript["round_trips"] = round_trips
+        transcript["round_trips"] = [
+            {
+                "config": encode_sparse_config(x),
+                "ok": gallery.sigma_inverse_apply(gallery.sigma_apply(x)) == x
+                and gallery.sigma_apply(gallery.sigma_inverse_apply(x)) == x,
+            }
+            for x in round_trips
+        ]
     return _cert(
         "sigma-nonreversibility",
         {"automaton": "sigma", "p": witness.p},
@@ -441,179 +467,129 @@ def sigma_prime_certificate(
 
 
 # -- verification ---------------------------------------------------------------
+#
+# Each decoder turns a certificate's payload into the library's own objects,
+# checks the claim once with their own check (raising CertificateError), and
+# returns the certificate rebuilt from them by the builder that wrote it.
+
+
+def _rebuild_reversible(cert) -> dict:
+    ca = decode_ca(cert["ca"])
+    inverse = cert["payload"]["inverse"]
+    memory = [decode_element(ca.group, m) for m in inverse["memory"]]
+    nu = LinearCA(ca.group, ca.p, ca.dim_v, memory, inverse["blocks"])
+    found = solver.ReversibilityCertificate(ca, nu)
+    _require(found.verify(), "compositions are not the identity")
+    return reversible_certificate(found)
+
+
+def _rebuild_kernel_witness(cert) -> dict:
+    ca = decode_ca(cert["ca"])
+    config = decode_config(ca.group, ca.p, ca.dim_v, cert["payload"]["witness"])
+    witness = solver.KernelWitness(ca, config)
+    _require(witness.verify(), "witness is zero or its image is not zero")
+    return kernel_witness_certificate(witness)
+
+
+def _rebuild_empty_fiber(cert) -> dict:
+    ca = decode_ca(cert["ca"])
+    payload = cert["payload"]
+    witness = solver.EmptyFiberWitness(
+        ca,
+        int(payload["level"]),
+        tuple(decode_element(ca.group, g) for g in payload["window"]),
+        decode_pattern(ca.group, ca.p, ca.dim_v, payload["pattern"]),
+    )
+    _require(witness.verify(), "window fiber is not empty")
+    target = None
+    if "target" in payload:
+        target = decode_config(ca.group, ca.p, ca.dim_v, payload["target"])
+    return empty_fiber_certificate(witness, target)
+
+
+def _rebuild_preimage(cert) -> dict:
+    ca = decode_ca(cert["ca"])
+    payload = cert["payload"]
+    target = decode_config(ca.group, ca.p, ca.dim_v, payload["target"])
+    pattern = decode_pattern(ca.group, ca.p, ca.dim_v, payload["pattern"])
+    return preimage_certificate(
+        ca,
+        target,
+        solver.PreimageResult("ok", pattern=pattern),
+        int(payload["window"]),
+        int(payload["cutoff"]),
+    )
+
+
+def _gallery_p(cert) -> int:
+    return linalg.require_prime(int(cert["ca"]["p"]))
+
+
+def _rebuild_sigma(cert) -> dict:
+    p = _gallery_p(cert)
+    payload = cert["payload"]
+    witness = gallery.sigma_nonreversibility_witness(
+        int(payload["j0"]), int(payload["window_radius"]), p
+    )
+    _require(witness.ok, "non-reversibility witness fails its checks")
+    trips = cert["transcript"].get("round_trips")
+    if trips is not None:
+        trips = [decode_sparse_config(p, rt["config"]) for rt in trips]
+    fresh = sigma_witness_certificate(witness, trips)
+    _require(
+        all(rt["ok"] for rt in fresh["transcript"].get("round_trips", ())),
+        "round-trip spot check failed",
+    )
+    return fresh
+
+
+def _rebuild_sigma_prime(cert) -> dict:
+    p = _gallery_p(cert)
+    payload = cert["payload"]
+    closure = gallery.sigma_prime_closure_witness(int(payload["window"]), p)
+    forced = gallery.sigma_prime_forced_support(int(payload["depth"]), p)
+    _require(closure.ok, "approximant image is not v_1 on the window")
+    _require(forced.ok, "forced coordinates are not 1..depth")
+    return sigma_prime_certificate(closure, forced)
+
+
+_REBUILDERS = {
+    "reversible": (_rebuild_reversible, "inverse verified by exact composition"),
+    "kernel-witness": (_rebuild_kernel_witness, "nonzero kernel configuration verified"),
+    "empty-fiber": (_rebuild_empty_fiber, "empty window fiber verified"),
+    "preimage": (_rebuild_preimage, "window preimage verified"),
+    "sigma-nonreversibility": (_rebuild_sigma, "non-reversibility witness verified"),
+    "sigma-prime-nonclosedness": (
+        _rebuild_sigma_prime,
+        "non-closedness witnesses verified",
+    ),
+}
+
+_ABSENT = object()
 
 
 def verify_certificate(cert) -> tuple[bool, str]:
-    """Re-check a certificate from scratch; returns (ok, detail)."""
+    """Re-check a certificate from scratch; returns (ok, detail).
+
+    The payload is decoded into the library's objects, the claim is checked
+    by their own check, and the whole certificate is rebuilt from them by
+    the builder that wrote it.  The certificate is valid only if it equals
+    the rebuild as parsed JSON, compared with ``==``: like the ``int()``
+    decoders, that equates ``1``, ``1.0`` and ``true``.  On a mismatch the
+    detail names the first top-level key, in sorted order, that differs."""
     if not isinstance(cert, dict) or cert.get("format") != CERT_FORMAT:
         return False, f"not a {CERT_FORMAT} object"
     kind = cert.get("kind")
+    if not isinstance(kind, str) or kind not in _REBUILDERS:
+        return False, f"unknown certificate kind {kind!r}"
+    rebuild, detail = _REBUILDERS[kind]
     try:
-        if kind == "reversible":
-            return _verify_reversible(cert)
-        if kind == "kernel-witness":
-            return _verify_kernel_witness(cert)
-        if kind == "empty-fiber":
-            return _verify_empty_fiber(cert)
-        if kind == "preimage":
-            return _verify_preimage(cert)
-        if kind == "sigma-nonreversibility":
-            return _verify_sigma(cert)
-        if kind == "sigma-prime-nonclosedness":
-            return _verify_sigma_prime(cert)
-    except (FormatError, KeyError, TypeError, ValueError) as exc:
+        fresh = rebuild(cert)
+    except CertificateError as exc:
+        return False, str(exc)
+    except (AttributeError, FormatError, KeyError, TypeError, ValueError) as exc:
         return False, f"malformed certificate: {exc}"
-    return False, f"unknown certificate kind {kind!r}"
-
-
-def _decode_cert_ca(cert) -> LinearCA:
-    ca = decode_ca(cert["ca"])
-    stored = cert.get("ca_sha256")
-    if stored is not None and stored != sha256_of(cert["ca"]):
-        raise FormatError("stored content hash does not match the definition")
-    return ca
-
-
-def _verify_reversible(cert) -> tuple[bool, str]:
-    ca = _decode_cert_ca(cert)
-    inv_data = cert["payload"]["inverse"]
-    memory = [decode_element(ca.group, m) for m in inv_data["memory"]]
-    nu = LinearCA(ca.group, ca.p, ca.dim_v, memory, inv_data["blocks"])
-    left = compose(nu, ca)
-    right = compose(ca, nu)
-    if not (equals_identity(left) and equals_identity(right)):
-        return False, "compositions are not the identity"
-    transcript = {"left": _rule_json(left), "right": _rule_json(right)}
-    if canonical_json(transcript) != canonical_json(cert["transcript"]):
-        return False, "transcript mismatch"
-    return True, "inverse verified by exact composition"
-
-
-def _verify_kernel_witness(cert) -> tuple[bool, str]:
-    ca = _decode_cert_ca(cert)
-    witness = decode_config(ca.group, ca.p, ca.dim_v, cert["payload"]["witness"])
-    if config_equal(ca.group, ca.dim_v, witness, zero_config()):
-        return False, "witness is the zero configuration"
-    image = ca.apply_config(witness)
-    if not config_equal(ca.group, ca.dim_v, image, zero_config()):
-        return False, "witness image is not zero"
-    transcript = {"image": encode_config(ca.group, image)}
-    if canonical_json(transcript) != canonical_json(cert["transcript"]):
-        return False, "transcript mismatch"
-    return True, "nonzero kernel configuration verified"
-
-
-def _verify_empty_fiber(cert) -> tuple[bool, str]:
-    ca = _decode_cert_ca(cert)
-    payload = cert["payload"]
-    level = int(payload["level"])
-    ws = solver.WindowSystem(ca)
-    w = ws.window(level)
-    window = tuple(decode_element(ca.group, g) for g in payload["window"])
-    if window != w.target:
-        return False, "stored window does not match the level's interior"
-    pattern = decode_pattern(ca.group, ca.p, ca.dim_v, payload["pattern"])
-    if set(pattern.cells) != set(window):
-        return False, "pattern domain does not match the window"
-    if "target" in payload:
-        target = decode_config(ca.group, ca.p, ca.dim_v, payload["target"])
-        for g in window:
-            if not np.array_equal(target.value_at(g, ca.dim_v), pattern.cells[g]):
-                return False, "pattern does not restrict the target"
-    vec = pattern_to_vec(pattern, w.target, ca.dim_v, ca.p)
-    fiber = linalg.solve_affine(w.matrix, vec, ca.p)
-    r_plain = linalg.rank(w.matrix, ca.p)
-    r_aug = linalg.rank(np.hstack([w.matrix, vec.reshape(-1, 1)]), ca.p)
-    if not fiber.is_empty or r_aug != r_plain + 1:
-        return False, "fiber is not empty"
-    transcript = {"rank": r_plain, "rank_augmented": r_aug}
-    if canonical_json(transcript) != canonical_json(cert["transcript"]):
-        return False, "transcript mismatch"
-    return True, "empty window fiber verified"
-
-
-def _verify_preimage(cert) -> tuple[bool, str]:
-    ca = _decode_cert_ca(cert)
-    payload = cert["payload"]
-    window = int(payload["window"])
-    target = decode_config(ca.group, ca.p, ca.dim_v, payload["target"])
-    pattern = decode_pattern(ca.group, ca.p, ca.dim_v, payload["pattern"])
-    ws = solver.WindowSystem(ca)
-    w = ws.window(window)
-    if set(pattern.cells) != set(w.source):
-        return False, "pattern domain does not match the window"
-    vec = pattern_to_vec(pattern, w.source, ca.dim_v, ca.p)
-    # Plain int64 product on purpose: independent of matmul's float64 path.
-    image_vec = (w.matrix @ vec) % ca.p
-    if not np.array_equal(image_vec, ws.target_vec(target, window)):
-        return False, "pattern image does not match the target"
-    image = vec_to_pattern(image_vec, w.target, ca.dim_v)
-    transcript = {
-        "matched_cells": [encode_element(ca.group, g) for g in w.target],
-        "image": encode_pattern(ca.group, image),
-    }
-    if canonical_json(transcript) != canonical_json(cert["transcript"]):
-        return False, "transcript mismatch"
-    return True, "window preimage verified"
-
-
-def _verify_sigma(cert) -> tuple[bool, str]:
-    p = int(cert["ca"]["p"])
-    payload = cert["payload"]
-    z = decode_sparse_config(p, payload["z"])
-    preimage = decode_sparse_config(p, payload["preimage_of_z"])
-    value = decode_sparse_vector(p, payload["value_at_zero"])
-    if gallery.sigma_apply(preimage) != z:
-        return False, "stored preimage does not map onto z"
-    if value.is_zero() or preimage.value_at(0) != value:
-        return False, "value at cell 0 does not separate the pair"
-    j0 = int(payload["j0"])
-    if value != gallery.basis(p, gallery.block_start(j0)):
-        return False, "value at cell 0 is not the block-bottom basis vector"
-    stored = dict(cert["transcript"])
-    round_trips = stored.pop("round_trips", [])
-    for n in stored["agree_cells"]:
-        if not z.value_at(int(n)).is_zero():
-            return False, "pair does not agree on the stated window"
-    for rt in round_trips:
-        x = decode_sparse_config(p, rt["config"])
-        if gallery.sigma_inverse_apply(gallery.sigma_apply(x)) != x:
-            return False, "round-trip spot check failed"
-        if gallery.sigma_apply(gallery.sigma_inverse_apply(x)) != x:
-            return False, "round-trip spot check failed"
-    fresh = sigma_witness_certificate(
-        gallery.sigma_nonreversibility_witness(
-            j0, int(payload["window_radius"]), p
-        )
-    )
-    if canonical_json(fresh["transcript"]) != canonical_json(stored):
-        return False, "transcript mismatch"
-    return True, "non-reversibility witness verified"
-
-
-def _verify_sigma_prime(cert) -> tuple[bool, str]:
-    p = int(cert["ca"]["p"])
-    payload = cert["payload"]
-    approximant = decode_sparse_config(p, payload["approximant"])
-    image = gallery.sigma_prime_apply(approximant)
-    v1 = gallery.basis(p, 1)
-    for n, v in cert["transcript"]["window_values"]:
-        want = decode_sparse_vector(p, v)
-        if want != v1 or image.value_at(int(n)) != want:
-            return False, f"image is not v_1 at cell {n}"
-    forced = gallery.sigma_prime_forced_support(int(payload["depth"]), p)
-    expected = {
-        "forced": [[t, val] for t, val in sorted(forced.forced.items())],
-        "forced_unit_coordinates": forced.forced_unit_coordinates,
-        "solution_dim": forced.solution_dim,
-    }
-    stored = {
-        "forced": cert["transcript"]["forced"],
-        "forced_unit_coordinates": cert["transcript"]["forced_unit_coordinates"],
-        "solution_dim": cert["transcript"]["solution_dim"],
-    }
-    if canonical_json(expected) != canonical_json(stored):
-        return False, "forced-support transcript mismatch"
-    if forced.forced_unit_coordinates != list(range(1, forced.depth + 1)):
-        return False, "forced coordinates are not 1..depth"
-    return True, "non-closedness witnesses verified"
+    for key in sorted(set(cert) | set(fresh)):
+        if cert.get(key, _ABSENT) != fresh.get(key, _ABSENT):
+            return False, f"certificate field {key!r} does not match its recomputation"
+    return True, detail

@@ -24,6 +24,7 @@ finite ball contains its inverse's memory, so the search is complete.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -37,11 +38,14 @@ from .ca import (
     PeriodicConfig,
     WindowMap,
     compose,
+    config_equal,
+    constant,
     equals_identity,
     finite_support,
     pattern_to_vec,
     periodic,
     vec_to_pattern,
+    zero_config,
 )
 from .groups import BallSequence, IntegerGroup
 from .linalg import (
@@ -351,22 +355,29 @@ def extract_limit_prefix(
 
 @dataclass
 class ReversibilityCertificate:
-    """A synthesized inverse rule plus its two exact composition transcripts."""
+    """A synthesized inverse rule; its two compositions with the automaton
+    are the exact transcript that certifies it."""
 
     automaton: LinearCA
     inverse: LinearCA
-    radius: int
-    left_composition: LinearCA
-    right_composition: LinearCA
+
+    @property
+    def radius(self) -> int:
+        """The smallest word ball holding the inverse's memory.  The inverse
+        of a bijective CA is unique, so this is where the search finds it."""
+        return max(self.automaton.group.word_norm(m) for m in self.inverse.memory)
+
+    @cached_property
+    def left_composition(self) -> LinearCA:
+        return compose(self.inverse, self.automaton)
+
+    @cached_property
+    def right_composition(self) -> LinearCA:
+        return compose(self.automaton, self.inverse)
 
     def verify(self) -> bool:
-        left = compose(self.inverse, self.automaton)
-        right = compose(self.automaton, self.inverse)
-        return (
-            equals_identity(left)
-            and equals_identity(right)
-            and left == self.left_composition
-            and right == self.right_composition
+        return equals_identity(self.left_composition) and equals_identity(
+            self.right_composition
         )
 
 
@@ -377,18 +388,14 @@ class KernelWitness:
     automaton: LinearCA
     config: Configuration
 
-    def verify(self) -> bool:
-        from .ca import ConstantConfig, config_equal, zero_config
+    @cached_property
+    def image(self) -> Configuration:
+        return self.automaton.apply_config(self.config)
 
-        ca = self.automaton
-        if isinstance(self.config, PeriodicConfig):
-            nonzero = any(np.any(v) for v in self.config.values)
-        elif isinstance(self.config, ConstantConfig):
-            nonzero = bool(np.any(self.config.value))
-        else:
-            nonzero = bool(self.config.cells)
-        image = ca.apply_config(self.config)
-        return nonzero and config_equal(ca.group, ca.dim_v, image, zero_config())
+    def verify(self) -> bool:
+        ca, zero = self.automaton, zero_config()
+        nonzero = not config_equal(ca.group, ca.dim_v, self.config, zero)
+        return nonzero and config_equal(ca.group, ca.dim_v, self.image, zero)
 
 
 @dataclass
@@ -401,16 +408,29 @@ class EmptyFiberWitness:
     window_cells: tuple
     pattern: Pattern
 
+    @cached_property
+    def _window(self) -> WindowMap:
+        return WindowSystem(self.automaton).window(self.level)
+
+    def _vector(self) -> np.ndarray:
+        ca = self.automaton
+        return pattern_to_vec(self.pattern, self._window.target, ca.dim_v, ca.p)
+
+    @cached_property
+    def ranks(self) -> tuple[int, int]:
+        """Rank of the window matrix, and its rank with the pattern appended
+        as a column: the fiber is empty exactly when the second is larger."""
+        m, p = self._window.matrix, self.automaton.p
+        augmented = np.hstack([m, self._vector().reshape(-1, 1)])
+        return linalg.rank(m, p), linalg.rank(augmented, p)
+
     def verify(self) -> bool:
-        ws = WindowSystem(self.automaton)
-        w = ws.window(self.level)
-        if w.target != self.window_cells:
+        w = self._window
+        if w.target != self.window_cells or set(self.pattern.cells) != set(w.target):
             return False
-        vec = pattern_to_vec(self.pattern, w.target, self.automaton.dim_v, self.automaton.p)
-        fiber = solve_affine(w.matrix, vec, self.automaton.p)
+        fiber = solve_affine(w.matrix, self._vector(), self.automaton.p)
         # Independent consistency check: augmenting must raise the rank.
-        r_plain = linalg.rank(w.matrix, self.automaton.p)
-        r_aug = linalg.rank(np.hstack([w.matrix, vec.reshape(-1, 1)]), self.automaton.p)
+        r_plain, r_aug = self.ranks
         return fiber.is_empty and r_aug == r_plain + 1
 
 
@@ -500,8 +520,6 @@ def _constant_kernel_witness(ca: LinearCA):
     kern = kernel_basis(total, ca.p)
     if kern.dim == 0:
         return None
-    from .ca import constant
-
     return constant(ca.p, ca.dim_v, kern.basis[0])
 
 
@@ -522,27 +540,33 @@ def _periodic_kernel_witness(ca: LinearCA, q: int) -> Optional[PeriodicConfig]:
     return periodic(ca.p, d, [vec[i * d : (i + 1) * d] for i in range(q)])
 
 
+def _checked_kernel_witness(ca: LinearCA, config) -> Optional[KernelWitness]:
+    """The witness holding ``config`` if it passes its exact check, else None."""
+    if config is None:
+        return None
+    witness = KernelWitness(ca, config)
+    return witness if witness.verify() else None
+
+
 def kernel_witness(
     ca: LinearCA, support_bound: int = 4, period_bound: int = 4
 ) -> Optional[Configuration]:
     """Search for a nonzero configuration in the kernel: finitely supported
     ones on growing balls first, then periodic ones on the integers.  Any
     returned witness is re-verified exactly; None is inconclusive."""
-    for radius in range(support_bound + 1):
-        w = _support_kernel_witness(ca, radius)
-        if w is not None and KernelWitness(ca, w).verify():
-            return w
-    # On the integers the period-1 search subsumes constants; elsewhere the
-    # constant family is the only group-agnostic periodic analogue.
-    if not isinstance(ca.group, IntegerGroup):
-        w = _constant_kernel_witness(ca)
-        if w is not None and KernelWitness(ca, w).verify():
-            return w
-    for q in range(1, period_bound + 1):
-        w = _periodic_kernel_witness(ca, q)
-        if w is not None and KernelWitness(ca, w).verify():
-            return w
-    return None
+
+    def candidates():
+        for radius in range(support_bound + 1):
+            yield _support_kernel_witness(ca, radius)
+        # On the integers the period-1 search subsumes constants; elsewhere
+        # the constant family is the only group-agnostic periodic analogue.
+        if not isinstance(ca.group, IntegerGroup):
+            yield _constant_kernel_witness(ca)
+        for q in range(1, period_bound + 1):
+            yield _periodic_kernel_witness(ca, q)
+
+    found = (_checked_kernel_witness(ca, config) for config in candidates())
+    return next((w.config for w in found if w is not None), None)
 
 
 def _window_fiber_counterexample(
@@ -611,24 +635,21 @@ def invert_ca(ca: LinearCA, max_radius: int = 8) -> InvertResult:
             blocks = _solve_left_inverse(ca, cand)
             if blocks is not None:
                 nu = LinearCA(ca.group, ca.p, ca.dim_v, cand, blocks)
-                left = compose(nu, ca)
-                right = compose(ca, nu)
-                if equals_identity(left) and equals_identity(right):
-                    return ReversibilityCertificate(ca, nu, n, left, right)
+                cert = ReversibilityCertificate(ca, nu)
+                if cert.verify():
+                    return cert
                 # A left inverse exists, so the map is injective but not
                 # surjective; only a fiber witness can certify that.
                 left_inverse = nu
         if left_inverse is None:
-            w = _support_kernel_witness(ca, n)
-            if w is not None and KernelWitness(ca, w).verify():
-                return NotInvertible(KernelWitness(ca, w))
-            if not isinstance(ca.group, IntegerGroup):
-                wc = _constant_kernel_witness(ca)
-                if wc is not None and KernelWitness(ca, wc).verify():
-                    return NotInvertible(KernelWitness(ca, wc))
-            wp = _periodic_kernel_witness(ca, n + 1)
-            if wp is not None and KernelWitness(ca, wp).verify():
-                return NotInvertible(KernelWitness(ca, wp))
+            kernel = _checked_kernel_witness(ca, _support_kernel_witness(ca, n))
+            if kernel is None and not isinstance(ca.group, IntegerGroup):
+                kernel = _checked_kernel_witness(ca, _constant_kernel_witness(ca))
+            if kernel is None:
+                periodic_config = _periodic_kernel_witness(ca, n + 1)
+                kernel = _checked_kernel_witness(ca, periodic_config)
+            if kernel is not None:
+                return NotInvertible(kernel)
         fiber = _window_fiber_counterexample(ca, n, ws)
         if fiber is not None:
             return NotInvertible(fiber)

@@ -1,0 +1,205 @@
+"""Every certificate kind verifies as built, and tampered copies are
+rejected: the verifier rebuilds the whole certificate from its payload with
+the builder that wrote it, so no field can be forged or dropped."""
+
+import functools
+
+import pytest
+
+from linca import IntegerGroup, LinearCA, finite_support, gallery, jsonio, solver
+from linca.cli import main
+
+Z = IntegerGroup()
+CA_KINDS = ["reversible", "kernel-witness", "empty-fiber", "preimage"]
+KINDS = CA_KINDS + ["sigma-nonreversibility", "sigma-prime-nonclosedness"]
+# (kind, with_target): empty-fiber certificates come with and without the
+# target configuration they refute.
+CASES = [(kind, False) for kind in KINDS] + [("empty-fiber", True)]
+CA_CASES = [case for case in CASES if case[0] in CA_KINDS]
+
+
+def shift_ca():
+    return LinearCA(Z, 2, 1, (1,), ([[1]],))
+
+
+def add_ca():
+    return LinearCA(Z, 2, 1, (0, 1), ([[1]], [[1]]))
+
+
+def projection_ca():
+    return LinearCA(Z, 2, 2, (0,), ([[1, 0], [0, 0]],))
+
+
+@functools.lru_cache(maxsize=None)
+def _certificate_text(kind: str, with_target: bool = False) -> str:
+    if kind == "reversible":
+        result = solver.invert_ca(shift_ca())
+        cert = jsonio.reversible_certificate(result)
+    elif kind == "kernel-witness":
+        result = solver.invert_ca(add_ca())
+        cert = jsonio.kernel_witness_certificate(result.witness)
+    elif kind == "empty-fiber" and with_target:
+        ca = projection_ca()
+        target = finite_support(2, 2, {0: [0, 1]})
+        result = solver.preimage_extract(ca, target, window_index=1, cutoff=4)
+        assert result.status == "not-in-image"
+        cert = jsonio.empty_fiber_certificate(result.witness, target)
+    elif kind == "empty-fiber":
+        witness = solver.surjectivity_counterexample(projection_ca())
+        cert = jsonio.empty_fiber_certificate(witness)
+    elif kind == "preimage":
+        ca = add_ca()
+        target = finite_support(2, 1, {0: [1]})
+        result = solver.preimage_extract(ca, target, window_index=2, cutoff=8)
+        assert result.status == "ok"
+        cert = jsonio.preimage_certificate(ca, target, result, 2, 8)
+    elif kind == "sigma-nonreversibility":
+        witness = gallery.sigma_nonreversibility_witness(3, 3, 2)
+        trips = [
+            gallery.lazy_config(2, {0: gallery.basis(2, 2)}),
+            gallery.lazy_config(2, {-1: gallery.basis(2, 1), 2: gallery.basis(2, 5)}),
+        ]
+        cert = jsonio.sigma_witness_certificate(witness, trips)
+    else:
+        closure = gallery.sigma_prime_closure_witness(5, 2)
+        forced = gallery.sigma_prime_forced_support(4, 2)
+        cert = jsonio.sigma_prime_certificate(closure, forced)
+    return jsonio.dumps(cert)
+
+
+def certificate(kind: str, with_target: bool = False) -> dict:
+    """A fresh parsed copy of a library-built certificate of this kind."""
+    return jsonio.loads(_certificate_text(kind, with_target))
+
+
+def rejected(cert) -> str:
+    ok, detail = jsonio.verify_certificate(cert)
+    assert ok is False, detail
+    return detail
+
+
+@pytest.mark.parametrize("kind, with_target", CASES)
+def test_library_certificates_verify(kind, with_target):
+    ok, detail = jsonio.verify_certificate(certificate(kind, with_target))
+    assert ok, detail
+
+
+@pytest.mark.parametrize("kind, with_target", CASES)
+def test_extra_payload_key_is_rejected(kind, with_target):
+    cert = certificate(kind, with_target)
+    cert["payload"]["comment"] = "trust me"
+    assert rejected(cert) == (
+        "certificate field 'payload' does not match its recomputation"
+    )
+
+
+@pytest.mark.parametrize("kind, with_target", CASES)
+def test_missing_payload_key_is_rejected(kind, with_target):
+    cert = certificate(kind, with_target)
+    del cert["payload"][sorted(cert["payload"])[0]]
+    rejected(cert)
+
+
+@pytest.mark.parametrize("kind, with_target", CASES)
+def test_payload_or_transcript_of_the_wrong_type_is_rejected(kind, with_target):
+    for field in ("payload", "transcript"):
+        cert = certificate(kind, with_target)
+        cert[field] = []
+        rejected(cert)
+
+
+@pytest.mark.parametrize("kind, with_target", CA_CASES)
+def test_removed_ca_hash_is_rejected(kind, with_target):
+    cert = certificate(kind, with_target)
+    del cert["ca_sha256"]
+    assert rejected(cert) == (
+        "certificate field 'ca_sha256' does not match its recomputation"
+    )
+
+
+def test_unknown_kind_is_rejected():
+    cert = certificate("reversible")
+    cert["kind"] = "surjective"
+    assert rejected(cert) == "unknown certificate kind 'surjective'"
+    cert["kind"] = ["reversible"]
+    rejected(cert)
+
+
+def test_sigma_prime_window_values_emptied_is_rejected():
+    cert = certificate("sigma-prime-nonclosedness")
+    cert["transcript"]["window_values"] = []
+    assert "'transcript'" in rejected(cert)
+
+
+def test_sigma_prime_truncated_window_with_swapped_approximant_is_rejected():
+    cert = certificate("sigma-prime-nonclosedness")
+    first_cell, v1 = cert["transcript"]["window_values"][0]
+    # sigma'(x)(n) = x(n+1) - psi(x(n)): a lone v_1 at n+1 maps to v_1 at n
+    # and to -v_2 at n+1, so the image is v_1 on the first cell only.
+    fake = gallery.lazy_config(2, {first_cell + 1: gallery.basis(2, 1)})
+    image = gallery.sigma_prime_apply(fake)
+    assert image.value_at(first_cell) == gallery.basis(2, 1)
+    assert image.value_at(first_cell + 1) != gallery.basis(2, 1)
+    cert["payload"]["approximant"] = jsonio.encode_sparse_config(fake)
+    cert["transcript"]["window_values"] = [[first_cell, v1]]
+    assert "'payload'" in rejected(cert)
+
+
+@pytest.mark.parametrize("radius", [0, -5, 2])
+def test_reversible_radius_changed_is_rejected(radius):
+    cert = certificate("reversible")
+    assert cert["payload"]["radius"] == 1
+    cert["payload"]["radius"] = radius
+    assert "'payload'" in rejected(cert)
+
+
+def test_sigma_round_trip_marked_failed_is_rejected():
+    cert = certificate("sigma-nonreversibility")
+    assert all(rt["ok"] is True for rt in cert["transcript"]["round_trips"])
+    cert["transcript"]["round_trips"][0]["ok"] = False
+    assert "'transcript'" in rejected(cert)
+
+
+def test_preimage_pattern_entry_changed_is_rejected():
+    cert = certificate("preimage")
+    cells = cert["payload"]["pattern"]["cells"]
+    value = next(v for g, v in cells if g == 0)
+    value[0] = 1 - value[0]
+    assert rejected(cert) == "pattern image does not match the target"
+
+
+@pytest.mark.parametrize("with_target", [False, True])
+def test_empty_fiber_pattern_entry_changed_is_rejected(with_target):
+    cert = certificate("empty-fiber", with_target)
+    cells = cert["payload"]["pattern"]["cells"]
+    value = next(v for _, v in cells if any(v))
+    value[value.index(1)] = 0
+    rejected(cert)
+
+
+def test_kernel_witness_replaced_by_zero_is_rejected():
+    cert = certificate("kernel-witness")
+    zero = {"format": jsonio.CONFIG_FORMAT, "kind": "finite-support", "cells": []}
+    cert["payload"]["witness"] = zero
+    cert["transcript"]["image"] = zero
+    assert rejected(cert) == "witness is zero or its image is not zero"
+
+
+def test_mismatch_detail_names_the_first_differing_field():
+    cert = certificate("reversible")
+    cert["transcript"]["left"]["memory"] = []
+    cert["transcript"]["right"]["memory"] = []
+    assert rejected(cert) == (
+        "certificate field 'transcript' does not match its recomputation"
+    )
+    cert["payload"]["radius"] = 7
+    assert "'payload'" in rejected(cert)
+
+
+def test_verify_cli_exits_10_on_a_forgery(tmp_path, capsys):
+    cert = certificate("sigma-prime-nonclosedness")
+    cert["transcript"]["window_values"] = []
+    path = tmp_path / "forged.json"
+    path.write_text(jsonio.dumps(cert))
+    assert main(["verify", str(path)]) == 10
+    assert "INVALID: certificate field 'transcript'" in capsys.readouterr().out
