@@ -1,16 +1,10 @@
-"""Kernel selection: compiled elimination core when available, numpy fallback
-otherwise.  Set LINCA_PURE_PYTHON=1 to force the fallback, for example to
-run the tests on the numpy kernel where the compiled one is built."""
+"""Kernel selection: the compiled elimination core when it is built, the
+numpy kernel otherwise.  Both give identical results."""
 
-import os
-
-if os.environ.get("LINCA_PURE_PYTHON", "") not in ("", "0"):
+try:
+    from . import _modp_cy as _impl  # type: ignore[attr-defined]
+except ImportError:
     from . import _modp_py as _impl
-else:
-    try:
-        from . import _modp_cy as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _modp_py as _impl
 
 rref_inplace = _impl.rref_inplace
 BACKEND = _impl.__name__.rsplit(".", 1)[-1].removeprefix("_modp_")

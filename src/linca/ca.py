@@ -11,8 +11,10 @@ makes identity testing exact.
 
 Patterns live on finite windows; configurations come in three decidable
 families: finitely supported (any group), periodic (integers only) and
-constant.  Window maps assemble the induced linear map V^A -> V^B with
-B = interior(A, M) as an explicit GF(p) matrix in the canonical cell order.
+constant.  ``LinearCA.block_matrix`` is the one assembler of rule blocks
+into a GF(p) matrix: window maps V^A -> V^B with B = interior(A, M), in the
+canonical cell order, and the solver's left-inverse and kernel-witness
+systems only name their row and column cells.
 """
 
 from __future__ import annotations
@@ -181,7 +183,33 @@ class LinearCA:
             return constant(self.p, self.dim_v, acc)
         raise CAError(f"unsupported configuration kind: {type(config).__name__}")
 
-    # -- window maps ----------------------------------------------------
+    # -- block matrices and window maps ------------------------------------
+
+    def block_matrix(
+        self, rows: Sequence, cols: Sequence, multiply: Optional[Callable] = None
+    ) -> np.ndarray:
+        """The matrix, from V^cols to V^rows, of x -> (r -> sum_m b_m x(r m)),
+        cells in the given orders; a product r m outside ``cols`` reads zero.
+
+        ``multiply`` defaults to the group's, where r m = r m' forces m = m':
+        each cell gets at most one block, already reduced, and no other entry
+        is written.  Only a custom ``multiply`` (the periodic kernel search
+        wraps products mod q) can add two blocks into one cell, so only then
+        are the written sums reduced."""
+        d = self.dim_v
+        mul = multiply or self.group.multiply
+        index = {c: j for j, c in enumerate(cols)}
+        mat = np.zeros((d * len(rows), d * len(cols)), dtype=np.int64)
+        cells = mat.reshape(len(rows), d, len(cols), d)
+        for m, b in zip(self.memory, self.blocks):
+            if not b.any():
+                continue
+            js = np.array([index.get(mul(r, m), -1) for r in rows], dtype=np.int64)
+            ri = np.flatnonzero(js >= 0)
+            cells[ri, :, js[ri], :] += b
+            if multiply is not None:
+                cells[ri, :, js[ri], :] %= self.p
+        return mat
 
     def window_map(self, n: int, balls: Optional[BallSequence] = None) -> "WindowMap":
         """The matrix of the induced map V^{A_n} -> V^{B_n} in canonical
@@ -189,14 +217,7 @@ class LinearCA:
         balls = balls or self.balls()
         source = balls.window(n)
         target = interior(self.group, source, self.memory)
-        d = self.dim_v
-        index = {a: i for i, a in enumerate(source)}
-        mat = np.zeros((d * len(target), d * len(source)), dtype=np.int64)
-        for bi, g in enumerate(target):
-            for m, b in zip(self.memory, self.blocks):
-                ai = index[self.group.multiply(g, m)]
-                mat[bi * d : (bi + 1) * d, ai * d : (ai + 1) * d] += b
-        return WindowMap(source, target, _freeze(mat % self.p))
+        return WindowMap(source, target, _freeze(self.block_matrix(target, source)))
 
 
 @dataclass(frozen=True, eq=False)

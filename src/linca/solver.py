@@ -407,10 +407,12 @@ class EmptyFiberWitness:
     level: int
     window_cells: tuple
     pattern: Pattern
+    # The window map at ``level``, when the caller already holds it.
+    window: Optional[WindowMap] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def _window(self) -> WindowMap:
-        return WindowSystem(self.automaton).window(self.level)
+        return self.window or WindowSystem(self.automaton).window(self.level)
 
     def _vector(self) -> np.ndarray:
         ca = self.automaton
@@ -448,33 +450,25 @@ InvertResult = Union[ReversibilityCertificate, NotInvertible, SolverUnknown]
 
 
 def _solve_left_inverse(ca: LinearCA, candidates: tuple) -> Optional[list]:
-    """Blocks of a rule nu with memory ``candidates`` and nu o ca = identity,
-    or None.  The defining equations, transposed, share one coefficient
-    matrix across the dimV right-hand-side columns, so a single elimination
-    answers all of them."""
+    """Blocks c_w of a rule nu with memory ``candidates`` and nu o ca =
+    identity, or None.  The block of nu o ca at u is the sum of c_w b_m over
+    w m = u.  Transposed, sum_m b_m^T c_{u m^-1}^T = [u = e] I is the system
+    of the adjoint rule (memory m^-1, blocks b_m^T) on the unknowns c_w^T,
+    read on the cells u = w m.  It shares one coefficient matrix across the
+    dimV right-hand-side columns, so a single elimination answers them all."""
     d = ca.dim_v
-    p = ca.p
     g = ca.group
     if d == 0:
         return [np.zeros((0, 0), dtype=np.int64) for _ in candidates]
-    prods: dict = {}
-    for wi, w in enumerate(candidates):
-        for m, bm in zip(ca.memory, ca.blocks):
-            u = g.multiply(w, m)
-            prods.setdefault(u, []).append((wi, bm))
-    us = g.sort_elements(prods)
-    uindex = {u: i for i, u in enumerate(us)}
-    coeff = np.zeros((d * len(us), d * len(candidates)), dtype=np.int64)
-    for u, pairs in prods.items():
-        ui = uindex[u]
-        for wi, bm in pairs:
-            blockview = coeff[ui * d : (ui + 1) * d, wi * d : (wi + 1) * d]
-            blockview += bm.T
+    adjoint = LinearCA(
+        g, ca.p, d, [g.inverse(m) for m in ca.memory], [b.T for b in ca.blocks]
+    )
+    us = g.sort_elements({g.multiply(w, m) for w in candidates for m in ca.memory})
+    coeff = adjoint.block_matrix(us, candidates)
     rhs = np.zeros((d * len(us), d), dtype=np.int64)
-    e = g.identity()
-    ei = uindex[e]
+    ei = us.index(g.identity())
     rhs[ei * d : (ei + 1) * d] = np.eye(d, dtype=np.int64)
-    _, points = solve_affine_multi(coeff, rhs, p)
+    _, points = solve_affine_multi(coeff, rhs, ca.p)
     if any(pt is None for pt in points):
         return None
     stacked = np.stack(points, axis=1)
@@ -488,36 +482,24 @@ def _support_kernel_witness(ca: LinearCA, radius: int) -> Optional[FiniteSupport
     cells = g.ball(radius)
     if d == 0 or not cells:
         return None
-    rows_cells = g.sort_elements(
+    rows = g.sort_elements(
         {g.multiply(w, g.inverse(m)) for w in cells for m in ca.memory}
     )
-    pos = {h: j for j, h in enumerate(cells)}
-    mat = np.zeros((d * len(rows_cells), d * len(cells)), dtype=np.int64)
-    for ri, cell in enumerate(rows_cells):
-        for m, bm in zip(ca.memory, ca.blocks):
-            j = pos.get(g.multiply(cell, m))
-            if j is not None:
-                mat[ri * d : (ri + 1) * d, j * d : (j + 1) * d] += bm
-    kern = kernel_basis(mat, ca.p)
+    kern = kernel_basis(ca.block_matrix(rows, cells), ca.p)
     if kern.dim == 0:
         return None
     vec = kern.basis[0]
     config = finite_support(
         ca.p, d, {cell: vec[j * d : (j + 1) * d] for j, cell in enumerate(cells)}
     )
-    if not config.cells:
-        return None
-    return config
+    return config if config.cells else None
 
 
 def _constant_kernel_witness(ca: LinearCA):
     """Nonzero constant kernel configuration (valid on every group)."""
     if ca.dim_v == 0:
         return None
-    total = np.zeros((ca.dim_v, ca.dim_v), dtype=np.int64)
-    for b in ca.blocks:
-        total = (total + b) % ca.p
-    kern = kernel_basis(total, ca.p)
+    kern = kernel_basis(sum(ca.blocks) % ca.p, ca.p)
     if kern.dim == 0:
         return None
     return constant(ca.p, ca.dim_v, kern.basis[0])
@@ -528,11 +510,7 @@ def _periodic_kernel_witness(ca: LinearCA, q: int) -> Optional[PeriodicConfig]:
     if not isinstance(ca.group, IntegerGroup) or ca.dim_v == 0:
         return None
     d = ca.dim_v
-    mat = np.zeros((d * q, d * q), dtype=np.int64)
-    for i in range(q):
-        for m, bm in zip(ca.memory, ca.blocks):
-            j = (i + m) % q
-            mat[i * d : (i + 1) * d, j * d : (j + 1) * d] += bm
+    mat = ca.block_matrix(range(q), range(q), lambda i, m: (i + m) % q)
     kern = kernel_basis(mat, ca.p)
     if kern.dim == 0:
         return None
@@ -569,6 +547,16 @@ def kernel_witness(
     return next((w.config for w in found if w is not None), None)
 
 
+def _checked_fiber_witness(
+    ca: LinearCA, n: int, w: WindowMap, vec: np.ndarray
+) -> Optional[EmptyFiberWitness]:
+    """The witness that ``vec`` on the window's target cells has an empty
+    fiber under ``w`` (the window map at level n), if it passes its check."""
+    pattern = vec_to_pattern(vec, w.target, ca.dim_v)
+    witness = EmptyFiberWitness(ca, n, w.target, pattern, w)
+    return witness if witness.verify() else None
+
+
 def _window_fiber_counterexample(
     ca: LinearCA, n: int, ws: Optional[WindowSystem] = None
 ) -> Optional[EmptyFiberWitness]:
@@ -586,12 +574,7 @@ def _window_fiber_counterexample(
     missing = next(j for j in range(out_dim) if j not in pivot_set)
     vec = np.zeros(out_dim, dtype=np.int64)
     vec[missing] = 1
-    witness = EmptyFiberWitness(
-        ca, n, w.target, vec_to_pattern(vec, w.target, ca.dim_v)
-    )
-    if not witness.verify():
-        return None
-    return witness
+    return _checked_fiber_witness(ca, n, w, vec)
 
 
 def surjectivity_counterexample(
@@ -643,7 +626,8 @@ def invert_ca(ca: LinearCA, max_radius: int = 8) -> InvertResult:
                 left_inverse = nu
         if left_inverse is None:
             kernel = _checked_kernel_witness(ca, _support_kernel_witness(ca, n))
-            if kernel is None and not isinstance(ca.group, IntegerGroup):
+            # The constant witness does not depend on n: try it once.
+            if kernel is None and n == 0 and not isinstance(ca.group, IntegerGroup):
                 kernel = _checked_kernel_witness(ca, _constant_kernel_witness(ca))
             if kernel is None:
                 periodic_config = _periodic_kernel_witness(ca, n + 1)
@@ -694,14 +678,8 @@ def preimage_extract(
     result = extract_limit_prefix(seq, window_index, cutoff, plateau_k)
     if result.status == "empty-level":
         m = result.empty_level
-        w = ws.window(m)
-        witness = EmptyFiberWitness(
-            ca,
-            m,
-            w.target,
-            vec_to_pattern(ws.target_vec(target, m), w.target, ca.dim_v),
-        )
-        if not witness.verify():
+        witness = _checked_fiber_witness(ca, m, ws.window(m), ws.target_vec(target, m))
+        if witness is None:
             raise AssertionError("empty level failed its independent verification")
         return PreimageResult("not-in-image", witness=witness, extraction=result)
     if result.status != "ok":

@@ -6,9 +6,10 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_finite_support, random_integer_ca
+from conftest import random_ca, random_finite_support, random_integer_ca
 from linca import (
     BallSequence,
+    FreeGroup,
     IntegerGroup,
     LatticeGroup,
     LinearCA,
@@ -16,11 +17,13 @@ from linca import (
     compose,
     config_equal,
     constant,
+    cyclic_group,
     equals_identity,
     equivariance_check,
     finite_support,
     identity_ca,
     periodic,
+    symmetric_group_3,
 )
 from linca.ca import CAError, pattern_to_vec, vec_to_pattern
 
@@ -321,3 +324,63 @@ def test_window_map_on_lattice():
     assert set(w.target) == {
         g for g in w.source if tuple(np.add(g, (1, 0))) in set(w.source)
     }
+
+
+# -- block matrices --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        IntegerGroup(),
+        LatticeGroup(2),
+        FreeGroup(2),
+        symmetric_group_3(),
+        cyclic_group(6),
+    ],
+    ids=["Z", "Z2", "F2", "S3", "Z6"],
+)
+def test_block_matrix_matches_rule_evaluation(group):
+    """Rows are cells M^-1, so some products r m leave the columns and must
+    read zero; the matrix must come out reduced."""
+    rng = random.Random(61)
+    outside = 0
+    for _ in range(12):
+        p = rng.choice((2, 3, 5))
+        d = rng.choice((1, 2))
+        memory = rng.sample(group.ball(1), rng.randint(1, len(group.ball(1))))
+        ca = random_ca(rng, group, p, d, memory)
+        cells = group.ball(rng.choice((0, 1)))
+        rows = group.sort_elements(
+            {group.multiply(c, group.inverse(m)) for c in cells for m in ca.memory}
+        )
+        products = {group.multiply(r, m) for r in rows for m in ca.memory}
+        outside += not products <= set(cells)
+        mat = ca.block_matrix(rows, cells)
+        assert mat.shape == (d * len(rows), d * len(cells))
+        assert mat.min() >= 0 and mat.max() < p
+        values = [[rng.randrange(p) for _ in range(d)] for _ in cells]
+        image = ca.apply_config(finite_support(p, d, dict(zip(cells, values))))
+        vec = np.array(values, dtype=np.int64).reshape(-1)
+        expected = np.concatenate([image.value_at(r, d) for r in rows])
+        assert np.array_equal(mat @ vec % p, expected)
+    assert outside
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_block_matrix_periodic_collisions_are_summed_and_reduced(q):
+    """With products wrapped mod q and memory wider than q, several blocks
+    land in one cell; their sum must be reduced and act as the rule does
+    on q-periodic configurations."""
+    rng = random.Random(67 + q)
+    for _ in range(8):
+        p = rng.choice((2, 3, 5))
+        d = rng.choice((1, 2))
+        ca = random_integer_ca(rng, p, d, span=2)
+        cells = range(q)
+        mat = ca.block_matrix(cells, cells, lambda i, m: (i + m) % q)
+        assert mat.min() >= 0 and mat.max() < p
+        values = [[rng.randrange(p) for _ in range(d)] for _ in cells]
+        image = ca.apply_config(periodic(p, d, values))
+        vec = np.array(values, dtype=np.int64).reshape(-1)
+        assert np.array_equal(mat @ vec % p, np.concatenate(image.values))
