@@ -13,6 +13,10 @@ The single hot primitive, in-place Gauss-Jordan elimination, lives in the
 kernel backends (see ``_kernels``); everything here is thin bookkeeping on
 top of it.
 
+The bonds of a projective sequence are restrictions, which only select
+coordinates: ``image_of_subspace``, ``image_of_affine`` and
+``constrain_affine`` take the index array ``coords`` of x -> x[coords].
+
 Coercion happens once, at the edge: ``rref`` and the public functions
 accept any integer array-like (lists, read-only or non-contiguous arrays)
 and ``as_matrix`` makes the single C-ordered int64 copy that the kernel
@@ -31,7 +35,9 @@ wrap silently and give a wrong "exact" answer.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -52,16 +58,15 @@ def require_prime(p: int) -> int:
         raise LinalgError(f"modulus must be a prime integer, got {p!r}")
     if p >= MODULUS_BOUND:
         raise LinalgError(f"modulus {p} is not below 2^20, the exact int64 range")
-    if p in (2, 3):
-        return p
-    if p % 2 == 0:
+    if not _is_prime(p):
         raise LinalgError(f"modulus {p} is not prime")
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            raise LinalgError(f"modulus {p} is not prime")
-        d += 2
     return p
+
+
+@functools.lru_cache(maxsize=None)
+def _is_prime(p: int) -> bool:
+    """Trial division of an int in [2, 2^20), so the cache stays bounded."""
+    return all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def as_matrix(data, p: int) -> np.ndarray:
@@ -291,48 +296,49 @@ def solve_affine_multi(
     return kernel, [x if ok else None for x, ok in zip(xs, solvable)]
 
 
-def image_of_subspace(mat, subspace: Subspace, p: int) -> Subspace:
-    """Exact image {mat s : s in subspace} as a subspace of the row space."""
-    a = as_matrix(mat, p)
-    if a.shape[1] != subspace.ambient:
-        raise LinalgError(
-            f"image shape mismatch: {a.shape} applied to ambient {subspace.ambient}"
-        )
-    return _image(a, subspace, p)
+def _coordinates(coords, ambient: int) -> np.ndarray:
+    """``coords`` as a checked 1-d index array into GF(p)^ambient; numpy
+    would wrap a negative index around silently."""
+    idx = np.asarray(coords)
+    idx = idx if idx.size else idx.astype(np.intp)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise LinalgError(f"coordinates must be a 1-d integer array, got {idx.ndim}-d {idx.dtype}")
+    if idx.size and not 0 <= idx.min() <= idx.max() < ambient:
+        raise LinalgError(f"coordinates must lie in [0, {ambient})")
+    return idx
 
 
-def _image(a: np.ndarray, subspace: Subspace, p: int) -> Subspace:
-    """``image_of_subspace`` for a matrix that is already coerced."""
+def image_of_subspace(coords, subspace: Subspace, p: int) -> Subspace:
+    """Exact image of a subspace under the coordinate selection x -> x[coords]."""
+    idx = _coordinates(coords, subspace.ambient)
     if subspace.dim == 0:
-        return Subspace.zero(a.shape[0], p)
-    return Subspace.from_spanning(matmul(subspace.basis, a.T, p), a.shape[0], p)
+        return Subspace.zero(idx.size, p)
+    return Subspace.from_spanning(subspace.basis[:, idx], idx.size, p)
 
 
-def image_of_affine(mat, affine: AffineSubspace, p: int) -> AffineSubspace:
-    """Exact image of an affine subspace under a linear map."""
-    a = as_matrix(mat, p)
+def image_of_affine(coords, affine: AffineSubspace, p: int) -> AffineSubspace:
+    """Exact image of an affine subspace under x -> x[coords]."""
+    idx = _coordinates(coords, affine.ambient)
     if affine.is_empty:
-        return AffineSubspace.empty(a.shape[0], p)
-    point = matmul(a, affine.point.reshape(-1, 1), p).reshape(-1)
-    return AffineSubspace.from_point_subspace(point, _image(a, affine.directions, p))
+        return AffineSubspace.empty(idx.size, p)
+    directions = image_of_subspace(idx, affine.directions, p)
+    return AffineSubspace.from_point_subspace(affine.point[idx], directions)
 
 
 def constrain_affine(
-    affine: AffineSubspace, mat, target, p: int
+    affine: AffineSubspace, coords, target, p: int
 ) -> AffineSubspace:
-    """The subset {x in affine : mat x = target}, again affine canonical.
+    """The subset {x in affine : x[coords] = target}, again affine canonical.
 
     Solved in the parameter space of the affine set and pushed back to the
     ambient space, so the result's canonical point is the lexicographically
     smallest solution."""
-    a = as_matrix(mat, p)
+    idx = _coordinates(coords, affine.ambient)
     t = as_vector(target, p)
     if affine.is_empty:
         return AffineSubspace.empty(affine.ambient, p)
-    base = matmul(a, affine.point.reshape(-1, 1), p).reshape(-1)
-    rhs = (t - base) % p
-    coeff = matmul(a, affine.directions.basis.T, p)
-    sols = solve_affine(coeff, rhs, p)
+    rhs = (t - affine.point[idx]) % p
+    sols = solve_affine(affine.directions.basis[:, idx].T, rhs, p)
     if sols.is_empty:
         return AffineSubspace.empty(affine.ambient, p)
     point = (affine.point + matmul(sols.point.reshape(1, -1), affine.directions.basis, p).reshape(-1)) % p

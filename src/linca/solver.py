@@ -67,7 +67,8 @@ class StabilizationCutoffError(RuntimeError):
 
 
 class WindowSystem:
-    """Cached window maps and restriction matrices of one automaton."""
+    """Cached window maps of one automaton, and the coordinate selections
+    that restrict between its windows."""
 
     def __init__(self, automaton: LinearCA, balls: Optional[BallSequence] = None):
         self.ca = automaton
@@ -83,17 +84,12 @@ class WindowSystem:
         return self.ca.dim_v * len(self.window(n).source)
 
     def restriction(self, n: int, m: int) -> np.ndarray:
-        """Coordinate selection V^{A_m} -> V^{A_n} for nested windows."""
+        """Indices ``idx`` with x|A_n = x[idx] for x in V^{A_m}, n <= m: dimV
+        coordinates per cell of A_n, in canonical cell order."""
+        pos = {g: j for j, g in enumerate(self.window(m).source)}
+        cells = np.array([pos[g] for g in self.window(n).source], dtype=np.intp)
         d = self.ca.dim_v
-        src = self.window(m).source
-        dst = self.window(n).source
-        pos = {g: j for j, g in enumerate(src)}
-        mat = np.zeros((d * len(dst), d * len(src)), dtype=np.int64)
-        eye = np.eye(d, dtype=np.int64)
-        for i, g in enumerate(dst):
-            j = pos[g]
-            mat[i * d : (i + 1) * d, j * d : (j + 1) * d] = eye
-        return mat
+        return (d * cells[:, None] + np.arange(d)).reshape(-1)
 
     def target_vec(self, config: Configuration, n: int) -> np.ndarray:
         """The target configuration restricted to B_n, vectorized."""
@@ -106,7 +102,8 @@ class WindowSystem:
 
 
 class ProjectiveAffineSequence:
-    """Levels X_n (affine subspaces) with restriction bonding maps f_{nm}."""
+    """Levels X_n (affine subspaces) with restriction bonding maps f_{nm},
+    each given as the index array ``idx`` with f_{nm}(x) = x[idx]."""
 
     def __init__(
         self,
@@ -133,7 +130,7 @@ class ProjectiveAffineSequence:
         if m < n:
             raise ValueError("bonding maps go from higher to lower levels")
         if m == n:
-            return np.eye(self.ambient(n), dtype=np.int64)
+            return np.arange(self.ambient(n))
         return self._bond(n, m)
 
     def verify_axioms(self, triples: Iterable[tuple[int, int, int]]) -> bool:
@@ -141,13 +138,9 @@ class ProjectiveAffineSequence:
         for n, m, k in triples:
             if not (n <= m <= k):
                 raise ValueError("need n <= m <= k")
-            if not np.array_equal(
-                self.bond(n, n), np.eye(self.ambient(n), dtype=np.int64)
-            ):
+            if not np.array_equal(self.bond(n, n), np.arange(self.ambient(n))):
                 return False
-            lhs = self.bond(n, k)
-            rhs = matmul(self.bond(n, m), self.bond(m, k), self.p)
-            if not np.array_equal(lhs, rhs):
+            if not np.array_equal(self.bond(n, k), self.bond(m, k)[self.bond(n, m)]):
                 return False
         return True
 
@@ -253,7 +246,7 @@ def lift_element(
     chains: Optional[dict] = None,
 ) -> np.ndarray:
     """Lift a universal element one level: returns x_{n+1} at level n+1 with
-    bond(n, n+1) x_{n+1} = x_n, built by one affine solve at a witness level
+    x_{n+1}[bond(n, n+1)] = x_n, built by one affine solve at a witness level
     past both plateaus.  Raises StabilizationCutoffError when no plateau or
     no preimage is available within the cutoff."""
     chains = chains if chains is not None else {}
@@ -270,10 +263,8 @@ def lift_element(
         raise StabilizationCutoffError(
             f"element at level {n} has no preimage at witness level {witness_level}"
         )
-    z = fiber.point
-    x_next = matmul(seq.bond(n + 1, witness_level), z.reshape(-1, 1), seq.p).reshape(-1)
-    check = matmul(seq.bond(n, n + 1), x_next.reshape(-1, 1), seq.p).reshape(-1)
-    if not np.array_equal(check, x_n):
+    x_next = fiber.point[seq.bond(n + 1, witness_level)]
+    if not np.array_equal(x_next[seq.bond(n, n + 1)], x_n):
         raise AssertionError("lift violated its one-step restriction equation")
     return x_next
 
@@ -304,8 +295,8 @@ def extract_limit_prefix(
     """Extract a compatible chain x_0 <- x_1 <- ... <- x_{n_max} through the
     stabilized levels; successive restrictions agree by construction and are
     re-checked on every lift."""
-    if cutoff < n_max:
-        raise ValueError("cutoff must be at least the requested level")
+    if not 0 <= n_max <= cutoff:
+        raise ValueError(f"need 0 <= level <= cutoff, got level {n_max}, cutoff {cutoff}")
     chains: dict[int, UniversalChain] = {}
 
     def first_empty_level() -> Optional[int]:
@@ -605,6 +596,8 @@ def invert_ca(ca: LinearCA, max_radius: int = 8) -> InvertResult:
     kernel witnesses and window-fiber counterexamples, either of which
     certifies non-invertibility.  If the automaton is reversible, some
     finite radius succeeds; Unknown is only returned at the cutoff."""
+    if max_radius < 0:
+        raise ValueError(f"max_radius must be >= 0, got {max_radius}")
     balls = BallSequence(ca.group, 0)
     ws = WindowSystem(ca)
     prev_ball = None

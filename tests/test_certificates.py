@@ -3,10 +3,19 @@ rejected: the verifier rebuilds the whole certificate from its payload with
 the builder that wrote it, so no field can be forged or dropped."""
 
 import functools
+import hashlib
 
 import pytest
 
-from linca import IntegerGroup, LinearCA, finite_support, gallery, jsonio, solver
+from linca import (
+    IntegerGroup,
+    LinearCA,
+    finite_support,
+    gallery,
+    jsonio,
+    solver,
+    symmetric_group_3,
+)
 from linca.cli import main
 
 Z = IntegerGroup()
@@ -203,3 +212,43 @@ def test_verify_cli_exits_10_on_a_forgery(tmp_path, capsys):
     path.write_text(jsonio.dumps(cert))
     assert main(["verify", str(path)]) == 10
     assert "INVALID: certificate field 'transcript'" in capsys.readouterr().out
+
+
+def _pinned_certificate(kind: str) -> dict:
+    """One small certificate of each kind, built from fixed inputs."""
+    sigma = gallery.sigma_truncated_ca(3, 3)
+    if kind == "reversible":
+        return jsonio.reversible_certificate(solver.invert_ca(sigma))
+    if kind == "preimage":
+        d = sigma.dim_v
+        target = finite_support(3, d, {0: [1, 0, 2, 0, 1, 1], 2: [0, 2, 0, 1, 0, 0]})
+        result = solver.preimage_extract(sigma, target, window_index=2, cutoff=6)
+        return jsonio.preimage_certificate(sigma, target, result, 2, 6)
+    if kind == "empty-fiber":
+        return jsonio.empty_fiber_certificate(
+            solver.surjectivity_counterexample(projection_ca())
+        )
+    if kind == "kernel-witness":
+        ca = LinearCA(symmetric_group_3(), 2, 1, (0, 1), ([[1]], [[1]]))
+        return jsonio.kernel_witness_certificate(solver.invert_ca(ca).witness)
+    return certificate(kind)
+
+
+# sha256 of jsonio.dumps(certificate): certificate bytes are part of the
+# interface, so a refactor that changes them must update these on purpose.
+PINNED_SHA256 = {
+    "reversible": "ca60ff83877a1d5eee726c51a604d5cd5b67e8d3038b7ff3cc63d6a0fc37ae1f",
+    "preimage": "eea906f5f28707ccb6edb80421aa3fa4a1c8fc4a31061586c3b2a1b3bd99ee77",
+    "empty-fiber": "d0b49bf6b06a126866dcd14a8b26687e0e0e41beb3beba060dd6e95e304f0866",
+    "kernel-witness": "825f7c00d65fab0b2803a67b1c87b0a80ebb7db222d3b04d9c2d08f815de8140",
+    "sigma-nonreversibility": "e32d49add348512a3271894fb33e28ffc0ac8c5decf7fc04b02baff17ef20b72",
+    "sigma-prime-nonclosedness": "159da7b7588ae1e507793bdaf444aa82bd569860116155d674a98abf36f45047",
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_certificate_bytes_are_pinned(kind):
+    cert = _pinned_certificate(kind)
+    assert cert["kind"] == kind
+    text = jsonio.dumps(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256[kind]

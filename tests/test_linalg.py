@@ -43,9 +43,14 @@ def brute_force_members(mat, rhs, p):
 def test_require_prime():
     for p in (2, 3, 5, 7, 97, 1048573):
         assert require_prime(p) == p
-    for bad in (1, 4, 6, 9, 0, -3, 1048583):
-        with pytest.raises(LinalgError):
-            require_prime(bad)
+        assert require_prime(p) == p
+    # The primality test is cached: a bad value must raise on every call,
+    # and a bool, a non-int or a modulus past 2^20 must raise LinalgError
+    # (never a cache TypeError).
+    for bad in (1, 4, 6, 9, 0, -3, 1048583, 1048576, True, False, 5.0, "5", [5]):
+        for _ in range(2):
+            with pytest.raises(LinalgError):
+                require_prime(bad)
 
 
 def python_matmul(a, b, p, cols):
@@ -175,8 +180,10 @@ def test_image_of_affine_projection_example():
     line = AffineSubspace.from_point_subspace(
         np.array([1, 0]), Subspace.from_spanning([[0, 1]], 2, 2)
     )
-    img = image_of_affine([[1, 0]], line, 2)
+    img = image_of_affine([0], line, 2)
     assert img.dim == 0 and img.point.tolist() == [1]
+    # Keeping y instead gives the whole line GF(2).
+    assert image_of_affine([1], line, 2) == AffineSubspace.full(1, 2)
 
 
 def test_solve_matches_brute_force():
@@ -257,23 +264,23 @@ def test_canonical_point_is_lex_smallest():
             assert tuple(a.point) == smallest
 
 
+def random_coords(rng, ambient):
+    """Distinct coordinates of GF(p)^ambient in random order, maybe none."""
+    return np.array(rng.sample(range(ambient), rng.randrange(ambient + 1)), dtype=np.intp)
+
+
 def test_image_of_subspace_matches_brute_force():
     rng = random.Random(23)
     for _ in range(20):
         p = rng.choice((2, 3))
-        mat = random_matrix(rng, 3, 4, p)
+        coords = random_coords(rng, 4)
         sub = Subspace.from_spanning(
-            [[rng.randrange(p) for _ in range(4)] for _ in range(2)], 4, p
+            [[rng.randrange(p) for _ in range(4)] for _ in range(rng.randrange(3))], 4, p
         )
-        img = image_of_subspace(mat, sub, p)
-        expect = Subspace.from_spanning(
-            [matmul(mat, s.reshape(-1, 1), p).reshape(-1) for s in sub.basis] or [],
-            3,
-            p,
-        )
-        assert img == expect
-        for member in sub.members():
-            assert img.contains(matmul(mat, member.reshape(-1, 1), p).reshape(-1))
+        img = image_of_subspace(coords, sub, p)
+        assert img.ambient == coords.size
+        expect = {tuple(member[coords]) for member in sub.members()}
+        assert {tuple(v) for v in img.members()} == expect
 
 
 def test_constrain_affine_is_exact_subset():
@@ -289,18 +296,29 @@ def test_constrain_affine_is_exact_subset():
                 p,
             ),
         )
-        mat = random_matrix(rng, 2, ambient, p)
-        target = np.array([rng.randrange(p) for _ in range(2)])
-        got = constrain_affine(base, mat, target, p)
-        expect = {
-            tuple(v)
-            for v in base.members()
-            if np.array_equal(matmul(mat, v.reshape(-1, 1), p).reshape(-1), target % p)
-        }
+        coords = random_coords(rng, ambient)
+        target = np.array([rng.randrange(p) for _ in coords], dtype=np.int64)
+        got = constrain_affine(base, coords, target, p)
+        expect = {tuple(v) for v in base.members() if np.array_equal(v[coords], target)}
         if not expect:
             assert got.is_empty
         else:
             assert {tuple(v) for v in got.members()} == expect
+
+
+@pytest.mark.parametrize(
+    "coords", [[-1], [0, -2], [4], [0, 5], [[0, 1]], np.zeros((0, 2), dtype=np.intp)]
+)
+def test_coordinates_out_of_range_or_not_1d_are_rejected(coords):
+    p = 3
+    sub = Subspace.from_spanning([[1, 2, 0, 1]], 4, p)
+    affine = AffineSubspace.from_point_subspace(np.array([0, 1, 2, 0]), sub)
+    with pytest.raises(LinalgError):
+        image_of_subspace(coords, sub, p)
+    with pytest.raises(LinalgError):
+        image_of_affine(coords, affine, p)
+    with pytest.raises(LinalgError):
+        constrain_affine(affine, coords, np.zeros(1, dtype=np.int64), p)
 
 
 def test_zero_dimensional_edge_cases():

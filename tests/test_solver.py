@@ -3,10 +3,12 @@
 import random
 
 import numpy as np
+import pytest
 
-from conftest import random_finite_support, random_integer_ca
+from conftest import random_ca, random_finite_support, random_integer_ca
 from linca import (
     AffineSubspace,
+    FreeGroup,
     IntegerGroup,
     LatticeGroup,
     LinearCA,
@@ -29,9 +31,10 @@ from linca import (
     restrict,
     subgroup_generated,
     surjectivity_counterexample,
+    symmetric_group_3,
     universal_spaces,
 )
-from linca.ca import pattern_to_vec
+from linca.ca import pattern_to_vec, vec_to_pattern
 from linca.solver import KernelWitness, ProjectiveAffineSequence
 from linca import gallery
 
@@ -58,8 +61,14 @@ def constant_full_sequence(p=2, ambient=2, levels=10):
         p,
         lambda n: ambient,
         lambda n: AffineSubspace.full(ambient, p),
-        lambda n, m: np.eye(ambient, dtype=np.int64),
+        lambda n, m: np.arange(ambient),
     )
+
+
+def restrict_vec(x, cells_m, cells_n, dim_v, p):
+    """x on the cells ``cells_m`` restricted to ``cells_n``, through patterns."""
+    pattern = vec_to_pattern(x, cells_m, dim_v).restrict(cells_n)
+    return pattern_to_vec(pattern, cells_n, dim_v, p)
 
 
 # -- projective sequences and chains ------------------------------------------
@@ -69,6 +78,43 @@ def test_projective_axioms_on_window_sequences():
     ws = WindowSystem(add_rule())
     seq = preimage_sequence(ws, finite_support(2, 1, {0: [1]}))
     assert seq.verify_axioms([(0, 0, 0), (0, 1, 2), (1, 2, 4), (0, 2, 3)])
+
+
+RESTRICTION_GROUPS = [
+    pytest.param(IntegerGroup(), (0, 1), id="Z"),
+    pytest.param(LatticeGroup(2), ((0, 0), (1, 0), (0, 1)), id="Z2"),
+    pytest.param(FreeGroup(2), ((), (1,), (-2,)), id="F2"),
+    pytest.param(symmetric_group_3(), (0, 1, 3), id="S3"),
+]
+
+
+def restriction_windows(group, memory):
+    """Windows of a random dimV = 2 rule over GF(3) on the group."""
+    return WindowSystem(random_ca(random.Random(3), group, 3, 2, memory))
+
+
+@pytest.mark.parametrize("group,memory", RESTRICTION_GROUPS)
+def test_restriction_selects_the_cells_of_the_smaller_window(group, memory):
+    ws = restriction_windows(group, memory)
+    rng = np.random.default_rng(5)
+    for m in range(4):
+        a_m = ws.window(m).source
+        for n in range(m + 1):
+            a_n = ws.window(n).source
+            idx = ws.restriction(n, m)
+            assert idx.dtype == np.intp and idx.shape == (2 * len(a_n),)
+            for _ in range(3):
+                x = rng.integers(0, 3, size=2 * len(a_m))
+                assert np.array_equal(x[idx], restrict_vec(x, a_m, a_n, 2, 3))
+
+
+@pytest.mark.parametrize("group,memory", RESTRICTION_GROUPS)
+def test_projective_axioms_on_every_group_kind(group, memory):
+    ws = restriction_windows(group, memory)
+    target = random_finite_support(random.Random(4), group, 3, 2, ws.window(0).target)
+    seq = preimage_sequence(ws, target)
+    triples = [(n, m, k) for k in range(4) for m in range(k + 1) for n in range(m + 1)]
+    assert seq.verify_axioms(triples)
 
 
 def test_universal_chain_constant_sequence_plateaus_immediately():
@@ -118,7 +164,10 @@ def test_lift_element_shift_preimage_chain():
     chain0 = universal_spaces(seq, 0, 10)
     x0 = chain0.stabilized.point
     x1 = lift_element(seq, 0, x0, 10)
-    assert np.array_equal((seq.bond(0, 1) @ x1) % 2, x0)
+    assert np.array_equal(x1[seq.bond(0, 1)], x0)
+    # The same restriction read off the cells, without the index array.
+    a0, a1 = ws.window(0).source, ws.window(1).source
+    assert np.array_equal(restrict_vec(x1, a1, a0, 1, 2), x0)
 
 
 def test_lift_element_sigma2_preimage_chain():
