@@ -12,9 +12,10 @@ makes identity testing exact.
 Patterns live on finite windows; configurations come in three decidable
 families: finitely supported (any group), periodic (integers only) and
 constant.  ``LinearCA.block_matrix`` is the one assembler of rule blocks
-into a GF(p) matrix: window maps V^A -> V^B with B = interior(A, M), in the
-canonical cell order, and the solver's left-inverse and kernel-witness
-systems only name their row and column cells.
+into a GF(p) matrix; it writes each block once, as stored, and reduces
+nothing.  Window maps V^A -> V^B with B = interior(A, M) are block matrices
+in the canonical cell order, and so is every solver system, read directly,
+transposed or with columns folded.
 """
 
 from __future__ import annotations
@@ -185,19 +186,15 @@ class LinearCA:
 
     # -- block matrices and window maps ------------------------------------
 
-    def block_matrix(
-        self, rows: Sequence, cols: Sequence, multiply: Optional[Callable] = None
-    ) -> np.ndarray:
+    def block_matrix(self, rows: Sequence, cols: Sequence) -> np.ndarray:
         """The matrix, from V^cols to V^rows, of x -> (r -> sum_m b_m x(r m)),
         cells in the given orders; a product r m outside ``cols`` reads zero.
 
-        ``multiply`` defaults to the group's, where r m = r m' forces m = m':
-        each cell gets at most one block, already reduced, and no other entry
-        is written.  Only a custom ``multiply`` (the periodic kernel search
-        wraps products mod q) can add two blocks into one cell, so only then
-        are the written sums reduced."""
+        In a group r m = r m' forces m = m', so each cell gets at most one
+        block, already reduced, and no other entry is written: the matrix
+        needs no reduction."""
         d = self.dim_v
-        mul = multiply or self.group.multiply
+        mul = self.group.multiply
         index = {c: j for j, c in enumerate(cols)}
         mat = np.zeros((d * len(rows), d * len(cols)), dtype=np.int64)
         cells = mat.reshape(len(rows), d, len(cols), d)
@@ -206,9 +203,7 @@ class LinearCA:
                 continue
             js = np.array([index.get(mul(r, m), -1) for r in rows], dtype=np.int64)
             ri = np.flatnonzero(js >= 0)
-            cells[ri, :, js[ri], :] += b
-            if multiply is not None:
-                cells[ri, :, js[ri], :] %= self.p
+            cells[ri, :, js[ri], :] = b
         return mat
 
     def window_map(self, n: int, balls: Optional[BallSequence] = None) -> "WindowMap":
@@ -355,7 +350,7 @@ def constant(p: int, dim_v: int, value) -> ConstantConfig:
     return ConstantConfig(_freeze(w))
 
 
-def zero_config(dim_v: int = 0) -> FiniteSupportConfig:
+def zero_config() -> FiniteSupportConfig:
     return FiniteSupportConfig({})
 
 

@@ -157,12 +157,10 @@ def preimage_sequence(
     return ProjectiveAffineSequence(ws.ca.p, ws.ambient, level, ws.restriction)
 
 
-def kernel_sequence(
-    automaton: LinearCA, balls: Optional[BallSequence] = None
-) -> ProjectiveAffineSequence:
-    """Window kernels as affine levels (the diagnostic chain; by default it
-    uses plain radius-n balls so level 0 is the smallest window)."""
-    ws = WindowSystem(automaton, balls or BallSequence(automaton.group, 0))
+def kernel_sequence(automaton: LinearCA) -> ProjectiveAffineSequence:
+    """Window kernels as affine levels (the diagnostic chain; it uses plain
+    radius-n balls so level 0 is the smallest window)."""
+    ws = WindowSystem(automaton, BallSequence(automaton.group, 0))
 
     def level(n: int) -> AffineSubspace:
         w = ws.window(n)
@@ -298,13 +296,6 @@ def extract_limit_prefix(
     if not 0 <= n_max <= cutoff:
         raise ValueError(f"need 0 <= level <= cutoff, got level {n_max}, cutoff {cutoff}")
     chains: dict[int, UniversalChain] = {}
-
-    def first_empty_level() -> Optional[int]:
-        for m in range(cutoff + 1):
-            if seq.level(m).is_empty:
-                return m
-        return None
-
     for lev in range(n_max + 1):
         if seq.level(lev).is_empty:
             return ExtractionResult(
@@ -312,9 +303,11 @@ def extract_limit_prefix(
                 detail=f"level {lev} is empty",
             )
         chains[lev] = universal_spaces(seq, lev, cutoff, plateau_k)
-        if any(img.is_empty for img in chains[lev].images):
+        empty = next((i for i, x in enumerate(chains[lev].images) if x.is_empty), None)
+        if empty is not None:
+            # Lower levels were checked above; the rest have nonempty images.
             return ExtractionResult(
-                "empty-level", empty_level=first_empty_level(), chains=chains,
+                "empty-level", empty_level=lev + empty, chains=chains,
                 detail="an image in the universal chain is empty",
             )
         if chains[lev].plateau is None:
@@ -411,20 +404,20 @@ class EmptyFiberWitness:
 
     @cached_property
     def ranks(self) -> tuple[int, int]:
-        """Rank of the window matrix, and its rank with the pattern appended
-        as a column: the fiber is empty exactly when the second is larger."""
-        m, p = self._window.matrix, self.automaton.p
+        """Ranks of the window matrix W and of [W | v], v the pattern, from
+        one RREF of [W | v]: the pivots left of v are those of W.  The fiber
+        is empty exactly when the second rank is larger."""
+        m = self._window.matrix
         augmented = np.hstack([m, self._vector().reshape(-1, 1)])
-        return linalg.rank(m, p), linalg.rank(augmented, p)
+        _, pivots, r_aug = linalg.rref(augmented, self.automaton.p)
+        return sum(c < m.shape[1] for c in pivots), r_aug
 
     def verify(self) -> bool:
         w = self._window
         if w.target != self.window_cells or set(self.pattern.cells) != set(w.target):
             return False
-        fiber = solve_affine(w.matrix, self._vector(), self.automaton.p)
-        # Independent consistency check: augmenting must raise the rank.
         r_plain, r_aug = self.ranks
-        return fiber.is_empty and r_aug == r_plain + 1
+        return r_aug == r_plain + 1
 
 
 @dataclass
@@ -443,19 +436,16 @@ InvertResult = Union[ReversibilityCertificate, NotInvertible, SolverUnknown]
 def _solve_left_inverse(ca: LinearCA, candidates: tuple) -> Optional[list]:
     """Blocks c_w of a rule nu with memory ``candidates`` and nu o ca =
     identity, or None.  The block of nu o ca at u is the sum of c_w b_m over
-    w m = u.  Transposed, sum_m b_m^T c_{u m^-1}^T = [u = e] I is the system
-    of the adjoint rule (memory m^-1, blocks b_m^T) on the unknowns c_w^T,
-    read on the cells u = w m.  It shares one coefficient matrix across the
-    dimV right-hand-side columns, so a single elimination answers them all."""
+    w m = u.  Transposed, sum b_m^T c_w^T = [u = e] I over w m = u: its
+    coefficient matrix is the transpose of the rule's own block matrix from
+    the cells u to the candidates, which has b_m at (w, u).  The dimV
+    right-hand-side columns share it, so one elimination answers them all."""
     d = ca.dim_v
     g = ca.group
     if d == 0:
         return [np.zeros((0, 0), dtype=np.int64) for _ in candidates]
-    adjoint = LinearCA(
-        g, ca.p, d, [g.inverse(m) for m in ca.memory], [b.T for b in ca.blocks]
-    )
     us = g.sort_elements({g.multiply(w, m) for w in candidates for m in ca.memory})
-    coeff = adjoint.block_matrix(us, candidates)
+    coeff = ca.block_matrix(candidates, us).T
     rhs = np.zeros((d * len(us), d), dtype=np.int64)
     ei = us.index(g.identity())
     rhs[ei * d : (ei + 1) * d] = np.eye(d, dtype=np.int64)
@@ -496,13 +486,24 @@ def _constant_kernel_witness(ca: LinearCA):
     return constant(ca.p, ca.dim_v, kern.basis[0])
 
 
+def _periodic_system(ca: LinearCA, q: int) -> np.ndarray:
+    """The automaton on q-periodic configurations of the integers, as a
+    matrix on one period: its block matrix from the cells i + m reach, with
+    the columns of cells equal mod q added together and reduced."""
+    d, first = ca.dim_v, min(ca.memory) // q * q
+    k = (q - 1 + max(ca.memory)) // q - first // q + 1
+    wide = ca.block_matrix(range(q), range(first, first + k * q))
+    folded = wide.reshape(d * q, k, q * d).sum(axis=1)
+    folded[folded >= ca.p] %= ca.p  # only sums of several blocks need it
+    return folded
+
+
 def _periodic_kernel_witness(ca: LinearCA, q: int) -> Optional[PeriodicConfig]:
     """Nonzero q-periodic kernel configuration on the integers, if any."""
     if not isinstance(ca.group, IntegerGroup) or ca.dim_v == 0:
         return None
     d = ca.dim_v
-    mat = ca.block_matrix(range(q), range(q), lambda i, m: (i + m) % q)
-    kern = kernel_basis(mat, ca.p)
+    kern = kernel_basis(_periodic_system(ca, q), ca.p)
     if kern.dim == 0:
         return None
     vec = kern.basis[0]
@@ -523,6 +524,8 @@ def kernel_witness(
     """Search for a nonzero configuration in the kernel: finitely supported
     ones on growing balls first, then periodic ones on the integers.  Any
     returned witness is re-verified exactly; None is inconclusive."""
+    if min(support_bound, period_bound) < 0:
+        raise ValueError(f"bounds must be >= 0, got {support_bound} and {period_bound}")
 
     def candidates():
         for radius in range(support_bound + 1):
@@ -549,11 +552,10 @@ def _checked_fiber_witness(
 
 
 def _window_fiber_counterexample(
-    ca: LinearCA, n: int, ws: Optional[WindowSystem] = None
+    ca: LinearCA, n: int, ws: WindowSystem
 ) -> Optional[EmptyFiberWitness]:
     """A pattern on B_n outside the image of the window map, if the window
     map is not surjective."""
-    ws = ws or WindowSystem(ca)
     w = ws.window(n)
     out_dim = w.matrix.shape[0]
     if out_dim == 0:
@@ -574,6 +576,8 @@ def surjectivity_counterexample(
     """Scan window maps for a rank deficiency; any pattern outside a window
     image certifies non-surjectivity of the global map.  None is
     inconclusive."""
+    if max_radius < 0:
+        raise ValueError(f"max_radius must be >= 0, got {max_radius}")
     ws = WindowSystem(ca)
     prev = None
     for n in range(max_radius + 1):

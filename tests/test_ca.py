@@ -26,6 +26,7 @@ from linca import (
     symmetric_group_3,
 )
 from linca.ca import CAError, pattern_to_vec, vec_to_pattern
+from linca.solver import _periodic_system
 
 Z = IntegerGroup()
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=np.int64)
@@ -368,19 +369,19 @@ def test_block_matrix_matches_rule_evaluation(group):
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
-def test_block_matrix_periodic_collisions_are_summed_and_reduced(q):
-    """With products wrapped mod q and memory wider than q, several blocks
-    land in one cell; their sum must be reduced and act as the rule does
-    on q-periodic configurations."""
+def test_periodic_system_sums_and_reduces_folded_columns(q):
+    """With memory wider than q, folding the columns of cells equal mod q
+    adds several blocks into one cell; their sum must be reduced and act as
+    the rule does on q-periodic configurations."""
     rng = random.Random(67 + q)
     for _ in range(8):
         p = rng.choice((2, 3, 5))
         d = rng.choice((1, 2))
         ca = random_integer_ca(rng, p, d, span=2)
-        cells = range(q)
-        mat = ca.block_matrix(cells, cells, lambda i, m: (i + m) % q)
+        mat = _periodic_system(ca, q)
+        assert mat.shape == (d * q, d * q)
         assert mat.min() >= 0 and mat.max() < p
-        values = [[rng.randrange(p) for _ in range(d)] for _ in cells]
+        values = [[rng.randrange(p) for _ in range(d)] for _ in range(q)]
         image = ca.apply_config(periodic(p, d, values))
         vec = np.array(values, dtype=np.int64).reshape(-1)
         assert np.array_equal(mat @ vec % p, np.concatenate(image.values))

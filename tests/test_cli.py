@@ -215,12 +215,16 @@ def test_domain_error_exit_code(tmp_path):
         out = tmp_path / f"{which}.json"
         assert main(["demo", which, "--p", p, "--out", str(out)]) == 4
         assert not out.exists()
-    # Negative windows and radii are domain errors, not crashes or Unknowns.
+    # Negative windows, radii and search bounds are domain errors, not
+    # crashes or Unknowns.
     target = write(tmp_path, "delta.json", delta_json())
     for args in (
         ["preimage", ca, target, "--window", "-1"],
         ["preimage", ca, target, "--window", "-1", "--cutoff", "-3"],
         ["invert", ca, "--max-radius", "-1"],
+        ["kernel-witness", ca, "--support-bound", "-1", "--period-bound", "-1"],
+        ["kernel-witness", ca, "--support-bound", "-1"],
+        ["kernel-witness", ca, "--period-bound", "-3"],
     ):
         out = tmp_path / "negative.json"
         assert main(args + ["--out", str(out)]) == 4

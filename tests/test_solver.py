@@ -1,13 +1,15 @@
 """Inverse synthesis, witness searches, universal chains and extraction."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from conftest import random_ca, random_finite_support, random_integer_ca
+from conftest import random_ca, random_finite_support, random_integer_ca, random_matrix
 from linca import (
     AffineSubspace,
+    EmptyFiberWitness,
     FreeGroup,
     IntegerGroup,
     LatticeGroup,
@@ -17,7 +19,10 @@ from linca import (
     ReversibilityCertificate,
     SolverUnknown,
     WindowSystem,
+    compose,
     config_equal,
+    equals_identity,
+    extract_limit_prefix,
     finite_support,
     identity_ca,
     induce,
@@ -35,8 +40,10 @@ from linca import (
     universal_spaces,
 )
 from linca.ca import pattern_to_vec, vec_to_pattern
-from linca.solver import KernelWitness, ProjectiveAffineSequence
+from linca.linalg import solve_affine
+from linca.solver import KernelWitness, ProjectiveAffineSequence, _solve_left_inverse
 from linca import gallery
+from test_kernels import reference_rref
 
 Z = IntegerGroup()
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=np.int64)
@@ -230,6 +237,20 @@ def test_extraction_not_in_image_reports_empty_level():
     assert res.witness is not None and res.witness.verify()
 
 
+@pytest.mark.parametrize("bad,plateau_k", [(2, 2), (3, 4), (4, 5)])
+def test_extraction_empty_level_above_the_window(bad, plateau_k):
+    """The target leaves the image only at cell ``bad``, above window 1, so
+    the first empty level is found in an image chain past the window; it
+    must be the smallest level m with X_m empty."""
+    proj = LinearCA(Z, 2, 2, (0, 1), (np.diag([1, 0]), [[1, 1], [0, 0]]))
+    target = finite_support(2, 2, {bad: [0, 1]})
+    seq = preimage_sequence(WindowSystem(proj), target)
+    res = extract_limit_prefix(seq, 1, 8, plateau_k)
+    first = next(m for m in range(9) if seq.level(m).is_empty)
+    assert res.status == "empty-level"
+    assert res.empty_level == first > 1
+
+
 def test_extraction_periodic_and_constant_targets():
     ca = add_rule(3)
     res = preimage_extract(ca, periodic(3, 1, [[2], [1]]), 3, 10)
@@ -312,20 +333,39 @@ def test_invert_dim_zero_is_trivially_reversible():
     assert isinstance(res, ReversibilityCertificate)
 
 
-def test_left_inverse_system_matches_scalar_brute_force():
+def _left_inverse_case(rng, group, p, d):
+    """A rule and the candidate memory for its left inverse.  Off Z about
+    half the rules are (I + U delta_a) o (I + U^T delta_b) with a b != b a
+    and U nonzero strictly upper triangular: invertible, with the nonzero
+    block U^T U of the inverse at b a."""
+    if isinstance(group, IntegerGroup):
+        return random_integer_ca(rng, p, d), tuple(range(-1, 2))
+    candidates = group.elements() if group.is_finite() else group.ball(2)
+    if rng.random() < 0.5:
+        memory = rng.sample(group.ball(1), rng.randint(1, 3))
+        return random_ca(rng, group, p, d, memory), candidates
+    mul, ball = group.multiply, group.ball(1)
+    a, b = next((a, b) for a in ball for b in ball if mul(a, b) != mul(b, a))
+    e, eye = group.identity(), np.eye(2, dtype=np.int64)
+    upper = np.array([[0, rng.randrange(1, p)], [0, 0]])
+    ca = compose(
+        LinearCA(group, p, 2, (e, a), (eye, upper)),
+        LinearCA(group, p, 2, (e, b), (eye, upper.T)),
+    )
+    return ca, candidates
+
+
+def _check_left_inverse_against_scalar_system(group):
     """The blockwise left-inverse solve agrees with a naive scalar system
-    posed equation by equation (solvability and the composed result)."""
-    import itertools
-
-    from linca.linalg import solve_affine as plain_solve
-    from linca.solver import _solve_left_inverse
-
+    posed equation by equation from the products w m (solvability and the
+    composed result), and both outcomes occur."""
     rng = random.Random(73)
+    solvable = set()
     for _ in range(12):
         p = rng.choice((2, 3))
         d = rng.choice((1, 2))
-        ca = random_integer_ca(rng, p, d)
-        candidates = tuple(range(-1, 2))
+        ca, candidates = _left_inverse_case(rng, group, p, d)
+        d = ca.dim_v
         fast = _solve_left_inverse(ca, candidates)
 
         # Scalar route: unknowns C_w[i, k] indexed densely.
@@ -335,10 +375,10 @@ def test_left_inverse_system_matches_scalar_brute_force():
         products = {}
         for w in candidates:
             for m, bm in zip(ca.memory, ca.blocks):
-                products.setdefault(w + m, []).append((w, bm))
+                products.setdefault(group.multiply(w, m), []).append((w, bm))
         rows = []
         rhs = []
-        for u, pairs in sorted(products.items()):
+        for u, pairs in products.items():
             for i in range(d):
                 for j in range(d):
                     row = np.zeros(len(unknowns), dtype=np.int64)
@@ -346,14 +386,20 @@ def test_left_inverse_system_matches_scalar_brute_force():
                         for k in range(d):
                             row[unknowns[(w, i, k)]] += bm[k, j]
                     rows.append(row % p)
-                    rhs.append(1 if (u == 0 and i == j) else 0)
-        sols = plain_solve(np.array(rows), np.array(rhs), p)
+                    rhs.append(1 if (u == group.identity() and i == j) else 0)
+        sols = solve_affine(np.array(rows), np.array(rhs), p)
         assert (fast is not None) == (not sols.is_empty)
+        solvable.add(fast is not None)
         if fast is not None:
-            from linca import compose, equals_identity
-
-            nu = LinearCA(Z, p, d, candidates, fast)
+            nu = LinearCA(group, p, d, candidates, fast)
             assert equals_identity(compose(nu, ca))
+    assert solvable == {True, False}
+
+
+def test_left_inverse_system_matches_scalar_brute_force():
+    """On S3 and F2 the order of w m matters: a system read on m w fails."""
+    for group in (Z, symmetric_group_3(), FreeGroup(2)):
+        _check_left_inverse_against_scalar_system(group)
 
 
 # -- kernel witnesses ---------------------------------------------------------------
@@ -403,6 +449,56 @@ def test_surjectivity_projection_rule():
     assert witness is not None and witness.verify()
     vec = np.concatenate([witness.pattern.cells[g] for g in witness.window_cells])
     assert np.any(vec)
+
+
+def test_negative_search_bounds_are_rejected():
+    with pytest.raises(ValueError):
+        surjectivity_counterexample(shift_ca(), -1)
+    for bounds in ((-1, -1), (-1, 2), (2, -3)):
+        with pytest.raises(ValueError):
+            kernel_witness(add_rule(), *bounds)
+    # Zero bounds still search: the radius-0 ball, period 1.
+    assert surjectivity_counterexample(LinearCA(Z, 2, 1, (0,), ([[0]],)), 0) is not None
+    assert kernel_witness(add_rule(), 0, 0) is None
+    assert kernel_witness(add_rule(), 0, 1) is not None
+
+
+@pytest.mark.parametrize(
+    "group",
+    [Z, LatticeGroup(2), FreeGroup(2), symmetric_group_3()],
+    ids=["Z", "Z2", "F2", "S3"],
+)
+def test_empty_fiber_ranks_match_reference_elimination(group):
+    """EmptyFiberWitness.ranks against a textbook Gauss-Jordan on Python
+    integers, for random patterns on B_n; verify() holds exactly when the
+    pattern column raises the reference rank by one."""
+    rng = random.Random(83)
+    outcomes = set()
+    for _ in range(16):
+        p = rng.choice((2, 3))
+        d = rng.choice((1, 2))
+        memory = rng.sample(group.ball(1), rng.randint(1, min(3, len(group.ball(1)))))
+        ca = random_ca(rng, group, p, d, memory)
+        if rng.random() < 0.5:
+            # Every output then lies in the first coordinate line of V.
+            head = np.diag([1] + [0] * (d - 1))
+            ca = LinearCA(group, p, d, ca.memory, [head @ b for b in ca.blocks])
+        n = rng.choice((0, 1))
+        w = WindowSystem(ca).window(n)
+        mat = w.matrix
+        if rng.random() < 0.5:
+            vec = random_matrix(rng, mat.shape[0], 1, p).reshape(-1)
+        else:
+            vec = mat @ random_matrix(rng, mat.shape[1], 1, p).reshape(-1) % p
+        witness = EmptyFiberWitness(ca, n, w.target, vec_to_pattern(vec, w.target, d))
+        rows = mat.tolist()
+        r_plain = len(reference_rref(rows, mat.shape[1], p)[1])
+        augmented = [row + [int(v)] for row, v in zip(rows, vec)]
+        r_aug = len(reference_rref(augmented, mat.shape[1] + 1, p)[1])
+        assert witness.ranks == (r_plain, r_aug)
+        assert witness.verify() == (r_aug == r_plain + 1)
+        outcomes.add(witness.verify())
+    assert outcomes == {True, False}
 
 
 # -- transport across induction ----------------------------------------------------------
