@@ -176,9 +176,8 @@ def _sigma_round_trips(p: int, j0: int, seed: int, count: int = 3) -> list:
 def cmd_demo(args) -> int:
     require_prime(args.p)
     if args.which == "sigma":
-        witness = gallery.sigma_nonreversibility_witness(
-            args.j0, args.window or max(args.j0, 1), p=args.p
-        )
+        window = max(args.j0, 1) if args.window is None else args.window
+        witness = gallery.sigma_nonreversibility_witness(args.j0, window, p=args.p)
         trips = _sigma_round_trips(args.p, args.j0, args.seed)
         cert = jsonio.sigma_witness_certificate(witness, trips)
         _emit(cert, args.out)
@@ -186,7 +185,9 @@ def cmd_demo(args) -> int:
         if not witness.ok or not trips_ok:
             return EXIT_DEMO_FAILED
         return EXIT_OK
-    closure = gallery.sigma_prime_closure_witness(args.window or 8, p=args.p)
+    closure = gallery.sigma_prime_closure_witness(
+        8 if args.window is None else args.window, p=args.p
+    )
     forced = gallery.sigma_prime_forced_support(args.depth, p=args.p)
     cert = jsonio.sigma_prime_certificate(closure, forced)
     _emit(cert, args.out)

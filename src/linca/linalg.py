@@ -103,11 +103,11 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     k = b.shape[0]
     step = ((1 << 53) - 1) // (p - 1) ** 2
     if k <= step:
-        out = x @ y
+        out = (x @ y).astype(np.int64)  # exact; int64 % is faster than float64's
     else:
         blocks = range(0, k, step)
-        out = sum((x[..., s : s + step] @ y[s : s + step]) % p for s in blocks)
-    return (out % p).astype(np.int64)
+        out = sum((x[..., s : s + step] @ y[s : s + step]).astype(np.int64) % p for s in blocks)
+    return np.remainder(out, p, out=out)
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:
@@ -328,20 +328,29 @@ def image_of_affine(coords, affine: AffineSubspace, p: int) -> AffineSubspace:
 def constrain_affine(
     affine: AffineSubspace, coords, target, p: int
 ) -> AffineSubspace:
-    """The subset {x in affine : x[coords] = target}, again affine canonical.
-
-    Solved in the parameter space of the affine set and pushed back to the
-    ambient space, so the result's canonical point is the lexicographically
-    smallest solution."""
+    """The subset {x in affine : x[coords] = target}, again affine canonical,
+    solved in the affine set's parameter space."""
     idx = _coordinates(coords, affine.ambient)
     t = as_vector(target, p)
     if affine.is_empty:
         return AffineSubspace.empty(affine.ambient, p)
-    rhs = (t - affine.point[idx]) % p
-    sols = solve_affine(affine.directions.basis[:, idx].T, rhs, p)
-    if sols.is_empty:
-        return AffineSubspace.empty(affine.ambient, p)
-    point = (affine.point + matmul(sols.point.reshape(1, -1), affine.directions.basis, p).reshape(-1)) % p
-    dir_vecs = matmul(sols.directions.basis, affine.directions.basis, p)
-    dirs = Subspace.from_spanning(dir_vecs, affine.ambient, p)
-    return AffineSubspace.from_point_subspace(point, dirs)
+    basis = affine.directions.basis
+    return solve_in_span(affine.point, basis, basis[:, idx].T, t - affine.point[idx], p)
+
+
+def solve_in_span(point, spanning: np.ndarray, coeff, rhs, p: int) -> AffineSubspace:
+    """{point + c @ spanning : coeff c = rhs} in canonical form, solved in the
+    parameters c (one per row of ``spanning``); ``rhs`` need not be reduced.
+    With R the system's RREF, free parameter f spans e_f - sum_i R[i, f]
+    e_{pivot i}, so the directions are spanning[free] - R[:, free]^T
+    spanning[pivots].  ``constrain_affine`` and the preimage levels share it."""
+    cols, ambient = spanning.shape
+    aug, pivots, rk = rref(np.hstack([coeff, np.reshape(rhs, (-1, 1))]), p)
+    if rk and pivots[-1] == cols:
+        return AffineSubspace.empty(ambient, p)
+    free = np.setdiff1d(np.arange(cols), pivots)
+    # One product: R[:, free]^T spanning[pivots], then the point's shift.
+    prod = matmul(aug[:rk, np.append(free, cols)].T, spanning[list(pivots)], p)
+    prod[:-1] -= spanning[free]  # the negated directions span the same space
+    dirs = Subspace.from_spanning(prod[:-1], ambient, p)
+    return AffineSubspace.from_point_subspace((point + prod[-1]) % p, dirs)

@@ -4,14 +4,15 @@ extraction, inverse-rule synthesis and witness searches.
 For a linear CA the window maps tau_n : V^{A_n} -> V^{B_n} turn global
 questions into finite exact ones.  Given a target configuration y, the
 fibers X_n = tau_n^{-1}(y|B_n) form a projective sequence of affine
-subspaces under restriction.  Each ambient space is finite dimensional, so
-the image chains f_{nm}(X_m) are non-increasing and must stabilize; once a
-plateau is detected the stabilized (universal) levels admit surjective
-one-step bonding maps, which the extraction loop exploits: it walks a
-canonical point up level by level, certifying every lift by its one-step
-restriction equation.  Plateau detection at a finite cutoff is heuristic
-evidence, never proof, so failures at the cutoff are reported as Unknown
-while every positive answer is verified independently.
+subspaces under restriction, each built from the one below it by solving
+only the window rows new at its level.  Each ambient space is finite
+dimensional, so the image chains f_{nm}(X_m) are non-increasing and must
+stabilize; once a plateau is detected the stabilized (universal) levels
+admit surjective one-step bonding maps, which the extraction loop exploits:
+it walks a canonical point up level by level, certifying every lift by its
+one-step restriction equation.  Plateau detection at a finite cutoff is
+heuristic evidence, never proof, so failures at the cutoff are reported as
+Unknown while every positive answer is verified independently.
 
 Inverse synthesis does not wait for kernel chains to stabilize: it solves
 the exact linear system "candidate_rule o automaton = identity" over the
@@ -54,7 +55,6 @@ from .linalg import (
     image_of_affine,
     kernel_basis,
     matmul,
-    solve_affine,
     solve_affine_multi,
 )
 
@@ -86,10 +86,22 @@ class WindowSystem:
     def restriction(self, n: int, m: int) -> np.ndarray:
         """Indices ``idx`` with x|A_n = x[idx] for x in V^{A_m}, n <= m: dimV
         coordinates per cell of A_n, in canonical cell order."""
-        pos = {g: j for j, g in enumerate(self.window(m).source)}
-        cells = np.array([pos[g] for g in self.window(n).source], dtype=np.intp)
+        return self._positions(self.window(n).source, self.window(m).source)
+
+    def growth(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The coordinates of A_{n-1} inside A_n, the others of A_n, and the
+        rows of W_n at B_n minus B_{n-1}; both windows below level 0 are empty."""
+        w = self.window(n)
+        below = self.window(n - 1) if n else WindowMap((), (), None)
+        old = self._positions(below.source, w.source)
+        new_rows = np.setdiff1d(np.arange(len(w.matrix)), self._positions(below.target, w.target))
+        return old, np.setdiff1d(np.arange(self.ambient(n)), old), new_rows
+
+    def _positions(self, cells: tuple, within: tuple) -> np.ndarray:
+        pos = {g: j for j, g in enumerate(within)}
+        idx = np.array([pos[g] for g in cells], dtype=np.intp)
         d = self.ca.dim_v
-        return (d * cells[:, None] + np.arange(d)).reshape(-1)
+        return (d * idx[:, None] + np.arange(d)).reshape(-1)
 
     def target_vec(self, config: Configuration, n: int) -> np.ndarray:
         """The target configuration restricted to B_n, vectorized."""
@@ -102,14 +114,15 @@ class WindowSystem:
 
 
 class ProjectiveAffineSequence:
-    """Levels X_n (affine subspaces) with restriction bonding maps f_{nm},
-    each given as the index array ``idx`` with f_{nm}(x) = x[idx]."""
+    """Levels X_n (affine subspaces) with restriction bonds f_{nm}(x) = x[idx],
+    ``idx`` an index array.  ``level_fn(n, below)`` builds X_n from X_{n-1},
+    which the sequence hands it: the single point of GF(p)^0 below level 0."""
 
     def __init__(
         self,
         p: int,
         ambient_fn: Callable[[int], int],
-        level_fn: Callable[[int], AffineSubspace],
+        level_fn: Callable[[int, AffineSubspace], AffineSubspace],
         bond_fn: Callable[[int, int], np.ndarray],
     ):
         self.p = p
@@ -122,8 +135,12 @@ class ProjectiveAffineSequence:
         return self._ambient(n)
 
     def level(self, n: int) -> AffineSubspace:
-        if n not in self._levels:
-            self._levels[n] = self._level(n)
+        """X_n; levels are computed bottom-up, so levels 0..len - 1 are cached."""
+        if n < 0:
+            raise ValueError(f"levels start at 0, got {n}")
+        for k in range(len(self._levels), n + 1):
+            below = self._levels[k - 1] if k else AffineSubspace.full(0, self.p)
+            self._levels[k] = self._level(k, below)
         return self._levels[n]
 
     def bond(self, n: int, m: int) -> np.ndarray:
@@ -148,28 +165,34 @@ class ProjectiveAffineSequence:
 def preimage_sequence(
     ws: WindowSystem, target: Configuration
 ) -> ProjectiveAffineSequence:
-    """Levels are the window fibers of the target under each window map."""
+    """Window fibers X_n = tau_n^{-1}(y|B_n) of the target, each built from the
+    one below: B_{n-1} M lies in A_{n-1}, so the rows of W_n at B_{n-1} are
+    those of W_{n-1}, and X_n = {x : x|A_{n-1} in X_{n-1}, the rows at B_n
+    minus B_{n-1} hold}, solved in the parameters of X_{n-1} and new cells."""
+    p = ws.ca.p
 
-    def level(n: int) -> AffineSubspace:
-        w = ws.window(n)
-        return solve_affine(w.matrix, ws.target_vec(target, n), ws.ca.p)
+    def level(n: int, below: AffineSubspace) -> AffineSubspace:
+        if below.is_empty:
+            return AffineSubspace.empty(ws.ambient(n), p)
+        old, new, rows = ws.growth(n)
+        # x = point + c @ spanning: X_{n-1} on A_{n-1}, unit rows on the new cells.
+        lift = np.zeros((below.dim + new.size + 1, old.size + new.size), dtype=np.int64)
+        lift[: below.dim, old] = below.directions.basis
+        lift[below.dim + np.arange(new.size), new] = 1
+        lift[-1, old] = below.point
+        # The new rows, pulled back to c; the last column is the point's image.
+        pulled = matmul(ws.window(n).matrix[rows], lift.T, p)
+        rhs = ws.target_vec(target, n)[rows] - pulled[:, -1]
+        return linalg.solve_in_span(lift[-1], lift[:-1], pulled[:, :-1], rhs, p)
 
-    return ProjectiveAffineSequence(ws.ca.p, ws.ambient, level, ws.restriction)
+    return ProjectiveAffineSequence(p, ws.ambient, level, ws.restriction)
 
 
 def kernel_sequence(automaton: LinearCA) -> ProjectiveAffineSequence:
-    """Window kernels as affine levels (the diagnostic chain; it uses plain
-    radius-n balls so level 0 is the smallest window)."""
+    """Window kernels 0 + ker W_n, the preimage sequence of zero over plain
+    radius-n balls, so level 0 is the smallest window (the diagnostic chain)."""
     ws = WindowSystem(automaton, BallSequence(automaton.group, 0))
-
-    def level(n: int) -> AffineSubspace:
-        w = ws.window(n)
-        kern = kernel_basis(w.matrix, automaton.p)
-        return AffineSubspace.from_point_subspace(
-            np.zeros(kern.ambient, dtype=np.int64), kern
-        )
-
-    return ProjectiveAffineSequence(automaton.p, ws.ambient, level, ws.restriction)
+    return preimage_sequence(ws, zero_config())
 
 
 # -- universal chains and extraction ----------------------------------------

@@ -174,6 +174,14 @@ def test_demo_certificates_round_trip(tmp_path):
     assert main(["verify", sp]) == 0
 
 
+def test_demo_sigma_prime_window_zero_is_kept(tmp_path):
+    """m = 0 is a valid window, so --window 0 must not fall back to 8."""
+    out = tmp_path / "sp0.json"
+    assert main(["demo", "sigma-prime", "--window", "0", "--out", str(out)]) == 0
+    assert jsonio.loads(out.read_text())["payload"]["window"] == 0
+    assert main(["verify", str(out)]) == 0
+
+
 def test_verify_rejects_tampered_certificate(tmp_path):
     shift = write(tmp_path, "shift.json", shift_ca_json())
     cert_path = str(tmp_path / "cert.json")
@@ -215,6 +223,11 @@ def test_domain_error_exit_code(tmp_path):
         out = tmp_path / f"{which}.json"
         assert main(["demo", which, "--p", p, "--out", str(out)]) == 4
         assert not out.exists()
+    # An explicit --window 0 is used, not replaced by the default: for
+    # sigma it is below j0, which the gallery rejects.
+    out = tmp_path / "sigma-window0.json"
+    assert main(["demo", "sigma", "--j0", "3", "--window", "0", "--out", str(out)]) == 4
+    assert not out.exists()
     # Negative windows, radii and search bounds are domain errors, not
     # crashes or Unknowns.
     target = write(tmp_path, "delta.json", delta_json())

@@ -1,7 +1,9 @@
 """Inverse synthesis, witness searches, universal chains and extraction."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from conftest import random_ca, random_finite_support, random_integer_ca, random
 from linca import (
     AffineSubspace,
     EmptyFiberWitness,
+    FiniteGroup,
     FreeGroup,
     IntegerGroup,
     LatticeGroup,
@@ -21,6 +24,7 @@ from linca import (
     WindowSystem,
     compose,
     config_equal,
+    cyclic_group,
     equals_identity,
     extract_limit_prefix,
     finite_support,
@@ -67,7 +71,7 @@ def constant_full_sequence(p=2, ambient=2, levels=10):
     return ProjectiveAffineSequence(
         p,
         lambda n: ambient,
-        lambda n: AffineSubspace.full(ambient, p),
+        lambda n, below: AffineSubspace.full(ambient, p),
         lambda n, m: np.arange(ambient),
     )
 
@@ -122,6 +126,60 @@ def test_projective_axioms_on_every_group_kind(group, memory):
     seq = preimage_sequence(ws, target)
     triples = [(n, m, k) for k in range(4) for m in range(k + 1) for n in range(m + 1)]
     assert seq.verify_axioms(triples)
+
+
+def deficient_ca(rng, group, p, dim_v, memory):
+    """A random rule whose blocks all map into one proper subspace of V, so
+    its image misses most targets."""
+    proj = np.eye(dim_v, dtype=np.int64)
+    proj[:, -1:] = 0
+    blocks = tuple(proj @ random_matrix(rng, dim_v, dim_v, p) for _ in memory)
+    return LinearCA(group, p, dim_v, memory, blocks)
+
+
+LEVEL_GROUPS = RESTRICTION_GROUPS + [pytest.param(cyclic_group(6), (0, 1, 3), id="Z6")]
+
+
+@pytest.mark.parametrize("group,memory", LEVEL_GROUPS)
+def test_levels_match_the_direct_window_solve(group, memory):
+    """Each level is built from the one below; it must equal the fiber
+    solved from scratch on the whole window map, for images, random targets
+    and targets outside the image alike."""
+    rng = random.Random(17)
+    empty_seen, saturated = set(), False
+    for p, dim_v in itertools.product((2, 3), (0, 1, 2)):
+        rules = [random_ca(rng, group, p, dim_v, memory)]
+        rules += [deficient_ca(rng, group, p, dim_v, memory)] if dim_v else []
+        for ca in rules:
+            ws = WindowSystem(ca)
+            cells = ws.window(3).source
+            x = random_finite_support(rng, group, p, dim_v, cells)
+            targets = [ca.apply_config(x), random_finite_support(rng, group, p, dim_v, cells)]
+            for target in targets:
+                seq = preimage_sequence(ws, target)
+                for m in (3, 0, 1, 2):  # level(3) fills levels 0..3 bottom-up
+                    direct = solve_affine(ws.window(m).matrix, ws.target_vec(target, m), p)
+                    assert seq.level(m) == direct, (p, dim_v, m)
+                    empty_seen.add(direct.is_empty)
+                    saturated |= m > 0 and ws.window(m).source == ws.window(m - 1).source
+    assert empty_seen == {True, False}
+    assert saturated == isinstance(group, FiniteGroup)
+
+
+def test_preimage_sequence_is_freed_without_the_cycle_collector():
+    """The level function must not hold its own sequence: a reference cycle
+    would keep every sequence and its window maps alive until a collection."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        seq = preimage_sequence(WindowSystem(add_rule()), finite_support(2, 1, {0: [1]}))
+        seq.level(3)
+        ref = weakref.ref(seq)
+        del seq
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_universal_chain_constant_sequence_plateaus_immediately():
