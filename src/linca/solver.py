@@ -20,6 +20,20 @@ unknown inverse blocks, growing the candidate memory through word balls.
 A solved inverse is self-certifying (both compositions are checked by
 exact rule arithmetic), and if the automaton is reversible at all, some
 finite ball contains its inverse's memory, so the search is complete.
+
+On the integers a rule with alphabet GF(p)^n is an n x n matrix A over
+GF(p)[t^-1, t], and det A rules searches out by two theorems: a bijective
+linear CA with finite-dimensional alphabet is reversible (the paper's), and on
+the amenable group Z a linear CA is surjective iff pre-injective, and injective
+ones are surjective (linear Garden of Eden; Ceccherini-Silberstein & Coornaert).
+
+    det A      searches run              why the others cannot succeed
+    unit       left inverse              bijective: no kernel element, every window map onto
+    nonzero    periodic                  a left inverse would make A injective, so bijective
+                                         and det A a unit; surjective and pre-injective, so
+                                         no fiber and no finitely supported kernel element
+    zero       support, periodic, fiber  not injective, so no left inverse
+    undecided  all                       (GF(p) has no point where A is invertible)
 """
 
 from __future__ import annotations
@@ -533,35 +547,91 @@ def _periodic_kernel_witness(ca: LinearCA, q: int) -> Optional[PeriodicConfig]:
     return periodic(ca.p, d, [vec[i * d : (i + 1) * d] for i in range(q)])
 
 
-def _checked_kernel_witness(ca: LinearCA, config) -> Optional[KernelWitness]:
-    """The witness holding ``config`` if it passes its exact check, else None."""
-    if config is None:
-        return None
-    witness = KernelWitness(ca, config)
-    return witness if witness.verify() else None
+def _taylor_shift(coeffs: np.ndarray, c: int, p: int) -> np.ndarray:
+    """Coefficients of f(x + c) from those of f (scalars or matrices along axis
+    0, constant term first): the Pascal matrix C(k, i) c^(k-i) applied to them."""
+    if c % p == 0:
+        return coeffs
+    n = len(coeffs)
+    pascal = np.zeros((n, n), dtype=np.int64)
+    pascal[0, 0] = 1
+    for k in range(1, n):
+        pascal[1:, k] = pascal[:-1, k - 1]
+        pascal[:, k] = (pascal[:, k] + c % p * pascal[:, k - 1]) % p
+    return matmul(pascal, coeffs.reshape(n, -1), p).reshape(coeffs.shape)
+
+
+def _laurent_det(ca: LinearCA) -> Optional[np.ndarray]:
+    """det P(t) over GF(p) for a rule on the integers, P = sum_m b_m t^(m - min M)
+    over the cells M it reads: up to a nonzero factor, constant term first, all
+    zeros for det = 0 and None when GF(p) is too small to decide.  det P has
+    degree <= nD (n = dimV, D = max M - min M).  At the first t0 < min(p, nD + 1)
+    with P(t0) invertible, P(t0 + s) = Q_0 (I + M_1 s + ... + M_D s^D), whose
+    det is the reversed charpoly of the block companion of the M_i.  No such t0
+    means nD + 1 roots, so det P = 0, unless p <= nD."""
+    n, p, live = ca.dim_v, ca.p, ca.support_memory
+    low, deg = min(live), max(live) - min(live)
+    coeffs = np.zeros((deg + 1, n, n), dtype=np.int64)
+    for m in live:
+        coeffs[m - low] = ca.block(m)
+    for t0 in range(min(p, n * deg + 1)):
+        # Reduce [Q_0 | ... | Q_D]: Q_0 is invertible iff it holds the first n pivots.
+        shifted = _taylor_shift(coeffs, t0, p).transpose(1, 0, 2).reshape(n, -1 if n else 0)
+        r, pivots, _ = linalg.rref(shifted, p)
+        if pivots[:n] == tuple(range(n)):
+            companion = np.eye(n * deg, k=-n, dtype=np.int64)
+            if deg:  # else the companion is empty and det P = det Q_0
+                companion[:n] = -r[:, n:] % p  # -[M_1 ... M_D]
+            return _taylor_shift(linalg.charpoly(companion, p)[::-1], -t0, p)
+    return np.zeros(1, dtype=np.int64) if p > n * deg else None
+
+
+def _possible_families(ca: LinearCA) -> frozenset:
+    """The searches that can still succeed: every one off the integers, and on
+    them those the module docstring's table leaves open."""
+    every = frozenset({"left-inverse", "support", "constant", "periodic", "fiber"})
+    if not isinstance(ca.group, IntegerGroup):
+        return every
+    det = _laurent_det(ca)
+    if det is None:  # on the integers period 1 subsumes the constant search
+        return every - {"constant"}
+    terms = np.count_nonzero(det)
+    if terms == 1:
+        return frozenset({"left-inverse"})
+    return frozenset({"periodic"} if terms else {"support", "periodic", "fiber"})
+
+
+def _kernel_search(
+    ca: LinearCA, families: frozenset, radii: Iterable[int], periods: Iterable[int]
+) -> Optional[KernelWitness]:
+    """The first checked kernel witness of the allowed families, searched as
+    finitely supported ones on the given radii, the constant one, then
+    q-periodic ones on the integers; None when none is found."""
+
+    def candidates():
+        if "support" in families:
+            yield from (_support_kernel_witness(ca, radius) for radius in radii)
+        if "constant" in families:
+            yield _constant_kernel_witness(ca)
+        if "periodic" in families:
+            yield from (_periodic_kernel_witness(ca, q) for q in periods)
+
+    found = (KernelWitness(ca, c) for c in candidates() if c is not None)
+    return next((w for w in found if w.verify()), None)
 
 
 def kernel_witness(
     ca: LinearCA, support_bound: int = 4, period_bound: int = 4
 ) -> Optional[Configuration]:
     """Search for a nonzero configuration in the kernel: finitely supported
-    ones on growing balls first, then periodic ones on the integers.  Any
-    returned witness is re-verified exactly; None is inconclusive."""
+    ones on growing balls first, then periodic ones on the integers, as far as
+    the Laurent determinant allows.  Any returned witness is re-verified
+    exactly; None is inconclusive."""
     if min(support_bound, period_bound) < 0:
         raise ValueError(f"bounds must be >= 0, got {support_bound} and {period_bound}")
-
-    def candidates():
-        for radius in range(support_bound + 1):
-            yield _support_kernel_witness(ca, radius)
-        # On the integers the period-1 search subsumes constants; elsewhere
-        # the constant family is the only group-agnostic periodic analogue.
-        if not isinstance(ca.group, IntegerGroup):
-            yield _constant_kernel_witness(ca)
-        for q in range(1, period_bound + 1):
-            yield _periodic_kernel_witness(ca, q)
-
-    found = (_checked_kernel_witness(ca, config) for config in candidates())
-    return next((w.config for w in found if w is not None), None)
+    radii, periods = range(support_bound + 1), range(1, period_bound + 1)
+    witness = _kernel_search(ca, _possible_families(ca), radii, periods)
+    return witness.config if witness is not None else None
 
 
 def _checked_fiber_witness(
@@ -597,10 +667,13 @@ def surjectivity_counterexample(
     ca: LinearCA, max_radius: int = 6
 ) -> Optional[EmptyFiberWitness]:
     """Scan window maps for a rank deficiency; any pattern outside a window
-    image certifies non-surjectivity of the global map.  None is
-    inconclusive."""
+    image certifies non-surjectivity of the global map.  A nonzero Laurent
+    determinant proves the map surjective, so then nothing is scanned.  None
+    is inconclusive."""
     if max_radius < 0:
         raise ValueError(f"max_radius must be >= 0, got {max_radius}")
+    if "fiber" not in _possible_families(ca):
+        return None
     ws = WindowSystem(ca)
     prev = None
     for n in range(max_radius + 1):
@@ -622,9 +695,16 @@ def invert_ca(ca: LinearCA, max_radius: int = 8) -> InvertResult:
     compositions equal the identity rule.  Between attempts it looks for
     kernel witnesses and window-fiber counterexamples, either of which
     certifies non-invertibility.  If the automaton is reversible, some
-    finite radius succeeds; Unknown is only returned at the cutoff."""
+    finite radius succeeds; Unknown is only returned at the cutoff.
+
+    On the integers the Laurent determinant, computed once, skips what
+    cannot succeed (the module docstring says why): a unit det searches only
+    left inverses, a nonzero one only periodic witnesses, det = 0 all but
+    left inverses, an undecided one everything.  Order and radii are kept,
+    so the first success is the one the full search finds."""
     if max_radius < 0:
         raise ValueError(f"max_radius must be >= 0, got {max_radius}")
+    families = _possible_families(ca)
     balls = BallSequence(ca.group, 0)
     ws = WindowSystem(ca)
     prev_ball = None
@@ -634,7 +714,7 @@ def invert_ca(ca: LinearCA, max_radius: int = 8) -> InvertResult:
         if cand == prev_ball:
             break  # finite group saturated: the search space is exhausted
         prev_ball = cand
-        if left_inverse is None:
+        if left_inverse is None and "left-inverse" in families:
             blocks = _solve_left_inverse(ca, cand)
             if blocks is not None:
                 nu = LinearCA(ca.group, ca.p, ca.dim_v, cand, blocks)
@@ -645,16 +725,12 @@ def invert_ca(ca: LinearCA, max_radius: int = 8) -> InvertResult:
                 # surjective; only a fiber witness can certify that.
                 left_inverse = nu
         if left_inverse is None:
-            kernel = _checked_kernel_witness(ca, _support_kernel_witness(ca, n))
             # The constant witness does not depend on n: try it once.
-            if kernel is None and n == 0 and not isinstance(ca.group, IntegerGroup):
-                kernel = _checked_kernel_witness(ca, _constant_kernel_witness(ca))
-            if kernel is None:
-                periodic_config = _periodic_kernel_witness(ca, n + 1)
-                kernel = _checked_kernel_witness(ca, periodic_config)
+            allowed = families if n == 0 else families - {"constant"}
+            kernel = _kernel_search(ca, allowed, (n,), (n + 1,))
             if kernel is not None:
                 return NotInvertible(kernel)
-        fiber = _window_fiber_counterexample(ca, n, ws)
+        fiber = _window_fiber_counterexample(ca, n, ws) if "fiber" in families else None
         if fiber is not None:
             return NotInvertible(fiber)
     if left_inverse is not None:

@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -45,8 +46,14 @@ from linca import (
 )
 from linca.ca import pattern_to_vec, vec_to_pattern
 from linca.linalg import solve_affine
-from linca.solver import KernelWitness, ProjectiveAffineSequence, _solve_left_inverse
-from linca import gallery
+from linca.solver import (
+    KernelWitness,
+    ProjectiveAffineSequence,
+    _laurent_det,
+    _possible_families,
+    _solve_left_inverse,
+)
+from linca import gallery, jsonio, solver
 from test_kernels import reference_rref
 
 Z = IntegerGroup()
@@ -623,3 +630,153 @@ def test_preimage_roundtrip_randomized():
         assert res.extraction.chains_nonincreasing()
         assert all(res.extraction.lift_checks)
     assert failures == 0
+
+
+# -- the Laurent determinant and the searches it rules out -----------------------
+
+
+def laurent_rules(count, seed):
+    """Seeded rules over Z: p in (2, 3, 5, 7, 1048573), dimV 0-3, memory in
+    [-2, 2]; every third rule has rank-1 blocks u_m v_m^T sharing v or, in
+    turn, u, so its determinant is 0 once dimV >= 2."""
+    rng = random.Random(seed)
+    for i in range(count):
+        p = rng.choice((2, 3, 5, 7, 1048573))
+        d = rng.randrange(4)
+        memory = rng.sample(range(-2, 3), rng.randint(1, 3))
+        if i % 3 == 0:
+            u, v = random_matrix(rng, d, 1, p), random_matrix(rng, 1, d, p)
+            shared_v = i % 2 == 0
+            blocks = [
+                (random_matrix(rng, d, 1, p) @ v if shared_v else u @ random_matrix(rng, 1, d, p)) % p
+                for _ in memory
+            ]
+        else:
+            blocks = [random_matrix(rng, d, d, p) for _ in memory]
+        yield LinearCA(Z, p, d, memory, blocks)
+
+
+# det P(t) = t, a unit, while P(0) is singular: the determinant is taken at t0 = 1.
+UNIT_SINGULAR_AT_ZERO = LinearCA(Z, 3, 2, (0, 1), (np.diag([0, 1]), np.diag([1, 0])))
+# det P(t) = t (t + 1) vanishes on all of GF(2), and p <= nD = 2.
+UNDECIDED = LinearCA(Z, 2, 2, (0, 1), (np.diag([0, 1]), np.eye(2, dtype=np.int64)))
+
+
+def det_class(ca):
+    return class_of(_laurent_det(ca))
+
+
+def class_of(det):
+    if det is None:
+        return "undecided"
+    return {0: "zero", 1: "unit"}.get(int(np.count_nonzero(det)), "nonzero")
+
+
+def up_to_constant(coeffs, p):
+    """Coefficients scaled to a monic polynomial; [] for the zero polynomial."""
+    c = [int(x) % p for x in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    inv = pow(c[-1], -1, p) if c else 0
+    return [x * inv % p for x in c]
+
+
+def test_laurent_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    rules = list(laurent_rules(150, 11)) + [UNIT_SINGULAR_AT_ZERO, UNDECIDED]
+    classes = Counter()
+    for ca in rules:
+        live = ca.support_memory
+        low, nd = min(live), ca.dim_v * (max(live) - min(live))
+        got = _laurent_det(ca)
+        classes[class_of(got)] += 1
+        if got is None:
+            assert ca.p <= nd
+            continue
+        mat = sympy.zeros(ca.dim_v, ca.dim_v)
+        for m in live:
+            mat += sympy.Matrix(ca.block(m).tolist()) * t ** (m - low)
+        ref = sympy.Poly(mat.det(method="berkowitz"), t).all_coeffs()[::-1]
+        assert up_to_constant(got, ca.p) == up_to_constant(ref, ca.p)
+        if not np.any(got):
+            assert ca.p > nd
+    assert set(classes) == {"unit", "nonzero", "zero", "undecided"}
+    assert up_to_constant(_laurent_det(UNIT_SINGULAR_AT_ZERO), 3) == [0, 1]
+    assert det_class(UNDECIDED) == "undecided"
+
+
+def test_laurent_det_edge_cases():
+    assert _laurent_det(LinearCA(Z, 5, 0, (0, 1), (np.zeros((0, 0)),) * 2)).tolist() == [1]
+    assert det_class(LinearCA(Z, 5, 2, (0,), (np.diag([1, 0]),))) == "zero"
+    assert det_class(sigma2_block_ca(3)) == "unit"
+    assert det_class(add_rule()) == "nonzero"
+    # Shared v: rank 1 at every t, and p = 1048573 > nD leaves no doubt.
+    v, u0, u1 = np.array([[1, 2]]), np.array([[3], [4]]), np.array([[5], [1]])
+    assert det_class(LinearCA(Z, 1048573, 2, (0, 1), (u0 @ v, u1 @ v))) == "zero"
+
+
+def test_possible_families_follow_the_determinant():
+    assert _possible_families(UNIT_SINGULAR_AT_ZERO) == {"left-inverse"}
+    assert _possible_families(add_rule()) == {"periodic"}
+    zero = LinearCA(Z, 2, 1, (0,), ([[0]],))
+    assert _possible_families(zero) == {"support", "periodic", "fiber"}
+    assert _possible_families(UNDECIDED) == {"left-inverse", "support", "periodic", "fiber"}
+    square = LinearCA(LatticeGroup(2), 2, 1, ((0, 0), (1, 0)), ([[1]], [[1]]))
+    assert len(_possible_families(square)) == 5
+
+
+def _unitriangular_conjugate(ca, rng):
+    """P^-1 ca P for a seeded unit lower triangular P = I + N, whose inverse
+    is I - N + N^2 - ... since N is nilpotent."""
+    d, p = ca.dim_v, ca.p
+    n = np.tril(random_matrix(rng, d, d, p), -1)
+    inv, power = np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64)
+    for k in range(1, d):
+        power = power @ n % p
+        inv = (inv + (-1) ** k * power) % p
+    mat = (np.eye(d, dtype=np.int64) + n) % p
+    blocks = [inv @ b % p @ mat % p for b in ca.blocks]
+    return LinearCA(Z, p, d, ca.memory, blocks)
+
+
+def _visible_answers(ca, max_radius):
+    """What a caller sees of invert_ca, kernel_witness and
+    surjectivity_counterexample: result types, certificate bytes, reasons."""
+    result = invert_ca(ca, max_radius)
+    if isinstance(result, SolverUnknown):
+        text = result.reason
+    elif isinstance(result, ReversibilityCertificate):
+        text = jsonio.dumps(jsonio.reversible_certificate(result))
+    elif isinstance(result.witness, KernelWitness):
+        text = jsonio.dumps(jsonio.kernel_witness_certificate(result.witness))
+    else:
+        text = jsonio.dumps(jsonio.empty_fiber_certificate(result.witness))
+    config = kernel_witness(ca, 2, 3)
+    fiber = surjectivity_counterexample(ca, 3)
+    return (
+        type(result).__name__,
+        type(getattr(result, "witness", None)).__name__,
+        text,
+        config and jsonio.dumps(jsonio.kernel_witness_certificate(KernelWitness(ca, config))),
+        fiber and jsonio.dumps(jsonio.empty_fiber_certificate(fiber)),
+    )
+
+
+def test_pruned_searches_give_the_full_search_answers(monkeypatch):
+    """Every entry point answers byte for byte as with every family searched,
+    which is what an undecided determinant runs."""
+    rng = random.Random(23)
+    cases = [(ca, 2) for ca in laurent_rules(45, 29)]
+    cases += [(UNIT_SINGULAR_AT_ZERO, 2), (UNDECIDED, 2), (add_rule(3), 2)]
+    for j, p in ((2, 2), (3, 3), (4, 2), (5, 3)):
+        sigma = gallery.sigma_truncated_ca(j, p)
+        cases += [(sigma, j), (sigma, j - 2), (_unitriangular_conjugate(sigma, rng), j)]
+    families = set()
+    for ca, max_radius in cases:
+        families.add(_possible_families(ca))
+        pruned = _visible_answers(ca, max_radius)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_laurent_det", lambda ca: None)
+            assert _visible_answers(ca, max_radius) == pruned
+    assert len(families) == 4
