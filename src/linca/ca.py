@@ -320,34 +320,28 @@ class ConstantConfig:
 Configuration = Union[FiniteSupportConfig, PeriodicConfig, ConstantConfig]
 
 
+def value_vector(p: int, dim_v: int, value) -> np.ndarray:
+    """One cell value as a read-only vector of V = GF(p)^dimV; patterns and
+    configurations build every value from outside data through here."""
+    w = linalg.as_vector(value, p)
+    if w.shape[0] != dim_v:
+        raise CAError(f"value length {w.shape[0]} does not match dimV={dim_v}")
+    return _freeze(w)
+
+
 def finite_support(p: int, dim_v: int, cells: dict) -> FiniteSupportConfig:
-    out = {}
-    for g, v in cells.items():
-        w = linalg.as_vector(v, p)
-        if w.shape[0] != dim_v:
-            raise CAError(f"value length {w.shape[0]} does not match dimV={dim_v}")
-        if np.any(w):
-            out[g] = _freeze(w)
-    return FiniteSupportConfig(out)
+    values = {g: value_vector(p, dim_v, v) for g, v in cells.items()}
+    return FiniteSupportConfig({g: w for g, w in values.items() if np.any(w)})
 
 
 def periodic(p: int, dim_v: int, values: Sequence) -> PeriodicConfig:
     if len(values) < 1:
         raise CAError("period must be >= 1")
-    vals = []
-    for v in values:
-        w = linalg.as_vector(v, p)
-        if w.shape[0] != dim_v:
-            raise CAError(f"value length {w.shape[0]} does not match dimV={dim_v}")
-        vals.append(_freeze(w))
-    return PeriodicConfig(tuple(vals))
+    return PeriodicConfig(tuple(value_vector(p, dim_v, v) for v in values))
 
 
 def constant(p: int, dim_v: int, value) -> ConstantConfig:
-    w = linalg.as_vector(value, p)
-    if w.shape[0] != dim_v:
-        raise CAError(f"value length {w.shape[0]} does not match dimV={dim_v}")
-    return ConstantConfig(_freeze(w))
+    return ConstantConfig(value_vector(p, dim_v, value))
 
 
 def zero_config() -> FiniteSupportConfig:

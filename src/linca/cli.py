@@ -3,7 +3,8 @@
 Exit codes follow the certification contract: 0 for a certified positive
 answer (or a plain successful transformation), 10 for a certified negative
 answer with an enclosed witness, 20 for inconclusive-at-cutoff.  Usage
-errors exit 2 (argparse), malformed files exit 3, incompatible data exits 4
+errors exit 2 (argparse), malformed files and JSON arguments (including
+numbers that are not exact integers) exit 3, incompatible data exits 4
 (including a ``demo --p`` that is not a prime below 2^20), and a ``demo``
 whose gallery witness fails its own check exits 1 after writing the
 certificate.
@@ -139,9 +140,7 @@ def cmd_restrict(args) -> int:
     if args.generators is None:
         gens = list(ca.memory)
     else:
-        gens = [
-            jsonio.decode_element(ca.group, g) for g in _json_arg(args.generators)
-        ]
+        gens = jsonio.decode_elements(ca.group, _json_arg(args.generators))
     sub = subgroup_generated(ca.group, gens)
     _emit(jsonio.encode_ca(transfer.restrict(ca, sub)), args.out)
     return EXIT_OK
@@ -150,7 +149,7 @@ def cmd_restrict(args) -> int:
 def cmd_induce(args) -> int:
     ca = _load_ca(args.ca)
     parent = jsonio.decode_group(_json_arg(args.group))
-    gens = [jsonio.decode_element(parent, g) for g in _json_arg(args.generators)]
+    gens = jsonio.decode_elements(parent, _json_arg(args.generators))
     sub = subgroup_generated(parent, gens)
     _emit(jsonio.encode_ca(transfer.induce(ca, sub)), args.out)
     return EXIT_OK

@@ -14,16 +14,27 @@ Formats:
   linca-pattern/1  {"cells": [[element, vector], ...]}
   linca-cert/1     {"kind", "ca", "ca_sha256"?, "payload", "transcript"}
 
+Decoding rule: JSON becomes library objects only through the ``decode_*``
+functions here, and each either returns objects or raises FormatError; the
+``_decoder`` wrapper turns any error raised while reading into one.  Every
+number must be an exact integer in the int64 range: ``1``, ``1.0`` and
+``true`` all read as 1 (a float counts below 2^53, where it is exact), while
+``1.5``, ``"1"``, ``null`` and ``2**70`` are rejected.  Scalars go through
+``_int``, vectors and matrices through ``linalg.as_vector``/``as_matrix``,
+which apply the same rule.  A cell (or sparse index) listed twice is an
+error, not a silent overwrite.
+
 A certificate stores everything needed to re-check it from scratch.  The
 verifier decodes the payload into the library's own objects, checks the
 claim with their own check, rebuilds the whole certificate from them with
 the same builder that wrote it, and compares the two as parsed JSON with
 ``==``.  That comparison equates ``1``, ``1.0`` and ``true``, exactly as the
-``int()`` decoders do; every other difference rejects the certificate.
+decoding rule does; every other difference rejects the certificate.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from typing import Optional
@@ -41,16 +52,10 @@ from .ca import (
     finite_support,
     pattern_to_vec,
     periodic,
+    value_vector,
     vec_to_pattern,
 )
-from .groups import (
-    FiniteGroup,
-    FreeGroup,
-    Group,
-    GroupError,
-    IntegerGroup,
-    LatticeGroup,
-)
+from .groups import FiniteGroup, FreeGroup, Group, IntegerGroup, LatticeGroup
 
 CA_FORMAT = "linca-ca/1"
 CONFIG_FORMAT = "linca-config/1"
@@ -73,12 +78,70 @@ def dumps(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         raise FormatError(f"invalid JSON: {exc}") from exc
 
 
 def sha256_of(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+
+
+# -- decoding ----------------------------------------------------------------
+
+# What malformed data raises while it is read; ValueError covers FormatError
+# and the library's GroupError, CAError, LinalgError and GalleryError.
+_DATA_ERRORS = (ArithmeticError, AttributeError, LookupError, TypeError, ValueError)
+
+
+def _decoder(what: str):
+    """Make a decoder raise only FormatError: any data error raised inside
+    becomes 'bad <what>: ...', and a nested decoder's FormatError passes
+    through unchanged."""
+
+    def wrap(decode):
+        @functools.wraps(decode)
+        def checked(*args, **kwargs):
+            try:
+                return decode(*args, **kwargs)
+            except FormatError:
+                raise
+            except _DATA_ERRORS as exc:
+                raise FormatError(f"bad {what}: {exc}") from exc
+
+        return checked
+
+    return wrap
+
+
+def _int(x) -> int:
+    """A JSON number as an int, by the rule of ``linalg.as_vector``: 1, 1.0
+    and true read as 1; a fraction, a float from 2^53 on, a string, null, a
+    list or an integer outside int64 is rejected."""
+    if isinstance(x, int):  # bool included
+        if -linalg.INT64_BOUND <= x < linalg.INT64_BOUND:
+            return int(x)
+    elif isinstance(x, float) and x.is_integer() and abs(x) < linalg.FLOAT_EXACT_BOUND:
+        return int(x)
+    raise FormatError(f"expected an integer in the int64 range, got {x!r}")
+
+
+def _expect_format(data, fmt: str) -> None:
+    if not isinstance(data, dict) or data.get("format") != fmt:
+        raise FormatError(f"expected a {fmt} object")
+
+
+def _pairs(data, key) -> dict:
+    """A list of [key, value] pairs as {key(k): value}; a key listed twice
+    is an error, not a silent overwrite."""
+    if not isinstance(data, list):
+        raise FormatError("expected a list of [key, value] pairs")
+    out = {}
+    for k, v in data:
+        k = key(k)
+        if k in out:
+            raise FormatError(f"key {k!r} is listed twice")
+        out[k] = v
+    return out
 
 
 # -- groups and elements -----------------------------------------------------
@@ -88,31 +151,34 @@ def encode_group(group: Group) -> dict:
     return group.descriptor()
 
 
+@_decoder("group descriptor")
 def decode_group(data) -> Group:
     if not isinstance(data, dict) or "kind" not in data:
         raise FormatError("group descriptor must be an object with a 'kind'")
     kind = data["kind"]
-    try:
-        if kind == "integers":
-            return IntegerGroup()
-        if kind == "lattice":
-            return LatticeGroup(int(data["dim"]))
-        if kind == "finite":
-            return FiniteGroup(data["table"], data.get("generators"))
-        if kind == "free":
-            return FreeGroup(int(data["rank"]))
-    except (KeyError, TypeError, GroupError) as exc:
-        raise FormatError(f"bad group descriptor: {exc}") from exc
+    if kind == "integers":
+        return IntegerGroup()
+    if kind == "lattice":
+        return LatticeGroup(_int(data["dim"]))
+    if kind == "finite":
+        gens = data.get("generators")
+        return FiniteGroup(
+            [[_int(x) for x in row] for row in data["table"]],
+            None if gens is None else [_int(g) for g in gens],
+        )
+    if kind == "free":
+        rank = _int(data["rank"])
+        if rank > 26:
+            raise FormatError("elements are written in a..z, so free rank must be <= 26")
+        return FreeGroup(rank)
     raise FormatError(f"unknown group kind {kind!r}")
 
 
 def encode_element(group: Group, g):
-    if isinstance(group, IntegerGroup):
+    if isinstance(group, (IntegerGroup, FiniteGroup)):
         return int(g)
     if isinstance(group, LatticeGroup):
         return [int(x) for x in g]
-    if isinstance(group, FiniteGroup):
-        return int(g)
     if isinstance(group, FreeGroup):
         if group.rank > 26:
             raise FormatError("string encoding supports free rank <= 26")
@@ -124,27 +190,32 @@ def encode_element(group: Group, g):
     raise FormatError(f"unsupported group kind {group.kind!r}")
 
 
+@_decoder("element encoding")
 def decode_element(group: Group, data):
-    try:
-        if isinstance(group, IntegerGroup):
-            return group.check(int(data))
-        if isinstance(group, LatticeGroup):
-            return group.check(tuple(int(x) for x in data))
-        if isinstance(group, FiniteGroup):
-            return group.check(int(data))
-        if isinstance(group, FreeGroup):
-            letters = []
-            for ch in str(data):
-                if "a" <= ch <= "z":
-                    letters.append(ord(ch) - ord("a") + 1)
-                elif "A" <= ch <= "Z":
-                    letters.append(-(ord(ch) - ord("A") + 1))
-                else:
-                    raise FormatError(f"bad free-group letter {ch!r}")
-            return group.check(tuple(letters))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad element encoding {data!r}: {exc}") from exc
+    if isinstance(group, (IntegerGroup, FiniteGroup)):
+        return group.check(_int(data))
+    if isinstance(group, LatticeGroup):
+        return group.check(tuple(_int(x) for x in data))
+    if isinstance(group, FreeGroup):
+        if not isinstance(data, str):
+            raise FormatError(f"free-group elements are strings, got {data!r}")
+        letters = []
+        for ch in data:
+            if "a" <= ch <= "z":
+                letters.append(ord(ch) - ord("a") + 1)
+            elif "A" <= ch <= "Z":
+                letters.append(-(ord(ch) - ord("A") + 1))
+            else:
+                raise FormatError(f"bad free-group letter {ch!r}")
+        return group.check(tuple(letters))
     raise FormatError(f"unsupported group kind {group.kind!r}")
+
+
+@_decoder("element list")
+def decode_elements(group: Group, data) -> list:
+    if not isinstance(data, list):
+        raise FormatError(f"expected a list of elements, got {data!r}")
+    return [decode_element(group, g) for g in data]
 
 
 def _ints(a) -> list:
@@ -172,17 +243,12 @@ def encode_ca(ca: LinearCA) -> dict:
     }
 
 
+@_decoder("CA definition")
 def decode_ca(data) -> LinearCA:
-    if not isinstance(data, dict) or data.get("format") != CA_FORMAT:
-        raise FormatError(f"expected a {CA_FORMAT} object")
+    _expect_format(data, CA_FORMAT)
     group = decode_group(data["group"])
-    try:
-        memory = [decode_element(group, m) for m in data["memory"]]
-        return LinearCA(group, int(data["p"]), int(data["dimV"]), memory, data["blocks"])
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"bad CA definition: {exc}") from exc
+    memory = decode_elements(group, data["memory"])
+    return LinearCA(group, _int(data["p"]), _int(data["dimV"]), memory, data["blocks"])
 
 
 def ca_hash(ca: LinearCA) -> str:
@@ -216,26 +282,19 @@ def encode_config(group: Group, config) -> dict:
     raise FormatError(f"unsupported configuration {type(config).__name__}")
 
 
+@_decoder("configuration")
 def decode_config(group: Group, p: int, dim_v: int, data):
-    if not isinstance(data, dict) or data.get("format") != CONFIG_FORMAT:
-        raise FormatError(f"expected a {CONFIG_FORMAT} object")
+    _expect_format(data, CONFIG_FORMAT)
     kind = data.get("kind")
-    try:
-        if kind == "finite-support":
-            cells = {
-                decode_element(group, g): v for g, v in data.get("cells", [])
-            }
-            return finite_support(p, dim_v, cells)
-        if kind == "periodic":
-            if not isinstance(group, IntegerGroup):
-                raise FormatError("periodic configurations require the integer group")
-            return periodic(p, dim_v, data["values"])
-        if kind == "constant":
-            return constant(p, dim_v, data["value"])
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"bad configuration: {exc}") from exc
+    if kind == "finite-support":
+        cells = _pairs(data.get("cells", []), functools.partial(decode_element, group))
+        return finite_support(p, dim_v, cells)
+    if kind == "periodic":
+        if not isinstance(group, IntegerGroup):
+            raise FormatError("periodic configurations require the integer group")
+        return periodic(p, dim_v, data["values"])
+    if kind == "constant":
+        return constant(p, dim_v, data["value"])
     raise FormatError(f"unknown configuration kind {kind!r}")
 
 
@@ -243,16 +302,11 @@ def encode_pattern(group: Group, pattern: Pattern) -> dict:
     return {"format": PATTERN_FORMAT, "cells": _encode_cells(group, pattern.cells)}
 
 
+@_decoder("pattern")
 def decode_pattern(group: Group, p: int, dim_v: int, data) -> Pattern:
-    if not isinstance(data, dict) or data.get("format") != PATTERN_FORMAT:
-        raise FormatError(f"expected a {PATTERN_FORMAT} object")
-    cells = {}
-    for g, v in data.get("cells", []):
-        vec = np.array(v, dtype=np.int64) % p
-        if vec.shape != (dim_v,):
-            raise FormatError(f"pattern value of wrong length at {g!r}")
-        cells[decode_element(group, g)] = vec
-    return Pattern(cells)
+    _expect_format(data, PATTERN_FORMAT)
+    cells = _pairs(data.get("cells", []), functools.partial(decode_element, group))
+    return Pattern({g: value_vector(p, dim_v, v) for g, v in cells.items()})
 
 
 # -- sparse vectors and lazy configurations ------------------------------------
@@ -262,11 +316,9 @@ def encode_sparse_vector(v: gallery.SparseVector) -> list:
     return [[i, c] for i, c in sorted(v.entries.items())]
 
 
+@_decoder("sparse vector")
 def decode_sparse_vector(p: int, data) -> gallery.SparseVector:
-    try:
-        return gallery.sparse_vector(p, {int(i): int(c) for i, c in data})
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad sparse vector: {exc}") from exc
+    return gallery.sparse_vector(p, {i: _int(c) for i, c in _pairs(data, _int).items()})
 
 
 def encode_sparse_config(x: gallery.LazySparseConfig) -> dict:
@@ -284,23 +336,16 @@ def encode_sparse_config(x: gallery.LazySparseConfig) -> dict:
     return out
 
 
+@_decoder("sparse configuration")
 def decode_sparse_config(p: int, data) -> gallery.LazySparseConfig:
-    try:
-        cells = {
-            int(n): decode_sparse_vector(p, v) for n, v in data.get("cells", [])
-        }
-        tail = None
-        if data.get("tail") is not None:
-            t = data["tail"]
-            value = (
-                decode_sparse_vector(p, t["value"]) if "value" in t else None
-            )
-            tail = gallery.Tail(t["kind"], int(t["start"]), value)
-        return gallery.lazy_config(p, cells, tail)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"bad sparse configuration: {exc}") from exc
+    cells = _pairs(data.get("cells", []), _int)
+    tail, t = None, data.get("tail")
+    if t is not None:
+        value = decode_sparse_vector(p, t["value"]) if "value" in t else None
+        tail = gallery.Tail(t["kind"], _int(t["start"]), value)
+    return gallery.lazy_config(
+        p, {n: decode_sparse_vector(p, v) for n, v in cells.items()}, tail
+    )
 
 
 # -- certificates ---------------------------------------------------------------
@@ -476,7 +521,7 @@ def sigma_prime_certificate(
 def _rebuild_reversible(cert) -> dict:
     ca = decode_ca(cert["ca"])
     inverse = cert["payload"]["inverse"]
-    memory = [decode_element(ca.group, m) for m in inverse["memory"]]
+    memory = decode_elements(ca.group, inverse["memory"])
     nu = LinearCA(ca.group, ca.p, ca.dim_v, memory, inverse["blocks"])
     found = solver.ReversibilityCertificate(ca, nu)
     _require(found.verify(), "compositions are not the identity")
@@ -496,8 +541,8 @@ def _rebuild_empty_fiber(cert) -> dict:
     payload = cert["payload"]
     witness = solver.EmptyFiberWitness(
         ca,
-        int(payload["level"]),
-        tuple(decode_element(ca.group, g) for g in payload["window"]),
+        _int(payload["level"]),
+        tuple(decode_elements(ca.group, payload["window"])),
         decode_pattern(ca.group, ca.p, ca.dim_v, payload["pattern"]),
     )
     _require(witness.verify(), "window fiber is not empty")
@@ -516,20 +561,20 @@ def _rebuild_preimage(cert) -> dict:
         ca,
         target,
         solver.PreimageResult("ok", pattern=pattern),
-        int(payload["window"]),
-        int(payload["cutoff"]),
+        _int(payload["window"]),
+        _int(payload["cutoff"]),
     )
 
 
 def _gallery_p(cert) -> int:
-    return linalg.require_prime(int(cert["ca"]["p"]))
+    return linalg.require_prime(_int(cert["ca"]["p"]))
 
 
 def _rebuild_sigma(cert) -> dict:
     p = _gallery_p(cert)
     payload = cert["payload"]
     witness = gallery.sigma_nonreversibility_witness(
-        int(payload["j0"]), int(payload["window_radius"]), p
+        _int(payload["j0"]), _int(payload["window_radius"]), p
     )
     _require(witness.ok, "non-reversibility witness fails its checks")
     trips = cert["transcript"].get("round_trips")
@@ -546,8 +591,8 @@ def _rebuild_sigma(cert) -> dict:
 def _rebuild_sigma_prime(cert) -> dict:
     p = _gallery_p(cert)
     payload = cert["payload"]
-    closure = gallery.sigma_prime_closure_witness(int(payload["window"]), p)
-    forced = gallery.sigma_prime_forced_support(int(payload["depth"]), p)
+    closure = gallery.sigma_prime_closure_witness(_int(payload["window"]), p)
+    forced = gallery.sigma_prime_forced_support(_int(payload["depth"]), p)
     _require(closure.ok, "approximant image is not v_1 on the window")
     _require(forced.ok, "forced coordinates are not 1..depth")
     return sigma_prime_certificate(closure, forced)
@@ -574,8 +619,8 @@ def verify_certificate(cert) -> tuple[bool, str]:
     The payload is decoded into the library's objects, the claim is checked
     by their own check, and the whole certificate is rebuilt from them by
     the builder that wrote it.  The certificate is valid only if it equals
-    the rebuild as parsed JSON, compared with ``==``: like the ``int()``
-    decoders, that equates ``1``, ``1.0`` and ``true``.  On a mismatch the
+    the rebuild as parsed JSON, compared with ``==``: like the decoding
+    rule, that equates ``1``, ``1.0`` and ``true``.  On a mismatch the
     detail names the first top-level key, in sorted order, that differs."""
     if not isinstance(cert, dict) or cert.get("format") != CERT_FORMAT:
         return False, f"not a {CERT_FORMAT} object"
@@ -587,7 +632,7 @@ def verify_certificate(cert) -> tuple[bool, str]:
         fresh = rebuild(cert)
     except CertificateError as exc:
         return False, str(exc)
-    except (AttributeError, FormatError, KeyError, TypeError, ValueError) as exc:
+    except _DATA_ERRORS as exc:
         return False, f"malformed certificate: {exc}"
     for key in sorted(set(cert) | set(fresh)):
         if cert.get(key, _ABSENT) != fresh.get(key, _ABSENT):

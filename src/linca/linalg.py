@@ -20,8 +20,11 @@ coordinates: ``image_of_subspace``, ``image_of_affine`` and
 Coercion happens once, at the edge: ``rref`` and the public functions
 accept any integer array-like (lists, read-only or non-contiguous arrays)
 and ``as_matrix`` makes the single C-ordered int64 copy that the kernel
-reduces in place, so no caller's array is ever written.  Internal callers
-pass int64 arrays and do not reduce them mod p first.
+reduces in place, so no caller's array is ever written.  ``as_matrix`` and
+``as_vector`` are the only coercions of outside numbers, and they reject
+what int64 would truncate, parse or wrap (1.5, "1", None, 2^70) instead of
+converting it.  Internal callers pass int64 arrays and do not reduce them
+mod p first.
 
 Moduli are primes p < 2^20 (``require_prime``).  ``matmul`` computes
 every matrix product in float64 through BLAS, in blocks of the inner
@@ -47,6 +50,8 @@ from ._kernels import rref_inplace
 
 ENUMERATION_CAP = 200_000
 MODULUS_BOUND = 1 << 20
+INT64_BOUND = 1 << 63
+FLOAT_EXACT_BOUND = 1 << 53  # float64 holds every integer below it exactly
 
 
 class LinalgError(ValueError):
@@ -69,20 +74,38 @@ def _is_prime(p: int) -> bool:
     return all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
+def _exact_int64(data, ndim: int) -> np.ndarray:
+    """A fresh C-ordered int64 copy of ``data``, which must have ``ndim``
+    axes of integers in the int64 range.  Bools count, and so do integral
+    floats below 2^53, where float64 is exact; anything that would be
+    truncated, parsed, rounded or wrapped (1.5, "1", None, 2^70) does not.
+    An int64 array is copied as is, with no other pass over its entries."""
+    a = np.asarray(data)
+    kind = a.dtype.kind
+    exact = kind in "bi"
+    if kind == "u":
+        exact = not a.size or a.max() < INT64_BOUND
+    elif kind == "f":
+        exact = bool(np.all((np.trunc(a) == a) & (np.abs(a) < FLOAT_EXACT_BOUND)))
+    if not exact:
+        raise LinalgError(f"entries must be integers in the int64 range, got {a.dtype} data")
+    if a.ndim != ndim:
+        raise LinalgError(f"expected an array of ndim {ndim}, got ndim {a.ndim}")
+    return np.array(a, dtype=np.int64, order="C")
+
+
 def as_matrix(data, p: int) -> np.ndarray:
     """A fresh C-ordered 2-d int64 copy of ``data``, reduced mod p."""
-    a = np.array(data, dtype=np.int64, order="C")
-    if a.ndim != 2:
-        raise LinalgError(f"expected a matrix, got array of ndim {a.ndim}")
+    a = _exact_int64(data, 2)
     a %= p
     return a
 
 
 def as_vector(data, p: int) -> np.ndarray:
-    a = np.array(data, dtype=np.int64)
-    if a.ndim != 1:
-        raise LinalgError(f"expected a vector, got array of ndim {a.ndim}")
-    return a % p
+    """A fresh 1-d int64 copy of ``data``, reduced mod p."""
+    a = _exact_int64(data, 1)
+    a %= p
+    return a
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -175,7 +198,7 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, vectors, ambient: int, p: int) -> "Subspace":
-        arr = np.asarray(vectors, dtype=np.int64)
+        arr = np.asarray(vectors)
         r, pivots, rk = rref(arr.reshape(-1 if arr.size else 0, ambient), p)
         basis = r[:rk].copy()
         basis.setflags(write=False)
@@ -199,7 +222,7 @@ class Subspace:
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """Residue of v modulo the subspace (pivot coordinates eliminated)."""
-        w = np.asarray(v, dtype=np.int64) % self.p
+        w = as_vector(v, self.p)
         # Exact in one product: basis row i is zero at every other pivot.
         return (w - w[list(self.pivots)] @ self.basis) % self.p
 

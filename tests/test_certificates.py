@@ -2,10 +2,14 @@
 rejected: the verifier rebuilds the whole certificate from its payload with
 the builder that wrote it, so no field can be forged or dropped."""
 
+import copy
 import functools
 import hashlib
+import operator
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from linca import (
     IntegerGroup,
@@ -252,3 +256,95 @@ def test_certificate_bytes_are_pinned(kind):
     assert cert["kind"] == kind
     text = jsonio.dumps(cert)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256[kind]
+
+
+# -- every malformed document fails the same way ------------------------------
+
+
+def _documents() -> list:
+    """(original, reader) pairs: every certificate of CASES, read by
+    ``verify_certificate``, and the CA, configuration, pattern and sparse
+    documents inside them, each read by its decoder."""
+    docs = []
+    for kind, with_target in CASES:
+        cert = certificate(kind, with_target)
+        docs.append((cert, jsonio.verify_certificate))
+        parts = list(cert["payload"].items()) + list(cert["transcript"].items())
+        if kind in CA_KINDS:
+            ca = jsonio.decode_ca(cert["ca"])
+            docs.append((cert["ca"], jsonio.decode_ca))
+            readers = {
+                jsonio.CONFIG_FORMAT: jsonio.decode_config,
+                jsonio.PATTERN_FORMAT: jsonio.decode_pattern,
+            }
+            for _, doc in parts:
+                fmt = doc.get("format") if isinstance(doc, dict) else None
+                if fmt in readers:
+                    read = functools.partial(readers[fmt], ca.group, ca.p, ca.dim_v)
+                    docs.append((doc, read))
+        else:
+            p = cert["ca"]["p"]
+            for key, doc in parts:
+                if key in ("z", "preimage_of_z", "approximant"):
+                    docs.append((doc, functools.partial(jsonio.decode_sparse_config, p)))
+                if key == "value_at_zero":
+                    docs.append((doc, functools.partial(jsonio.decode_sparse_vector, p)))
+    return docs
+
+
+DOCUMENTS = _documents()
+DELETE = "delete"
+# Replacements for one value: not an integer, not a number, the wrong
+# shape, missing, and beyond int64.
+REPLACEMENTS = [1.5, "1", [1], None, 2**70]
+# Deleting these leaves a true, weaker certificate: an empty fiber without
+# the target it refutes, a sigma witness without its spot checks.
+OPTIONAL = {("payload", "target"), ("transcript", "round_trips")}
+
+
+def _paths(doc, prefix=()):
+    """The path of every value below ``doc``, as a tuple of keys/indices."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one value replaced, or one key deleted."""
+    original, read = draw(st.sampled_from(DOCUMENTS))
+    how = draw(st.sampled_from(REPLACEMENTS + [DELETE]))
+    paths = [path for path in _paths(original) if how != DELETE or isinstance(path[-1], str)]
+    assume(paths)
+    path = draw(st.sampled_from(paths))
+    doc = copy.deepcopy(original)
+    *head, last = path
+    parent = functools.reduce(operator.getitem, head, doc)
+    if how == DELETE:
+        del parent[last]
+    else:
+        parent[last] = copy.deepcopy(how)
+    assume(doc != original)
+    return read, doc, how == DELETE and path in OPTIONAL
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(mutated_documents())
+def test_mutated_documents_are_format_errors_or_invalid(case):
+    """Decoders raise nothing but FormatError, and verify_certificate
+    rejects every mutated certificate rather than raising."""
+    read, doc, weaker_claim = case
+    if read is jsonio.verify_certificate:
+        ok, detail = jsonio.verify_certificate(doc)
+        assert not ok or weaker_claim, detail
+    else:
+        try:
+            read(doc)
+        except jsonio.FormatError:
+            pass

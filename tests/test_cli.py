@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from linca import IntegerGroup, LinearCA, cyclic_group, finite_support
 from linca import jsonio
@@ -213,6 +214,113 @@ def test_parse_error_exit_code(tmp_path):
     # The smallest prime above 2^20 is outside the exact int64 range.
     big_p = write(tmp_path, "big_p.json", dict(shift_ca_json(), p=1048583))
     assert main(["invert", big_p]) == 3
+
+
+BIG = 2**70
+
+
+def _malformed_inputs(tmp_path):
+    """(label, argv) pairs, each naming input that is not exactly what the
+    file formats allow: numbers that are not exact int64 integers, a cell
+    listed twice, or JSON of the wrong shape."""
+    ca_json = add_rule_json()
+    ca = write(tmp_path, "ca.json", ca_json)
+    cases = []
+    for label, cells in [
+        ("cells not pairs", [1]),
+        ("cells an object", {"a": 1}),
+        ("value a string", [[0, ["x"]]]),
+        ("value a fraction", [[0, [1.5]]]),
+        ("value beyond int64", [[0, [BIG]]]),
+        ("cell listed twice", [[0, [1]], [0, [0]]]),
+    ]:
+        pattern = write(
+            tmp_path, f"{len(cases)}.json", {"format": jsonio.PATTERN_FORMAT, "cells": cells}
+        )
+        cases.append(("pattern " + label, ["eval", ca, pattern]))
+    for label, patch in [
+        ("lattice dim", {"group": {"kind": "lattice", "dim": "x"}}),
+        ("finite table", {"group": {"kind": "finite", "table": "ab"}}),
+        ("free rank", {"group": {"kind": "free", "rank": "x"}}),
+        ("p", {"p": 2.9}),
+        ("dimV", {"dimV": 1.7}),
+        ("memory", {"memory": [0, 1.5]}),
+        ("fractional block", {"blocks": [[[1.5]], [[1]]]}),
+        ("huge block", {"blocks": [[[BIG]], [[1]]]}),
+    ]:
+        path = write(tmp_path, f"{len(cases)}.json", dict(ca_json, **patch))
+        cases.append(("CA " + label, ["invert", path]))
+    for label, cells in [
+        ("fraction", [[0, [1.5]]]),
+        ("beyond int64", [[0, [BIG]]]),
+        ("cell listed twice", [[0, [1]], [0, [1]]]),
+    ]:
+        config = {"format": jsonio.CONFIG_FORMAT, "kind": "finite-support", "cells": cells}
+        path = write(tmp_path, f"{len(cases)}.json", config)
+        cases.append(("eval config " + label, ["eval", ca, path]))
+        cases.append(("preimage target " + label, ["preimage", ca, path]))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    cases += [
+        ("JSON nested too deeply", ["invert", str(deep)]),
+        ("restrict --generators 5", ["restrict", ca, "--generators", "5"]),
+        ("restrict --generators {}", ["restrict", ca, "--generators", "{}"]),
+        (
+            "induce --generators 7",
+            ["induce", ca, "--group", '{"kind": "integers"}', "--generators", "7"],
+        ),
+    ]
+    return cases
+
+
+def test_malformed_numbers_and_arguments_exit_3(tmp_path, capsys):
+    for i, (label, argv) in enumerate(_malformed_inputs(tmp_path)):
+        out = tmp_path / f"out{i}.json"
+        assert main(argv + ["--out", str(out)]) == 3, label
+        assert "error:" in capsys.readouterr().err, label
+        assert not out.exists(), label
+
+
+def test_integral_floats_and_booleans_read_as_integers(tmp_path):
+    ca_json = dict(add_rule_json(), p=2.0, dimV=True, memory=[0.0, 1], blocks=[[[1.0]], [[True]]])
+    ca = write(tmp_path, "ca.json", ca_json)
+    assert jsonio.decode_ca(jsonio.loads((tmp_path / "ca.json").read_text())) == LinearCA(
+        Z, 2, 1, (0, 1), ([[1]], [[1]])
+    )
+    x = write(tmp_path, "x.json", dict(delta_json(), cells=[[0.0, [1.0]]]))
+    out = str(tmp_path / "y.json")
+    assert main(["eval", ca, x, "--out", out]) == 0
+    assert jsonio.loads((tmp_path / "y.json").read_text())["cells"] == [[-1, [1]], [0, [1]]]
+
+
+def test_free_rank_above_26_is_rejected_before_any_solve(tmp_path, monkeypatch):
+    from linca import solver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran on an undecodable file")
+
+    monkeypatch.setattr(solver, "invert_ca", no_solve)
+    ca_json = dict(shift_ca_json(), group={"kind": "free", "rank": 27}, memory=["a"])
+    with pytest.raises(jsonio.FormatError, match="rank"):
+        jsonio.decode_ca(ca_json)
+    out = tmp_path / "cert.json"
+    assert main(["invert", write(tmp_path, "f27.json", ca_json), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_verify_reports_entries_beyond_int64_invalid(tmp_path, capsys):
+    add = write(tmp_path, "add.json", add_rule_json())
+    shift = write(tmp_path, "shift.json", shift_ca_json())
+    for ca, edit in [
+        (shift, lambda cert: cert["ca"]["blocks"][0][0].__setitem__(0, BIG)),
+        (add, lambda cert: cert["payload"]["witness"]["values"][0].__setitem__(0, BIG)),
+    ]:
+        out = tmp_path / "cert.json"
+        main(["invert", ca, "--out", str(out)])
+        cert = jsonio.loads(out.read_text())
+        edit(cert)
+        assert main(["verify", write(tmp_path, "big.json", cert)]) == 10
+        assert capsys.readouterr().out.startswith("INVALID: malformed certificate")
 
 
 def test_domain_error_exit_code(tmp_path):

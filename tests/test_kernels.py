@@ -1,7 +1,12 @@
 """The numpy elimination kernel against a reference Gauss-Jordan, and parity
 between the compiled kernel and the numpy fallback."""
 
+import importlib.util
 import random
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +14,26 @@ import pytest
 from conftest import random_matrix
 from linca import _kernels, _modp_py
 
-try:
-    from linca import _modp_cy
-except ImportError:
-    _modp_cy = None
+
+@pytest.fixture(scope="session")
+def modp_cy(tmp_path_factory):
+    """The committed ``_modp_cy.c``, compiled into a temporary directory and
+    loaded from there; skips only without a C compiler or Python headers."""
+    include = sysconfig.get_paths()["include"]
+    compiler = shutil.which("cc")
+    if compiler is None or not Path(include, "Python.h").exists():
+        pytest.skip("compiled kernel not built")
+    source = Path(_modp_py.__file__).with_name("_modp_cy.c")
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    target = tmp_path_factory.mktemp("modp_cy") / f"_modp_cy{suffix}"
+    subprocess.run(
+        [compiler, "-O0", "-shared", "-fPIC", f"-I{include}", str(source), "-o", str(target)],
+        check=True,
+    )
+    spec = importlib.util.spec_from_file_location("_modp_cy", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_backend_reports_name():
@@ -58,22 +79,20 @@ def test_numpy_kernel_matches_reference():
                 assert a.tolist() == expected
 
 
-@pytest.mark.skipif(_modp_cy is None, reason="compiled kernel not built")
-def test_backends_agree_on_random_matrices():
+def test_backends_agree_on_random_matrices(modp_cy):
     rng = random.Random(101)
     for p in (2, 3, 5, 7):
         for _ in range(40):
             m = random_matrix(rng, rng.randrange(0, 9), rng.randrange(0, 9), p)
             a = np.ascontiguousarray(m.copy())
             b = np.ascontiguousarray(m.copy())
-            piv_cy = _modp_cy.rref_inplace(a, p)
+            piv_cy = modp_cy.rref_inplace(a, p)
             piv_py = _modp_py.rref_inplace(b, p)
             assert list(piv_cy) == list(piv_py)
             assert np.array_equal(a, b)
 
 
-@pytest.mark.skipif(_modp_cy is None, reason="compiled kernel not built")
-def test_backends_agree_on_structured_matrices():
+def test_backends_agree_on_structured_matrices(modp_cy):
     cases = [
         np.eye(5, dtype=np.int64),
         np.zeros((4, 6), dtype=np.int64),
@@ -84,7 +103,7 @@ def test_backends_agree_on_structured_matrices():
         for m in cases:
             a = np.ascontiguousarray(m % p)
             b = a.copy()
-            assert list(_modp_cy.rref_inplace(a, p)) == list(
+            assert list(modp_cy.rref_inplace(a, p)) == list(
                 _modp_py.rref_inplace(b, p)
             )
             assert np.array_equal(a, b)

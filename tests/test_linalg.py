@@ -14,6 +14,8 @@ from linca.linalg import (
     AffineSubspace,
     LinalgError,
     Subspace,
+    as_matrix,
+    as_vector,
     charpoly,
     constrain_affine,
     image_of_affine,
@@ -320,6 +322,53 @@ def test_coordinates_out_of_range_or_not_1d_are_rejected(coords):
         image_of_affine(coords, affine, p)
     with pytest.raises(LinalgError):
         constrain_affine(affine, coords, np.zeros(1, dtype=np.int64), p)
+
+
+INEXACT_ROWS = [
+    [1.5, 0],
+    ["1", 0],
+    [None, 0],
+    [2**70, 0],
+    [2**63, 0],
+    [-(2**63) - 1, 0],
+    [float("nan"), 0],
+    [float("inf"), 0],
+    [1j, 0],
+    [1.0, 2**53 + 1],  # inferred as float64, which rounds 2^53 + 1
+    [2.0**53, 0],
+    np.array([2**63, 0], dtype=np.uint64),
+    np.array([0.5, 0], dtype=np.float32),
+]
+
+
+@pytest.mark.parametrize("row", INEXACT_ROWS)
+def test_inexact_entries_are_rejected_not_truncated(row):
+    """Every way outside numbers enter (as_matrix, as_vector, rref,
+    from_spanning, reduce) rejects what int64 would truncate, parse or wrap."""
+    p = 5
+    sub = Subspace.from_spanning([[1, 0]], 2, p)
+    for coerce in (
+        lambda: as_matrix([row], p),
+        lambda: as_vector(row, p),
+        lambda: rref([row, [0, 1]], p),
+        lambda: Subspace.from_spanning([row], 2, p),
+        lambda: sub.reduce(row),
+    ):
+        with pytest.raises(LinalgError, match="int64 range"):
+            coerce()
+
+
+def test_integral_floats_booleans_and_int64_extremes_are_accepted():
+    p = 5
+    ints = [True, -1, 2**63 - 1, -(2**63)]
+    floats = [1.0, -3.0, 2.0**53 - 1, 1 - 2.0**53]
+    for row in (ints, floats, np.array([7, 2**63 - 1], dtype=np.uint64)):
+        expected = [int(x) % p for x in row]
+        assert as_vector(row, p).tolist() == expected
+        assert as_matrix([row], p).tolist() == [expected]
+    assert as_matrix(np.zeros((0, 3)), p).shape == (0, 3)
+    with pytest.raises(LinalgError, match="ndim"):
+        as_vector([row], p)
 
 
 def test_zero_dimensional_edge_cases():
