@@ -15,7 +15,9 @@ constant.  ``LinearCA.block_matrix`` is the one assembler of rule blocks
 into a GF(p) matrix; it writes each block once, as stored, and reduces
 nothing.  Window maps V^A -> V^B with B = interior(A, M) are block matrices
 in the canonical cell order, and so is every solver system, read directly,
-transposed or with columns folded.
+transposed or with columns folded.  This module also owns the one evaluator,
+the plain loop ``LinearCA._evaluate`` that checks those matrices
+independently, and the cell layout of window vectors (``cell_view``).
 """
 
 from __future__ import annotations
@@ -134,54 +136,45 @@ class LinearCA:
 
     # -- evaluation ---------------------------------------------------
 
+    def _evaluate(self, cells: Iterable, read: Callable) -> dict:
+        """out(g) = sum_m b_m x(g m) mod p at each of ``cells``, read(h) being
+        x(h), or None where x is zero.  A plain loop, not ``block_matrix``,
+        so it checks independently what the solvers find through it."""
+        mul = self.group.multiply
+        out = {}
+        for g in cells:
+            acc = self.zero_vector()
+            for m, b in zip(self.memory, self.blocks):
+                v = read(mul(g, m))
+                if v is not None:
+                    acc = acc + b @ v
+            out[g] = acc % self.p
+        return out
+
     def apply_pattern(self, pattern: "Pattern") -> "Pattern":
         """Evaluate on a finite window; the output lives on the interior of
         the domain with respect to the support memory, where every needed
         neighbor is present.  The empty pattern, and windows with empty
         interior, are legal."""
-        domain = set(pattern.cells)
-        live = self.support_memory
-        out_cells = {}
-        for g in interior(self.group, domain, live):
-            acc = self.zero_vector()
-            for m, b in zip(self.memory, self.blocks):
-                if np.any(b):
-                    acc = acc + b @ pattern.cells[self.group.multiply(g, m)]
-            out_cells[g] = acc % self.p
-        return Pattern(out_cells)
+        cells = interior(self.group, pattern.cells, self.support_memory)
+        return Pattern(self._evaluate(cells, pattern.cells.get))
 
     def apply_config(self, config: "Configuration") -> "Configuration":
+        d = self.dim_v
         if isinstance(config, FiniteSupportConfig):
-            candidates = {
-                self.group.multiply(s, self.group.inverse(m))
-                for s in config.cells
-                for m in self.support_memory
+            g = self.group
+            cells = {
+                g.multiply(s, g.inverse(m)) for s in config.cells for m in self.support_memory
             }
-            cells = {}
-            for g in candidates:
-                acc = self.zero_vector()
-                for m, b in zip(self.memory, self.blocks):
-                    v = config.cells.get(self.group.multiply(g, m))
-                    if v is not None:
-                        acc = acc + b @ v
-                cells[g] = acc % self.p
-            return finite_support(self.p, self.dim_v, cells)
+            return finite_support(self.p, d, self._evaluate(cells, config.cells.get))
         if isinstance(config, PeriodicConfig):
             if not isinstance(self.group, IntegerGroup):
                 raise CAError("periodic configurations require the integer group")
-            q = config.period
-            vals = []
-            for i in range(q):
-                acc = self.zero_vector()
-                for m, b in zip(self.memory, self.blocks):
-                    acc = acc + b @ config.values[(i + m) % q]
-                vals.append(acc % self.p)
-            return PeriodicConfig(tuple(_freeze(v) for v in vals))
+            out = self._evaluate(range(config.period), lambda h: config.value_at(h, d))
+            return PeriodicConfig(tuple(_freeze(v) for v in out.values()))
         if isinstance(config, ConstantConfig):
-            acc = self.zero_vector()
-            for b in self.blocks:
-                acc = acc + b @ config.value
-            return constant(self.p, self.dim_v, acc)
+            e = self.group.identity()
+            return constant(self.p, d, self._evaluate((e,), lambda h: config.value)[e])
         raise CAError(f"unsupported configuration kind: {type(config).__name__}")
 
     # -- block matrices and window maps ------------------------------------
@@ -234,6 +227,9 @@ class Pattern:
 
     cells: dict
 
+    def value_at(self, g, dim_v: int) -> np.ndarray:
+        return self.cells[g]
+
     def restrict(self, elements: Iterable) -> "Pattern":
         return Pattern({g: self.cells[g] for g in elements})
 
@@ -248,18 +244,34 @@ class Pattern:
         return f"Pattern(domain={sorted(self.cells, key=repr)!r})"
 
 
-def pattern_to_vec(pattern: Pattern, order: Sequence, dim_v: int, p: int) -> np.ndarray:
+def cell_view(vec: np.ndarray, order: Sequence, dim_v: int) -> np.ndarray:
+    """The cell layout: a window vector over ``order`` (or a matrix with
+    rows indexed like one) holds cell order[i] at coordinates i dimV to
+    (i + 1) dimV - 1.  This view of shape (len(order), dimV, ...), which
+    writes through to ``vec``, is the only code that knows it."""
+    vec = np.asarray(vec)
+    return vec.reshape(len(order), dim_v, *vec.shape[1:])
+
+
+def coordinates(cells: Iterable, order: Sequence, dim_v: int) -> np.ndarray:
+    """Indices ``idx`` with x[idx] the window vector of x restricted to
+    ``cells``, for x a window vector over ``order``."""
+    pos = {g: j for j, g in enumerate(order)}
+    every = cell_view(np.arange(dim_v * len(order)), order, dim_v)
+    return every[np.array([pos[g] for g in cells], dtype=np.intp)].reshape(-1)
+
+
+def pattern_to_vec(x, order: Sequence, dim_v: int, p: int) -> np.ndarray:
+    """The window vector over ``order`` of a pattern or configuration x."""
     out = np.zeros(dim_v * len(order), dtype=np.int64)
-    for i, g in enumerate(order):
-        out[i * dim_v : (i + 1) * dim_v] = pattern.cells[g]
+    for value, g in zip(cell_view(out, order, dim_v), order):
+        value[:] = x.value_at(g, dim_v)
     return out % p
 
 
 def vec_to_pattern(vec: np.ndarray, order: Sequence, dim_v: int) -> Pattern:
-    cells = {}
-    for i, g in enumerate(order):
-        cells[g] = _freeze(np.array(vec[i * dim_v : (i + 1) * dim_v], dtype=np.int64))
-    return Pattern(cells)
+    values = cell_view(vec, order, dim_v)
+    return Pattern({g: _freeze(np.array(v, dtype=np.int64)) for g, v in zip(order, values)})
 
 
 # -- configurations -------------------------------------------------------

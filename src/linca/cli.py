@@ -5,9 +5,10 @@ answer (or a plain successful transformation), 10 for a certified negative
 answer with an enclosed witness, 20 for inconclusive-at-cutoff.  Usage
 errors exit 2 (argparse), malformed files and JSON arguments (including
 numbers that are not exact integers) exit 3, incompatible data exits 4
-(including a ``demo --p`` that is not a prime below 2^20), and a ``demo``
-whose gallery witness fails its own check exits 1 after writing the
-certificate.
+(including a ``demo --p`` that is not a prime below 2^20 and a
+``demo sigma-prime --depth`` above ``gallery.MAX_FORCED_DEPTH``), and a
+``demo`` whose gallery witness fails its own check exits 1 after writing
+the certificate.
 """
 
 from __future__ import annotations

@@ -410,6 +410,18 @@ def interior(group: Group, window: Iterable, memory: Iterable) -> tuple:
     return group.sort_elements(good)
 
 
+def ball_fits(group: Group, radius: int, count: int) -> bool:
+    """Whether ball(radius) has at most ``count`` elements.  The ball is
+    enumerated only until it passes ``count`` (a free group finishes the
+    word length it is on), so the answer costs about ``count`` elements
+    however large the radius."""
+    try:
+        group.ball(radius, count)
+    except ResourceLimitError:
+        return False
+    return True
+
+
 class BallSequence:
     """The exhausting window sequence A_n = ball(r0 + n).
 
@@ -453,14 +465,8 @@ class Subgroup:
     parent: Group
     group: Group
     generators: tuple
-    embed_fn: Callable = field(repr=False)
-    recognize_fn: Callable = field(repr=False)
-
-    def embed(self, h):
-        return self.embed_fn(h)
-
-    def recognize(self, g):
-        return self.recognize_fn(g)
+    embed: Callable = field(repr=False)
+    recognize: Callable = field(repr=False)
 
 
 def trivial_subgroup(parent: Group) -> Subgroup:
@@ -470,8 +476,8 @@ def trivial_subgroup(parent: Group) -> Subgroup:
         parent,
         triv,
         (),
-        embed_fn=lambda h: e,
-        recognize_fn=lambda g: 0 if g == e else None,
+        embed=lambda h: e,
+        recognize=lambda g: 0 if g == e else None,
     )
 
 
@@ -545,8 +551,8 @@ def _lattice_subgroup(parent: LatticeGroup, elements) -> Subgroup:
             parent,
             IntegerGroup(),
             (1,),
-            embed_fn=lambda h: combine((h,)),
-            recognize_fn=lambda g: (lambda c: c[0] if c is not None else None)(
+            embed=lambda h: combine((h,)),
+            recognize=lambda g: (lambda c: c[0] if c is not None else None)(
                 coeffs_of(g)
             ),
         )
@@ -555,8 +561,8 @@ def _lattice_subgroup(parent: LatticeGroup, elements) -> Subgroup:
         parent,
         sub,
         sub.generators(),
-        embed_fn=combine,
-        recognize_fn=coeffs_of,
+        embed=combine,
+        recognize=coeffs_of,
     )
 
 
@@ -585,7 +591,7 @@ def _finite_subgroup(parent: FiniteGroup, elements) -> Subgroup:
     def recognize(g):
         return index.get(g)
 
-    return Subgroup(parent, sub, tuple(gen_ids), embed_fn=embed, recognize_fn=recognize)
+    return Subgroup(parent, sub, tuple(gen_ids), embed=embed, recognize=recognize)
 
 
 def _integer_subgroup(parent: IntegerGroup, elements) -> Subgroup:
@@ -599,8 +605,8 @@ def _integer_subgroup(parent: IntegerGroup, elements) -> Subgroup:
         parent,
         sub,
         (1,),
-        embed_fn=lambda h: h * d,
-        recognize_fn=lambda g: g // d if g % d == 0 else None,
+        embed=lambda h: h * d,
+        recognize=lambda g: g // d if g % d == 0 else None,
     )
 
 
@@ -638,7 +644,7 @@ def _free_cyclic_subgroup(parent: FreeGroup, elements) -> Subgroup:
                     break
         return None
 
-    return Subgroup(parent, sub, (1,), embed_fn=embed, recognize_fn=recognize)
+    return Subgroup(parent, sub, (1,), embed=embed, recognize=recognize)
 
 
 def subgroup_generated(group: Group, elements: Iterable) -> Subgroup:

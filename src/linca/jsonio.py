@@ -55,7 +55,7 @@ from .ca import (
     value_vector,
     vec_to_pattern,
 )
-from .groups import FiniteGroup, FreeGroup, Group, IntegerGroup, LatticeGroup
+from .groups import FiniteGroup, FreeGroup, Group, IntegerGroup, LatticeGroup, ball_fits
 
 CA_FORMAT = "linca-ca/1"
 CONFIG_FORMAT = "linca-config/1"
@@ -251,10 +251,6 @@ def decode_ca(data) -> LinearCA:
     return LinearCA(group, _int(data["p"]), _int(data["dimV"]), memory, data["blocks"])
 
 
-def ca_hash(ca: LinearCA) -> str:
-    return sha256_of(encode_ca(ca))
-
-
 # -- configurations and patterns ----------------------------------------------
 
 
@@ -419,13 +415,17 @@ def preimage_certificate(
     ca: LinearCA, target, result: solver.PreimageResult, window: int, cutoff: int
 ) -> dict:
     """Raises CertificateError unless the pattern covers exactly the
-    window's source cells and its image equals the target on the window."""
-    ws = solver.WindowSystem(ca)
-    w = ws.window(window)
+    window's source cells and its image equals the target on the window.
+    The source cells are the ball of radius r0 + window, so a pattern with
+    fewer cells is rejected before the ball is built."""
+    cells = result.pattern.cells
     _require(
-        set(result.pattern.cells) == set(w.source),
+        ball_fits(ca.group, ca.balls().r0 + window, len(cells)),
         "pattern domain does not match the window",
     )
+    ws = solver.WindowSystem(ca)
+    w = ws.window(window)
+    _require(set(cells) == set(w.source), "pattern domain does not match the window")
     vec = pattern_to_vec(result.pattern, w.source, ca.dim_v, ca.p)
     # Plain int64 product on purpose: independent of matmul's float64 path.
     image_vec = (w.matrix @ vec) % ca.p
@@ -486,8 +486,8 @@ def sigma_witness_certificate(
     )
 
 
-def sigma_prime_certificate(
-    closure: gallery.ClosureWitness, forced: gallery.ForcedSupportReport
+def _sigma_prime_cert(
+    closure: gallery.ClosureWitness, forced: gallery.ForcedSupportReport, transcript
 ) -> dict:
     payload = {
         "window": closure.m,
@@ -495,6 +495,17 @@ def sigma_prime_certificate(
         "approximant": encode_sparse_config(closure.approximant),
         "depth": forced.depth,
     }
+    return _cert(
+        "sigma-prime-nonclosedness",
+        {"automaton": "sigma-prime", "p": closure.p},
+        payload,
+        transcript,
+    )
+
+
+def sigma_prime_certificate(
+    closure: gallery.ClosureWitness, forced: gallery.ForcedSupportReport
+) -> dict:
     transcript = {
         "window_values": [
             [n, encode_sparse_vector(v)] for n, v in closure.window_values
@@ -503,12 +514,7 @@ def sigma_prime_certificate(
         "forced_unit_coordinates": forced.forced_unit_coordinates,
         "solution_dim": forced.solution_dim,
     }
-    return _cert(
-        "sigma-prime-nonclosedness",
-        {"automaton": "sigma-prime", "p": closure.p},
-        payload,
-        transcript,
-    )
+    return _sigma_prime_cert(closure, forced, transcript)
 
 
 # -- verification ---------------------------------------------------------------
@@ -571,15 +577,32 @@ def _gallery_p(cert) -> int:
 
 
 def _rebuild_sigma(cert) -> dict:
+    """The witness costs time in j0 and window_radius, and a round trip in
+    its largest basis index, so each is first held to the certificate's own
+    size: the preimage of z has j0 cells, the transcript lists
+    window_radius + j0 - 1 agreeing cells, and round trips stay within block
+    j0 + 1."""
     p = _gallery_p(cert)
-    payload = cert["payload"]
-    witness = gallery.sigma_nonreversibility_witness(
-        _int(payload["j0"]), _int(payload["window_radius"]), p
+    payload, transcript = cert["payload"], cert["transcript"]
+    j0, radius = _int(payload["j0"]), _int(payload["window_radius"])
+    _require(len(payload["preimage_of_z"]["cells"]) == j0, "j0 is not the cell count of preimage_of_z")
+    _require(
+        len(transcript["agree_cells"]) == radius + j0 - 1,
+        "window_radius does not match the count of agree_cells",
     )
-    _require(witness.ok, "non-reversibility witness fails its checks")
-    trips = cert["transcript"].get("round_trips")
+    trips = transcript.get("round_trips")
     if trips is not None:
         trips = [decode_sparse_config(p, rt["config"]) for rt in trips]
+        _require(
+            all(
+                v.max_index() <= gallery.block_end(j0 + 1)
+                for x in trips
+                for v in x.cells.values()
+            ),
+            "a round trip reaches past block j0 + 1",
+        )
+    witness = gallery.sigma_nonreversibility_witness(j0, radius, p)
+    _require(witness.ok, "non-reversibility witness fails its checks")
     fresh = sigma_witness_certificate(witness, trips)
     _require(
         all(rt["ok"] for rt in fresh["transcript"].get("round_trips", ())),
@@ -588,11 +611,22 @@ def _rebuild_sigma(cert) -> dict:
     return fresh
 
 
+_UNLISTED = object()  # a transcript part the rebuild did not compute
+
+
 def _rebuild_sigma_prime(cert) -> dict:
+    """Listing the 2 window + 1 window values costs time in the window.  When
+    the transcript lists another number of them they cannot match, so the
+    rebuild lists none: its transcript is a placeholder equal to nothing,
+    and the comparison names the first differing field as usual.  The depth
+    is held to ``gallery.MAX_FORCED_DEPTH`` by the report itself."""
     p = _gallery_p(cert)
     payload = cert["payload"]
-    closure = gallery.sigma_prime_closure_witness(_int(payload["window"]), p)
+    window = _int(payload["window"])
+    closure = gallery.sigma_prime_closure_witness(window, p)
     forced = gallery.sigma_prime_forced_support(_int(payload["depth"]), p)
+    if len(cert["transcript"]["window_values"]) != 2 * window + 1:
+        return _sigma_prime_cert(closure, forced, _UNLISTED)
     _require(closure.ok, "approximant image is not v_1 on the window")
     _require(forced.ok, "forced coordinates are not 1..depth")
     return sigma_prime_certificate(closure, forced)

@@ -52,9 +52,11 @@ from .ca import (
     Pattern,
     PeriodicConfig,
     WindowMap,
+    cell_view,
     compose,
     config_equal,
     constant,
+    coordinates,
     equals_identity,
     finite_support,
     pattern_to_vec,
@@ -62,7 +64,7 @@ from .ca import (
     vec_to_pattern,
     zero_config,
 )
-from .groups import BallSequence, IntegerGroup
+from .groups import BallSequence, IntegerGroup, ball_fits
 from .linalg import (
     AffineSubspace,
     constrain_affine,
@@ -100,31 +102,20 @@ class WindowSystem:
     def restriction(self, n: int, m: int) -> np.ndarray:
         """Indices ``idx`` with x|A_n = x[idx] for x in V^{A_m}, n <= m: dimV
         coordinates per cell of A_n, in canonical cell order."""
-        return self._positions(self.window(n).source, self.window(m).source)
+        return coordinates(self.window(n).source, self.window(m).source, self.ca.dim_v)
 
     def growth(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The coordinates of A_{n-1} inside A_n, the others of A_n, and the
         rows of W_n at B_n minus B_{n-1}; both windows below level 0 are empty."""
-        w = self.window(n)
+        w, d = self.window(n), self.ca.dim_v
         below = self.window(n - 1) if n else WindowMap((), (), None)
-        old = self._positions(below.source, w.source)
-        new_rows = np.setdiff1d(np.arange(len(w.matrix)), self._positions(below.target, w.target))
+        old = coordinates(below.source, w.source, d)
+        new_rows = np.setdiff1d(np.arange(len(w.matrix)), coordinates(below.target, w.target, d))
         return old, np.setdiff1d(np.arange(self.ambient(n)), old), new_rows
-
-    def _positions(self, cells: tuple, within: tuple) -> np.ndarray:
-        pos = {g: j for j, g in enumerate(within)}
-        idx = np.array([pos[g] for g in cells], dtype=np.intp)
-        d = self.ca.dim_v
-        return (d * idx[:, None] + np.arange(d)).reshape(-1)
 
     def target_vec(self, config: Configuration, n: int) -> np.ndarray:
         """The target configuration restricted to B_n, vectorized."""
-        d = self.ca.dim_v
-        cells = self.window(n).target
-        out = np.zeros(d * len(cells), dtype=np.int64)
-        for i, g in enumerate(cells):
-            out[i * d : (i + 1) * d] = config.value_at(g, d)
-        return out % self.ca.p
+        return pattern_to_vec(config, self.window(n).target, self.ca.dim_v, self.ca.p)
 
 
 class ProjectiveAffineSequence:
@@ -216,13 +207,12 @@ def kernel_sequence(automaton: LinearCA) -> ProjectiveAffineSequence:
 class UniversalChain:
     """Images f_{n,m}(X_m) for m = n, n+1, ... until a plateau or cutoff.
 
-    ``plateau`` is the first absolute index where ``plateau_k`` consecutive
-    images compare equal; None means the cutoff was reached first."""
+    ``plateau`` is the first absolute index of the run of equal images that
+    ended the chain; None means the cutoff was reached first."""
 
     start: int
     images: list
     plateau: Optional[int]
-    plateau_k: int
 
     @property
     def stabilized(self) -> AffineSubspace:
@@ -269,7 +259,7 @@ def universal_spaces(
             if all(r == run[0] for r in run[1:]):
                 plateau = m - plateau_k + 1
                 break
-    return UniversalChain(n, images, plateau, plateau_k)
+    return UniversalChain(n, images, plateau)
 
 
 def lift_element(
@@ -316,7 +306,6 @@ class ExtractionResult:
     prefix: Optional[np.ndarray] = None
     level_points: list = field(default_factory=list)
     chains: dict = field(default_factory=dict)
-    lift_checks: list = field(default_factory=list)
     empty_level: Optional[int] = None
     detail: str = ""
 
@@ -354,21 +343,15 @@ def extract_limit_prefix(
             )
     x = np.array(chains[0].stabilized.point, dtype=np.int64)
     points = [x]
-    lift_checks: list[bool] = []
     for n in range(n_max):
         try:
             x = lift_element(seq, n, x, cutoff, plateau_k, chains)
         except StabilizationCutoffError as exc:
             return ExtractionResult(
-                "cutoff", level_points=points, chains=chains,
-                lift_checks=lift_checks, detail=str(exc),
+                "cutoff", level_points=points, chains=chains, detail=str(exc)
             )
-        lift_checks.append(True)
         points.append(x)
-    return ExtractionResult(
-        "ok", prefix=points[-1], level_points=points, chains=chains,
-        lift_checks=lift_checks,
-    )
+    return ExtractionResult("ok", prefix=points[-1], level_points=points, chains=chains)
 
 
 # -- inverse synthesis -------------------------------------------------------
@@ -450,8 +433,14 @@ class EmptyFiberWitness:
         return sum(c < m.shape[1] for c in pivots), r_aug
 
     def verify(self) -> bool:
-        w = self._window
-        if w.target != self.window_cells or set(self.pattern.cells) != set(w.target):
+        # B_level contains ball(level): a window that lists fewer cells is
+        # rejected before any window map is built.
+        cells = self.window_cells
+        if set(self.pattern.cells) != set(cells):
+            return False
+        if not ball_fits(self.automaton.group, self.level, len(cells)):
+            return False
+        if self._window.target != cells:
             return False
         r_plain, r_aug = self.ranks
         return r_aug == r_plain + 1
@@ -484,13 +473,11 @@ def _solve_left_inverse(ca: LinearCA, candidates: tuple) -> Optional[list]:
     us = g.sort_elements({g.multiply(w, m) for w in candidates for m in ca.memory})
     coeff = ca.block_matrix(candidates, us).T
     rhs = np.zeros((d * len(us), d), dtype=np.int64)
-    ei = us.index(g.identity())
-    rhs[ei * d : (ei + 1) * d] = np.eye(d, dtype=np.int64)
+    cell_view(rhs, us, d)[us.index(g.identity())] = np.eye(d, dtype=np.int64)
     _, points = solve_affine_multi(coeff, rhs, ca.p)
     if any(pt is None for pt in points):
         return None
-    stacked = np.stack(points, axis=1)
-    return [stacked[wi * d : (wi + 1) * d, :].T for wi in range(len(candidates))]
+    return [c.T for c in cell_view(np.stack(points, axis=1), candidates, d)]
 
 
 def _support_kernel_witness(ca: LinearCA, radius: int) -> Optional[FiniteSupportConfig]:
@@ -506,11 +493,7 @@ def _support_kernel_witness(ca: LinearCA, radius: int) -> Optional[FiniteSupport
     kern = kernel_basis(ca.block_matrix(rows, cells), ca.p)
     if kern.dim == 0:
         return None
-    vec = kern.basis[0]
-    config = finite_support(
-        ca.p, d, {cell: vec[j * d : (j + 1) * d] for j, cell in enumerate(cells)}
-    )
-    return config if config.cells else None
+    return finite_support(ca.p, d, dict(zip(cells, cell_view(kern.basis[0], cells, d))))
 
 
 def _constant_kernel_witness(ca: LinearCA):
@@ -539,12 +522,10 @@ def _periodic_kernel_witness(ca: LinearCA, q: int) -> Optional[PeriodicConfig]:
     """Nonzero q-periodic kernel configuration on the integers, if any."""
     if not isinstance(ca.group, IntegerGroup) or ca.dim_v == 0:
         return None
-    d = ca.dim_v
     kern = kernel_basis(_periodic_system(ca, q), ca.p)
     if kern.dim == 0:
         return None
-    vec = kern.basis[0]
-    return periodic(ca.p, d, [vec[i * d : (i + 1) * d] for i in range(q)])
+    return periodic(ca.p, ca.dim_v, cell_view(kern.basis[0], range(q), ca.dim_v))
 
 
 def _taylor_shift(coeffs: np.ndarray, c: int, p: int) -> np.ndarray:

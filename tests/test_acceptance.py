@@ -147,16 +147,18 @@ def test_criterion_4_closed_image_extraction(extraction_battery):
 def test_criterion_5_extraction_internals(extraction_battery):
     runs, _ = extraction_battery
     lifts = 0
-    for _, _, result in runs:
+    for ca, _, result in runs:
         assert result.status == "ok"
         extraction = result.extraction
         assert extraction.chains_nonincreasing()
         for chain in extraction.chains.values():
             dims = [d for d in chain.dims()]
             assert dims == sorted(dims, reverse=True)
-        assert len(extraction.lift_checks) == 6
-        assert all(extraction.lift_checks)
-        lifts += len(extraction.lift_checks)
+        ws, points = WindowSystem(ca), extraction.level_points
+        assert len(points) == 7
+        for n in range(6):
+            assert np.array_equal(points[n + 1][ws.restriction(n, n + 1)], points[n])
+        lifts += len(points) - 1
     report(
         5,
         True,

@@ -9,6 +9,7 @@ import pytest
 from linca import IntegerGroup, LinearCA, cyclic_group, finite_support
 from linca import jsonio
 from linca.cli import main
+from linca.gallery import MAX_FORCED_DEPTH
 
 Z = IntegerGroup()
 
@@ -181,6 +182,13 @@ def test_demo_sigma_prime_window_zero_is_kept(tmp_path):
     assert main(["demo", "sigma-prime", "--window", "0", "--out", str(out)]) == 0
     assert jsonio.loads(out.read_text())["payload"]["window"] == 0
     assert main(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("depth", [MAX_FORCED_DEPTH + 1, 300])
+def test_demo_sigma_prime_depth_above_the_cap_exits_4(tmp_path, depth):
+    out = tmp_path / "sp.json"
+    assert main(["demo", "sigma-prime", "--depth", str(depth), "--out", str(out)]) == 4
+    assert not out.exists()
 
 
 def test_verify_rejects_tampered_certificate(tmp_path):

@@ -17,7 +17,6 @@ from linca.gallery import (
     block_start,
     config_to_finite,
     lazy_config,
-    phi,
     phi_matrix,
     phi_power,
     psi,
@@ -58,9 +57,9 @@ def test_block_index_arithmetic():
 
 def test_phi_acts_blockwise():
     v = basis(2, 3)  # top of block 2
-    assert phi(v) == basis(2, 2)
-    assert phi(basis(2, 2)).is_zero()  # bottom of block 2
-    assert phi(basis(2, 1)).is_zero()  # block 1 is killed outright
+    assert phi_power(v, 1) == basis(2, 2)
+    assert phi_power(basis(2, 2), 1).is_zero()  # bottom of block 2
+    assert phi_power(basis(2, 1), 1).is_zero()  # block 1 is killed outright
     # Nilpotency degree equals the block dimension.
     top = basis(2, block_end(4))
     assert not phi_power(top, 3).is_zero()

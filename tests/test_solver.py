@@ -270,7 +270,17 @@ def test_extraction_shift_delta():
     for g, v in res.pattern.cells.items():
         assert v.tolist() == ([1] if g == 1 else [0])
     assert res.extraction.chains_nonincreasing()
-    assert all(res.extraction.lift_checks)
+    assert lifts_restrict(shift_ca(), res.extraction, 4)
+
+
+def lifts_restrict(ca, extraction, window) -> bool:
+    """The extracted chain has one point per level up to the window, and
+    each restricts to the one below it."""
+    ws, points = WindowSystem(ca), extraction.level_points
+    return len(points) == window + 1 and all(
+        np.array_equal(points[n + 1][ws.restriction(n, n + 1)], points[n])
+        for n in range(window)
+    )
 
 
 def test_extraction_add_rule_step_configuration():
@@ -628,7 +638,7 @@ def test_preimage_roundtrip_randomized():
         vec = pattern_to_vec(res.pattern, w.source, dim_v, p)
         assert np.array_equal((w.matrix @ vec) % p, ws.target_vec(y, 4))
         assert res.extraction.chains_nonincreasing()
-        assert all(res.extraction.lift_checks)
+        assert lifts_restrict(ca, res.extraction, 4)
     assert failures == 0
 
 
