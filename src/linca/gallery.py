@@ -126,7 +126,8 @@ def phi_power(v: SparseVector, k: int) -> SparseVector:
     and the truncated matrices all apply it."""
     if k < 0:
         raise GalleryError("phi powers need k >= 0")
-    return sparse_vector(
+    # The kept coefficients are v's own, already reduced and nonzero.
+    return SparseVector(
         v.p,
         {
             i - k: c
@@ -231,10 +232,12 @@ def sigma_inverse_apply(x: LazySparseConfig) -> LazySparseConfig:
     _require_sparse(x, "sigma_inverse_apply")
     acc: dict = {}
     for n, v in x.cells.items():
-        # phi^k vanishes on every block j <= k.
-        for k in range(block_of(v.max_index())):
-            term = phi_power(v, k)
+        # phi^k(v) = phi(phi^(k-1)(v)) keeps only the entries still above
+        # their block bottom, so each entry is carried as far as its block.
+        k, term = 0, v
+        while not term.is_zero():
             acc[n - k] = acc[n - k] + term if n - k in acc else term
+            k, term = k + 1, phi_power(term, 1)
     return lazy_config(x.p, acc)
 
 

@@ -452,7 +452,17 @@ def sigma_witness_certificate(
 ) -> dict:
     """``round_trips`` are sparse configurations x on which sigma and its
     inverse are spot-checked in both orders; each is recorded with its
-    result."""
+    result.  A round trip costs time in its largest basis index, so it is
+    held to block j0 + 1 before any is computed."""
+    limit = gallery.block_end(witness.j0 + 1)
+    _require(
+        all(
+            v.max_index() <= limit
+            for x in round_trips or ()
+            for v in x.cells.values()
+        ),
+        "a round trip reaches past block j0 + 1",
+    )
     payload = {
         "j0": witness.j0,
         "window_radius": witness.window_radius,
@@ -523,6 +533,8 @@ def sigma_prime_certificate(
 # checks the claim once with their own check (raising CertificateError), and
 # returns the certificate rebuilt from them by the builder that wrote it.
 
+_ABSENT = object()  # equal to nothing but itself: a field not computed
+
 
 def _rebuild_reversible(cert) -> dict:
     ca = decode_ca(cert["ca"])
@@ -577,11 +589,10 @@ def _gallery_p(cert) -> int:
 
 
 def _rebuild_sigma(cert) -> dict:
-    """The witness costs time in j0 and window_radius, and a round trip in
-    its largest basis index, so each is first held to the certificate's own
-    size: the preimage of z has j0 cells, the transcript lists
-    window_radius + j0 - 1 agreeing cells, and round trips stay within block
-    j0 + 1."""
+    """The witness costs time in j0 and window_radius, so each is first held
+    to the certificate's own size: the preimage of z has j0 cells and the
+    transcript lists window_radius + j0 - 1 agreeing cells.  The builder
+    holds the round trips to block j0 + 1."""
     p = _gallery_p(cert)
     payload, transcript = cert["payload"], cert["transcript"]
     j0, radius = _int(payload["j0"]), _int(payload["window_radius"])
@@ -593,14 +604,6 @@ def _rebuild_sigma(cert) -> dict:
     trips = transcript.get("round_trips")
     if trips is not None:
         trips = [decode_sparse_config(p, rt["config"]) for rt in trips]
-        _require(
-            all(
-                v.max_index() <= gallery.block_end(j0 + 1)
-                for x in trips
-                for v in x.cells.values()
-            ),
-            "a round trip reaches past block j0 + 1",
-        )
     witness = gallery.sigma_nonreversibility_witness(j0, radius, p)
     _require(witness.ok, "non-reversibility witness fails its checks")
     fresh = sigma_witness_certificate(witness, trips)
@@ -609,9 +612,6 @@ def _rebuild_sigma(cert) -> dict:
         "round-trip spot check failed",
     )
     return fresh
-
-
-_UNLISTED = object()  # a transcript part the rebuild did not compute
 
 
 def _rebuild_sigma_prime(cert) -> dict:
@@ -626,7 +626,7 @@ def _rebuild_sigma_prime(cert) -> dict:
     closure = gallery.sigma_prime_closure_witness(window, p)
     forced = gallery.sigma_prime_forced_support(_int(payload["depth"]), p)
     if len(cert["transcript"]["window_values"]) != 2 * window + 1:
-        return _sigma_prime_cert(closure, forced, _UNLISTED)
+        return _sigma_prime_cert(closure, forced, _ABSENT)
     _require(closure.ok, "approximant image is not v_1 on the window")
     _require(forced.ok, "forced coordinates are not 1..depth")
     return sigma_prime_certificate(closure, forced)
@@ -643,8 +643,6 @@ _REBUILDERS = {
         "non-closedness witnesses verified",
     ),
 }
-
-_ABSENT = object()
 
 
 def verify_certificate(cert) -> tuple[bool, str]:

@@ -433,12 +433,14 @@ class EmptyFiberWitness:
         return sum(c < m.shape[1] for c in pivots), r_aug
 
     def verify(self) -> bool:
-        # B_level contains ball(level): a window that lists fewer cells is
-        # rejected before any window map is built.
+        # B_level contains ball(level): a window that lists fewer distinct
+        # cells is rejected before any window map is built.  A window map
+        # never repeats a cell, so a window that does is rejected too.
         cells = self.window_cells
-        if set(self.pattern.cells) != set(cells):
+        distinct = set(cells)
+        if len(distinct) != len(cells) or set(self.pattern.cells) != distinct:
             return False
-        if not ball_fits(self.automaton.group, self.level, len(cells)):
+        if not ball_fits(self.automaton.group, self.level, len(distinct)):
             return False
         if self._window.target != cells:
             return False

@@ -1,7 +1,8 @@
 """Verification costs what the certificate holds, not what its integers say.
 
 Every integer in a certificate's payload, and every sparse index of a sigma
-round trip, is set in turn to 10^k for large k.  Each copy must be answered
+round trip, is set in turn to 10^k for large k; a large level or window is
+also paired with a cell list that repeats one cell.  Each copy must be answered
 by ``verify_certificate`` within 2 s, without raising, in a process whose
 address space is capped at 1 GB.  The cases run in one subprocess, so the
 cap and a runaway case cannot touch the test runner.
@@ -14,7 +15,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import linca
+from linca import gallery, jsonio
 from test_certificates import CASES, certificate
 
 EXPONENTS = (3, 4, 6, 9, 12, 18)
@@ -86,7 +90,24 @@ def _cases():
                 label = f"{kind}{'+target' if with_target else ''} {'/'.join(map(str, path))} = 10^{k}"
                 checked = (kind,) + path not in UNCHECKED
                 out.append((label, checked, cert))
-    return out
+    return out + _repeated_cell_cases()
+
+
+def _repeated_cell_cases():
+    """A large level or window whose cell list repeats one cell to the
+    length of the ball: as many entries as the ball, few distinct cells."""
+    level = 10**4
+    count = 2 * level + 1
+    fiber = certificate("empty-fiber")
+    fiber["payload"]["level"] = level
+    fiber["payload"]["window"] = fiber["payload"]["window"][:1] * count
+    image = certificate("preimage")
+    image["payload"]["window"] = level
+    image["payload"]["pattern"]["cells"] = image["payload"]["pattern"]["cells"][:1] * count
+    return [
+        ("empty-fiber level = 10^4, window repeats one cell", True, fiber),
+        ("preimage window = 10^4, pattern repeats one cell", True, image),
+    ]
 
 
 def test_huge_integers_are_answered_within_bounds():
@@ -111,3 +132,15 @@ def test_huge_integers_are_answered_within_bounds():
         elif checked and ok:
             failures.append(f"{label}: accepted")
     assert not failures, "\n".join(failures[:20])
+
+
+def test_sigma_builder_holds_round_trips_to_block_j0_plus_1():
+    witness = gallery.sigma_nonreversibility_witness(3, 3, 2)
+    edge = gallery.block_end(4)
+    ok = jsonio.sigma_witness_certificate(
+        witness, [gallery.lazy_config(2, {0: gallery.basis(2, edge)})]
+    )
+    assert jsonio.verify_certificate(ok)[0]
+    far = [gallery.lazy_config(2, {0: gallery.basis(2, edge + 1)})]
+    with pytest.raises(jsonio.CertificateError, match="past block j0 \\+ 1"):
+        jsonio.sigma_witness_certificate(witness, far)
