@@ -563,7 +563,8 @@ def _rebuild_empty_fiber(cert) -> dict:
         tuple(decode_elements(ca.group, payload["window"])),
         decode_pattern(ca.group, ca.p, ca.dim_v, payload["pattern"]),
     )
-    _require(witness.verify(), "window fiber is not empty")
+    failure = witness.failure()
+    _require(failure is None, failure)
     target = None
     if "target" in payload:
         target = decode_config(ca.group, ca.p, ca.dim_v, payload["target"])

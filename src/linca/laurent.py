@@ -1,0 +1,193 @@
+"""Rules on Z and Z^d as matrices over Laurent polynomials.
+
+A rule with alphabet GF(p)^n on Z^d is the n x n matrix A = sum_m b_m t^m over
+GF(p)[t_1^-1, t_1, ..., t_d^-1, t_d], and composing rules multiplies their
+matrices, so the rule is reversible iff A is invertible, i.e. iff det A is a
+unit c t^a.  Shifted by the least exponent of each variable, A = t^low P with
+P a polynomial of degree D_i in t_i.
+
+The Kronecker map t_i -> t^(w_i), w_i = N_1 ... N_(i-1) with N_i = 2 n D_i + 1,
+is a ring homomorphism into GF(p)[t^-1, t]; it writes P as the coefficient
+blocks Q_k of one variable (on Z it is the identity).  It is injective on the
+exponents with -n D_i <= e_i <= n D_i, the balanced digits of base N_i.  Those
+hold det P, a polynomial of degree <= n D_i, and the exponents of P^-1 =
+adj P / det P when det P is a monomial: adj P has degree <= (n - 1) D_i.
+
+The inverse power series.  Let Q_0 be the lowest block of P, shifted to
+degree 0, and T the degree of the highest.  If Q_0 is invertible, P = Q_0 (I +
+M_1 t + ... + M_T t^T) with M_i = Q_0^-1 Q_i, and (I + sum M_i t^i)^-1 =
+sum C_k t^k with C_0 = I and C_k = -sum_i M_i C_(k-i).  det P has the nonzero
+constant term det Q_0, so it is a unit iff it is a constant c, and then
+P^-1 = adj P / c has degree <= (n - 1) T: every C_k with (n - 1) T < k <= n T
+is zero.  Conversely C_k depends only on the T terms before it, so if those
+are zero all later ones are, and P^-1 = sum C_k Q_0^-1 t^k is a polynomial.
+The series ends (det A is a unit) iff it has no nonzero term past (n - 1) T.
+When Q_0 is singular but the highest block is not, the same holds for
+t^T P(1/t).  Through the Kronecker map both statements carry over to Z^d.
+A series that does not end has an invertible end block, so det A is nonzero,
+and not a monomial, since the map sends monomials to monomials.  A series
+that ends makes the image of det P a monomial, so det P is one (the map is
+injective on its exponents), and the digits of each degree of the series
+give the cells of A^-1.
+
+The terms are computed from the nonzero ones only: each pushes its products
+with the nonzero M_i onto the degrees they reach, so the work is bounded by
+the number of exponents that sums of memory offsets reach, not by T.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import NamedTuple, Optional
+
+import numpy as np
+
+from . import linalg
+from .ca import LinearCA, identity_ca
+from .groups import IntegerGroup, LatticeGroup
+
+
+class LaurentMatrix(NamedTuple):
+    """A rule on Z or Z^d as A = t^low P, with sum_k blocks[k] t^k the
+    Kronecker image of P: nonzero blocks only, in increasing degree."""
+
+    ca: LinearCA
+    low: tuple
+    radix: tuple
+    blocks: dict
+
+    def element(self, k: int):
+        """The cell of A^-1 whose term has degree k in the Kronecker image of
+        P^-1: the balanced base-N_i digits of k, the last one unbounded, minus
+        ``low``."""
+        digits = []
+        for base in self.radix[:-1]:
+            half = base // 2
+            digits.append((k + half) % base - half)
+            k = (k - digits[-1]) // base
+        cell = tuple(e - lo for e, lo in zip(digits + [k], self.low))
+        return cell[0] if isinstance(self.ca.group, IntegerGroup) else cell
+
+
+def coefficients(ca: LinearCA) -> LaurentMatrix:
+    """The coefficient blocks of a rule on Z or Z^d, read from the cells it
+    reads (``support_memory``); the one place they are built."""
+    live = ca.support_memory
+    points = [m if isinstance(m, tuple) else (m,) for m in live]
+    low, high = tuple(map(min, zip(*points))), tuple(map(max, zip(*points)))
+    radix = tuple(2 * ca.dim_v * (hi - lo) + 1 for lo, hi in zip(low, high))
+    weights = [1]
+    for base in radix[:-1]:
+        weights.append(weights[-1] * base)
+    degrees = [sum(w * (e - lo) for w, e, lo in zip(weights, pt, low)) for pt in points]
+    blocks = {k: ca.block(m) for k, m in sorted(zip(degrees, live))}
+    return LaurentMatrix(ca, low, radix, blocks)
+
+
+def taylor_shift(coeffs: np.ndarray, c: int, p: int) -> np.ndarray:
+    """Coefficients of f(x + c) from those of f (scalars or matrices along axis
+    0, constant term first): the Pascal matrix C(k, i) c^(k-i) applied to them."""
+    if c % p == 0:
+        return coeffs
+    n = len(coeffs)
+    pascal = np.zeros((n, n), dtype=np.int64)
+    pascal[0, 0] = 1
+    for k in range(1, n):
+        pascal[1:, k] = pascal[:-1, k - 1]
+        pascal[:, k] = (pascal[:, k] + c % p * pascal[:, k - 1]) % p
+    return linalg.matmul(pascal, coeffs.reshape(n, -1), p).reshape(coeffs.shape)
+
+
+def determinant(ca: LinearCA) -> Optional[np.ndarray]:
+    """det P(t) over GF(p) for the coefficient blocks Q_0..Q_D of a rule (on
+    Z, P = sum_m b_m t^(m - min M) over the cells M it reads): up to a nonzero
+    factor, constant term first, all zeros for det = 0 and None when GF(p) is
+    too small to decide.  det P has degree <= nD (n = dimV).  At the first
+    t0 < min(p, nD + 1) with P(t0) invertible, P(t0 + s) = Q_0 (I + M_1 s +
+    ... + M_D s^D), whose det is the reversed charpoly of the block companion
+    of the M_i.  No such t0 means nD + 1 roots, so det P = 0, unless p <= nD."""
+    n, p, blocks = ca.dim_v, ca.p, coefficients(ca).blocks
+    low, deg = min(blocks), max(blocks) - min(blocks)
+    coeffs = np.zeros((deg + 1, n, n), dtype=np.int64)
+    for k, b in blocks.items():
+        coeffs[k - low] = b
+    for t0 in range(min(p, n * deg + 1)):
+        # Reduce [Q_0 | ... | Q_D]: Q_0 is invertible iff it holds the first n pivots.
+        shifted = taylor_shift(coeffs, t0, p).transpose(1, 0, 2).reshape(n, -1 if n else 0)
+        r, pivots, _ = linalg.rref(shifted, p)
+        if pivots[:n] == tuple(range(n)):
+            companion = np.eye(n * deg, k=-n, dtype=np.int64)
+            if deg:  # else the companion is empty and det P = det Q_0
+                companion[:n] = -r[:, n:] % p  # -[M_1 ... M_D]
+            return taylor_shift(linalg.charpoly(companion, p)[::-1], -t0, p)
+    return np.zeros(1, dtype=np.int64) if p > n * deg else None
+
+
+class Series(NamedTuple):
+    """What the inverse power series says about a rule: ``ends`` True with
+    the inverse rule when det A is a unit, False when det A is nonzero but
+    not a unit, None when it cannot tell (neither end block is invertible,
+    or the rule is not on Z or Z^d)."""
+
+    ends: Optional[bool]
+    inverse: Optional[LinearCA] = None
+
+
+UNDECIDED = Series(None)
+
+
+def _terms(offsets: list, m: np.ndarray, n: int, top: int, p: int) -> Optional[dict]:
+    """The nonzero terms C_k of (I + sum_i M_i s^i)^-1, M at ``offsets[i]``
+    stacked in ``m`` ((len(offsets) n) x n), or None once a term past
+    (n - 1) ``top`` is nonzero: the series does not end."""
+    terms: dict = {}
+    pending: dict = {}  # degree -> sum of M_i C_(k-i) over the terms found
+    heap: list = []
+    k, c = 0, np.eye(n, dtype=np.int64)
+    while True:
+        if c.any():
+            if k > (n - 1) * top:
+                return None
+            terms[k] = c
+            for i, prod in zip(offsets, linalg.matmul(m, c, p).reshape(-1, n, n)):
+                if k + i in pending:
+                    pending[k + i] += prod
+                else:
+                    pending[k + i] = prod
+                    heapq.heappush(heap, k + i)
+        if not heap:
+            return terms
+        k = heapq.heappop(heap)
+        c = -pending.pop(k) % p
+
+
+def inverse_series(ca: LinearCA) -> Series:
+    """Decide on Z and Z^d whether det A is a unit from the inverse power
+    series at an invertible end block, lowest first, and read the inverse
+    rule off it when it is (see the module docstring)."""
+    if not isinstance(ca.group, (IntegerGroup, LatticeGroup)):
+        return UNDECIDED
+    if ca.dim_v == 0:  # the 0 x 0 matrix is its own inverse
+        return Series(True, identity_ca(ca.group, ca.p, 0))
+    lm = coefficients(ca)
+    n, p = ca.dim_v, ca.p
+    lowest, highest = min(lm.blocks), max(lm.blocks)
+    for end, sign in ((lowest, 1), (highest, -1)):
+        # Degrees counted away from the end: Q_end + sum_j Q_(end + sign j) s^j.
+        others = [k for k in lm.blocks if k != end]
+        row = [lm.blocks[k] for k in [end] + others] + [np.eye(n, dtype=np.int64)]
+        r, pivots, _ = linalg.rref(np.hstack(row), p)
+        if pivots[:n] != tuple(range(n)):
+            continue
+        # r = [I | M_j ... | Q_end^-1]; the M_j are stacked as rows.
+        split = n * (1 + len(others))
+        m = r[:, n:split].reshape(n, len(others), n).transpose(1, 0, 2)
+        offsets = [sign * (k - end) for k in others]
+        terms = _terms(offsets, m.reshape(-1, n), n, highest - lowest, p)
+        if terms is None:
+            return Series(False)
+        cells = [lm.element(sign * j - end) for j in terms]
+        stacked = np.vstack(list(terms.values()))
+        blocks = linalg.matmul(stacked, r[:, split:], p).reshape(-1, n, n)
+        return Series(True, LinearCA(ca.group, p, n, cells, list(blocks)))
+    return UNDECIDED

@@ -21,19 +21,34 @@ A solved inverse is self-certifying (both compositions are checked by
 exact rule arithmetic), and if the automaton is reversible at all, some
 finite ball contains its inverse's memory, so the search is complete.
 
-On the integers a rule with alphabet GF(p)^n is an n x n matrix A over
-GF(p)[t^-1, t], and det A rules searches out by two theorems: a bijective
-linear CA with finite-dimensional alphabet is reversible (the paper's), and on
-the amenable group Z a linear CA is surjective iff pre-injective, and injective
-ones are surjective (linear Garden of Eden; Ceccherini-Silberstein & Coornaert).
+On Z and Z^d a rule with alphabet GF(p)^n is an n x n matrix A over the
+Laurent polynomials, and ``laurent`` reads A^-1 off a power series at an
+invertible end block.  Two theorems rule searches out: a bijective linear CA
+with finite-dimensional alphabet is reversible (the paper's), and on the
+amenable groups Z^d a linear CA is surjective iff pre-injective, and
+injective ones are surjective (linear Garden of Eden; Ceccherini-Silberstein
+& Coornaert, Cellular Automata and Groups, ch. 8).  An invertible end block
+makes det A nonzero; the series ends iff det A is a unit.  With both end
+blocks singular the series cannot tell, and on Z the determinant decides.
 
-    det A      searches run              why the others cannot succeed
-    unit       left inverse              bijective: no kernel element, every window map onto
-    nonzero    periodic                  a left inverse would make A injective, so bijective
-                                         and det A a unit; surjective and pre-injective, so
-                                         no fiber and no finitely supported kernel element
-    zero       support, periodic, fiber  not injective, so no left inverse
-    undecided  all                       (GF(p) has no point where A is invertible)
+    group   series     det A      searches run              why the others cannot succeed
+    Z, Z^d  ends       unit       left inverse, read off    bijective: no kernel element, every window
+                                  the series                map onto
+    Z       does not   nonzero    periodic                  a left inverse would make A injective, so
+            end                                             bijective and det A a unit; det A != 0 makes
+                                                            A pre-injective, so surjective: no fiber and
+                                                            no finitely supported kernel element
+    Z^d     does not   nonzero    constant                  the same; a constant kernel element is not
+            end                                             finitely supported, and only Z has the
+                                                            periodic search
+    Z       undecided  unit       left inverse              bijective: no kernel element, every window
+                                                            map onto
+    Z       undecided  nonzero    periodic                  as for a series that does not end
+    Z       undecided  zero       support, periodic, fiber  not injective, so no left inverse
+    Z       undecided  undecided  all                       (GF(p) has no point where A is invertible)
+    Z^d     undecided  -          all                       (the determinant is taken on Z only)
+
+Rows marked Z^d are for d >= 2.
 """
 
 from __future__ import annotations
@@ -44,7 +59,7 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from . import linalg
+from . import laurent, linalg
 from .ca import (
     Configuration,
     FiniteSupportConfig,
@@ -432,20 +447,26 @@ class EmptyFiberWitness:
         _, pivots, r_aug = linalg.rref(augmented, self.automaton.p)
         return sum(c < m.shape[1] for c in pivots), r_aug
 
-    def verify(self) -> bool:
-        # B_level contains ball(level): a window that lists fewer distinct
-        # cells is rejected before any window map is built.  A window map
-        # never repeats a cell, so a window that does is rejected too.
+    def failure(self) -> Optional[str]:
+        """Why the witness fails its check, or None when it holds.  B_level
+        contains ball(level): a window that lists fewer distinct cells is
+        rejected before any window map is built.  A window map never repeats
+        a cell, so a window that does is rejected too."""
         cells = self.window_cells
         distinct = set(cells)
-        if len(distinct) != len(cells) or set(self.pattern.cells) != distinct:
-            return False
+        if len(distinct) != len(cells):
+            return "the window lists a cell twice"
+        if set(self.pattern.cells) != distinct:
+            return "the pattern is not on the window's cells"
         if not ball_fits(self.automaton.group, self.level, len(distinct)):
-            return False
+            return "the window has fewer cells than ball(level)"
         if self._window.target != cells:
-            return False
+            return "the window is not B_level"
         r_plain, r_aug = self.ranks
-        return r_aug == r_plain + 1
+        return None if r_aug == r_plain + 1 else "window fiber is not empty"
+
+    def verify(self) -> bool:
+        return self.failure() is None
 
 
 @dataclass
@@ -530,52 +551,21 @@ def _periodic_kernel_witness(ca: LinearCA, q: int) -> Optional[PeriodicConfig]:
     return periodic(ca.p, ca.dim_v, cell_view(kern.basis[0], range(q), ca.dim_v))
 
 
-def _taylor_shift(coeffs: np.ndarray, c: int, p: int) -> np.ndarray:
-    """Coefficients of f(x + c) from those of f (scalars or matrices along axis
-    0, constant term first): the Pascal matrix C(k, i) c^(k-i) applied to them."""
-    if c % p == 0:
-        return coeffs
-    n = len(coeffs)
-    pascal = np.zeros((n, n), dtype=np.int64)
-    pascal[0, 0] = 1
-    for k in range(1, n):
-        pascal[1:, k] = pascal[:-1, k - 1]
-        pascal[:, k] = (pascal[:, k] + c % p * pascal[:, k - 1]) % p
-    return matmul(pascal, coeffs.reshape(n, -1), p).reshape(coeffs.shape)
-
-
-def _laurent_det(ca: LinearCA) -> Optional[np.ndarray]:
-    """det P(t) over GF(p) for a rule on the integers, P = sum_m b_m t^(m - min M)
-    over the cells M it reads: up to a nonzero factor, constant term first, all
-    zeros for det = 0 and None when GF(p) is too small to decide.  det P has
-    degree <= nD (n = dimV, D = max M - min M).  At the first t0 < min(p, nD + 1)
-    with P(t0) invertible, P(t0 + s) = Q_0 (I + M_1 s + ... + M_D s^D), whose
-    det is the reversed charpoly of the block companion of the M_i.  No such t0
-    means nD + 1 roots, so det P = 0, unless p <= nD."""
-    n, p, live = ca.dim_v, ca.p, ca.support_memory
-    low, deg = min(live), max(live) - min(live)
-    coeffs = np.zeros((deg + 1, n, n), dtype=np.int64)
-    for m in live:
-        coeffs[m - low] = ca.block(m)
-    for t0 in range(min(p, n * deg + 1)):
-        # Reduce [Q_0 | ... | Q_D]: Q_0 is invertible iff it holds the first n pivots.
-        shifted = _taylor_shift(coeffs, t0, p).transpose(1, 0, 2).reshape(n, -1 if n else 0)
-        r, pivots, _ = linalg.rref(shifted, p)
-        if pivots[:n] == tuple(range(n)):
-            companion = np.eye(n * deg, k=-n, dtype=np.int64)
-            if deg:  # else the companion is empty and det P = det Q_0
-                companion[:n] = -r[:, n:] % p  # -[M_1 ... M_D]
-            return _taylor_shift(linalg.charpoly(companion, p)[::-1], -t0, p)
-    return np.zeros(1, dtype=np.int64) if p > n * deg else None
-
-
-def _possible_families(ca: LinearCA) -> frozenset:
-    """The searches that can still succeed: every one off the integers, and on
-    them those the module docstring's table leaves open."""
+def _possible_families(ca: LinearCA, series: Optional[laurent.Series] = None) -> frozenset:
+    """The searches that can still succeed: every one off Z and Z^d, and on
+    them those the module docstring's table leaves open.  ``series`` is the
+    rule's inverse power series when the caller already holds it."""
     every = frozenset({"left-inverse", "support", "constant", "periodic", "fiber"})
-    if not isinstance(ca.group, IntegerGroup):
+    if series is None:
+        series = laurent.inverse_series(ca)
+    on_z = isinstance(ca.group, IntegerGroup)
+    if series.ends is not None:
+        if series.ends:
+            return frozenset({"left-inverse"})
+        return frozenset({"periodic"} if on_z else {"constant"})
+    if not on_z:
         return every
-    det = _laurent_det(ca)
+    det = laurent.determinant(ca)
     if det is None:  # on the integers period 1 subsumes the constant search
         return every - {"constant"}
     terms = np.count_nonzero(det)
@@ -651,8 +641,8 @@ def surjectivity_counterexample(
 ) -> Optional[EmptyFiberWitness]:
     """Scan window maps for a rank deficiency; any pattern outside a window
     image certifies non-surjectivity of the global map.  A nonzero Laurent
-    determinant proves the map surjective, so then nothing is scanned.  None
-    is inconclusive."""
+    determinant (an invertible end block on Z or Z^d, or the det on Z) proves
+    the map surjective, so then nothing is scanned.  None is inconclusive."""
     if max_radius < 0:
         raise ValueError(f"max_radius must be >= 0, got {max_radius}")
     if "fiber" not in _possible_families(ca):
@@ -680,14 +670,26 @@ def invert_ca(ca: LinearCA, max_radius: int = 8) -> InvertResult:
     certifies non-invertibility.  If the automaton is reversible, some
     finite radius succeeds; Unknown is only returned at the cutoff.
 
-    On the integers the Laurent determinant, computed once, skips what
-    cannot succeed (the module docstring says why): a unit det searches only
-    left inverses, a nonzero one only periodic witnesses, det = 0 all but
-    left inverses, an undecided one everything.  Order and radii are kept,
-    so the first success is the one the full search finds."""
+    On Z and Z^d the inverse power series comes first (the module docstring
+    says why each case holds).  When it ends it is the inverse, returned
+    once both compositions check and only if its radius is at most
+    ``max_radius``; past it the answer is the search's Unknown, so
+    ``max_radius`` bounds the returned inverse's radius either way.  When it
+    does not end only the periodic search runs on Z and the constant one on
+    Z^d.  When neither end block is invertible the Laurent determinant
+    prunes the searches on Z: a unit det searches only left inverses, a
+    nonzero one only periodic witnesses, det = 0 all but left inverses, an
+    undecided one everything.  Order and radii are kept, so the first
+    success is the one the full search finds."""
     if max_radius < 0:
         raise ValueError(f"max_radius must be >= 0, got {max_radius}")
-    families = _possible_families(ca)
+    series = laurent.inverse_series(ca)
+    if series.inverse is not None:
+        cert = ReversibilityCertificate(ca, series.inverse)
+        if cert.verify():
+            return cert if cert.radius <= max_radius else _no_verdict(max_radius)
+        series = laurent.UNDECIDED  # a wrong inverse proves nothing: search
+    families = _possible_families(ca, series)
     balls = BallSequence(ca.group, 0)
     ws = WindowSystem(ca)
     prev_ball = None
@@ -721,6 +723,10 @@ def invert_ca(ca: LinearCA, max_radius: int = 8) -> InvertResult:
             "a left inverse exists but no surjectivity counterexample was found "
             f"within radius {max_radius}"
         )
+    return _no_verdict(max_radius)
+
+
+def _no_verdict(max_radius: int) -> SolverUnknown:
     return SolverUnknown(f"no verdict within radius {max_radius}")
 
 

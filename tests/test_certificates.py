@@ -190,6 +190,28 @@ def test_empty_fiber_pattern_entry_changed_is_rejected(with_target):
     rejected(cert)
 
 
+def test_empty_fiber_rejection_names_its_reason():
+    """The level-0 empty-fiber certificate of a projection over Z (dimV 2,
+    p = 3), edited, is rejected with the reason its check found."""
+    ca = LinearCA(Z, 3, 2, (0,), ([[1, 0], [0, 0]],))
+    text = jsonio.dumps(jsonio.empty_fiber_certificate(solver.surjectivity_counterexample(ca)))
+
+    def edited(**payload):
+        cert = jsonio.loads(text)
+        assert cert["payload"]["window"] == [0] and cert["payload"]["level"] == 0
+        cert["payload"].update(payload)
+        return rejected(cert)
+
+    def pattern(cell, value):
+        return {"format": jsonio.PATTERN_FORMAT, "cells": [[cell, value]]}
+
+    assert edited(level=5000) == "the window has fewer cells than ball(level)"
+    assert edited(window=[0, 0]) == "the window lists a cell twice"
+    assert edited(window=[1]) == "the pattern is not on the window's cells"
+    assert edited(window=[1], pattern=pattern(1, [0, 1])) == "the window is not B_level"
+    assert edited(pattern=pattern(0, [1, 0])) == "window fiber is not empty"
+
+
 def test_kernel_witness_replaced_by_zero_is_rejected():
     cert = certificate("kernel-witness")
     zero = {"format": jsonio.CONFIG_FORMAT, "kind": "finite-support", "cells": []}

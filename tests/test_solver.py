@@ -9,7 +9,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_ca, random_finite_support, random_integer_ca, random_matrix
+from conftest import (
+    random_ca,
+    random_finite_support,
+    random_integer_ca,
+    random_matrix,
+    unit_det_rule,
+)
 from linca import (
     AffineSubspace,
     EmptyFiberWitness,
@@ -49,11 +55,10 @@ from linca.linalg import solve_affine
 from linca.solver import (
     KernelWitness,
     ProjectiveAffineSequence,
-    _laurent_det,
     _possible_families,
     _solve_left_inverse,
 )
-from linca import gallery, jsonio, solver
+from linca import gallery, jsonio, laurent, solver
 from test_kernels import reference_rref
 
 Z = IntegerGroup()
@@ -673,7 +678,7 @@ UNDECIDED = LinearCA(Z, 2, 2, (0, 1), (np.diag([0, 1]), np.eye(2, dtype=np.int64
 
 
 def det_class(ca):
-    return class_of(_laurent_det(ca))
+    return class_of(laurent.determinant(ca))
 
 
 def class_of(det):
@@ -699,7 +704,7 @@ def test_laurent_det_matches_sympy():
     for ca in rules:
         live = ca.support_memory
         low, nd = min(live), ca.dim_v * (max(live) - min(live))
-        got = _laurent_det(ca)
+        got = laurent.determinant(ca)
         classes[class_of(got)] += 1
         if got is None:
             assert ca.p <= nd
@@ -712,12 +717,12 @@ def test_laurent_det_matches_sympy():
         if not np.any(got):
             assert ca.p > nd
     assert set(classes) == {"unit", "nonzero", "zero", "undecided"}
-    assert up_to_constant(_laurent_det(UNIT_SINGULAR_AT_ZERO), 3) == [0, 1]
+    assert up_to_constant(laurent.determinant(UNIT_SINGULAR_AT_ZERO), 3) == [0, 1]
     assert det_class(UNDECIDED) == "undecided"
 
 
 def test_laurent_det_edge_cases():
-    assert _laurent_det(LinearCA(Z, 5, 0, (0, 1), (np.zeros((0, 0)),) * 2)).tolist() == [1]
+    assert laurent.determinant(LinearCA(Z, 5, 0, (0, 1), (np.zeros((0, 0)),) * 2)).tolist() == [1]
     assert det_class(LinearCA(Z, 5, 2, (0,), (np.diag([1, 0]),))) == "zero"
     assert det_class(sigma2_block_ca(3)) == "unit"
     assert det_class(add_rule()) == "nonzero"
@@ -726,14 +731,28 @@ def test_laurent_det_edge_cases():
     assert det_class(LinearCA(Z, 1048573, 2, (0, 1), (u0 @ v, u1 @ v))) == "zero"
 
 
+# Both end blocks singular, so only the determinant can prune: on Z it is
+# undecided (det P = t (t + 1)^2 over GF(2)), on Z^2 it is not taken.
+BOTH_ENDS_SINGULAR = LinearCA(Z, 2, 2, (0, 1, 2), (np.diag([0, 1]), np.diag([1, 0]), np.diag([0, 1])))
+BOTH_ENDS_SINGULAR_Z2 = LinearCA(
+    LatticeGroup(2), 3, 2, ((0, 0), (0, 1), (1, 0)), (np.diag([1, 0]), np.diag([0, 1]), np.eye(2, dtype=np.int64))
+)
+
+
 def test_possible_families_follow_the_determinant():
+    every = {"left-inverse", "support", "constant", "periodic", "fiber"}
     assert _possible_families(UNIT_SINGULAR_AT_ZERO) == {"left-inverse"}
     assert _possible_families(add_rule()) == {"periodic"}
     zero = LinearCA(Z, 2, 1, (0,), ([[0]],))
     assert _possible_families(zero) == {"support", "periodic", "fiber"}
-    assert _possible_families(UNDECIDED) == {"left-inverse", "support", "periodic", "fiber"}
+    assert _possible_families(BOTH_ENDS_SINGULAR) == every - {"constant"}
+    # UNDECIDED's highest block is I: the series decides what the det cannot.
+    assert _possible_families(UNDECIDED) == {"periodic"}
     square = LinearCA(LatticeGroup(2), 2, 1, ((0, 0), (1, 0)), ([[1]], [[1]]))
-    assert len(_possible_families(square)) == 5
+    assert _possible_families(square) == {"constant"}
+    assert _possible_families(BOTH_ENDS_SINGULAR_Z2) == every
+    sigma = gallery.sigma_truncated_ca(3, 2)
+    assert _possible_families(sigma) == {"left-inverse"}
 
 
 def _unitriangular_conjugate(ca, rng):
@@ -773,12 +792,34 @@ def _visible_answers(ca, max_radius):
     )
 
 
+def lattice_rules(count, seed):
+    """Seeded rules over Z^2 with memory in ball(1): every third has a unit
+    determinant, and the rest the rank-1 blocks of ``laurent_rules`` or
+    random ones."""
+    rng = random.Random(seed)
+    z2 = LatticeGroup(2)
+    for i in range(count):
+        p, d = rng.choice((2, 3, 5)), rng.randint(1, 3)
+        if i % 3 == 0:
+            yield unit_det_rule(rng, z2, p, d)
+            continue
+        memory = rng.sample(z2.ball(1), rng.randint(1, 3))
+        if i % 3 == 1:
+            v = random_matrix(rng, 1, d, p)
+            blocks = [random_matrix(rng, d, 1, p) @ v % p for _ in memory]
+        else:
+            blocks = [random_matrix(rng, d, d, p) for _ in memory]
+        yield LinearCA(z2, p, d, memory, blocks)
+
+
 def test_pruned_searches_give_the_full_search_answers(monkeypatch):
     """Every entry point answers byte for byte as with every family searched,
-    which is what an undecided determinant runs."""
+    which is what a series and a determinant that both stay undecided run."""
     rng = random.Random(23)
     cases = [(ca, 2) for ca in laurent_rules(45, 29)]
     cases += [(UNIT_SINGULAR_AT_ZERO, 2), (UNDECIDED, 2), (add_rule(3), 2)]
+    cases += [(BOTH_ENDS_SINGULAR, 2), (BOTH_ENDS_SINGULAR_Z2, 2)]
+    cases += [(ca, 2) for ca in lattice_rules(18, 31)]
     for j, p in ((2, 2), (3, 3), (4, 2), (5, 3)):
         sigma = gallery.sigma_truncated_ca(j, p)
         cases += [(sigma, j), (sigma, j - 2), (_unitriangular_conjugate(sigma, rng), j)]
@@ -787,6 +828,15 @@ def test_pruned_searches_give_the_full_search_answers(monkeypatch):
         families.add(_possible_families(ca))
         pruned = _visible_answers(ca, max_radius)
         with monkeypatch.context() as m:
-            m.setattr(solver, "_laurent_det", lambda ca: None)
+            m.setattr(laurent, "inverse_series", lambda ca: laurent.UNDECIDED)
+            m.setattr(laurent, "determinant", lambda ca: None)
             assert _visible_answers(ca, max_radius) == pruned
-    assert len(families) == 4
+    every = frozenset({"left-inverse", "support", "constant", "periodic", "fiber"})
+    assert families == {
+        frozenset({"left-inverse"}),
+        frozenset({"periodic"}),
+        frozenset({"constant"}),
+        frozenset({"support", "periodic", "fiber"}),
+        every - {"constant"},
+        every,
+    }
