@@ -53,9 +53,16 @@ from .ca import (
     pattern_to_vec,
     periodic,
     value_vector,
-    vec_to_pattern,
 )
-from .groups import FiniteGroup, FreeGroup, Group, IntegerGroup, LatticeGroup, ball_fits
+from .groups import (
+    FiniteGroup,
+    FreeGroup,
+    Group,
+    IntegerGroup,
+    LatticeGroup,
+    ball_fits,
+    interior,
+)
 
 CA_FORMAT = "linca-ca/1"
 CONFIG_FORMAT = "linca-config/1"
@@ -423,17 +430,19 @@ def preimage_certificate(
         ball_fits(ca.group, ca.balls().r0 + window, len(cells)),
         "pattern domain does not match the window",
     )
-    ws = solver.WindowSystem(ca)
-    w = ws.window(window)
-    _require(set(cells) == set(w.source), "pattern domain does not match the window")
-    vec = pattern_to_vec(result.pattern, w.source, ca.dim_v, ca.p)
-    # Plain int64 product on purpose: independent of matmul's float64 path.
-    image_vec = (w.matrix @ vec) % ca.p
+    source = ca.balls().window(window)
+    _require(set(cells) == set(source), "pattern domain does not match the window")
+    matched = interior(ca.group, source, ca.memory)
+    # The rule's plain int64 loop on purpose: independent of the window
+    # matrix and of matmul's float64 path, and linear in the listed cells.
+    image = Pattern(ca._evaluate(matched, cells.get))
     _require(
-        np.array_equal(image_vec, ws.target_vec(target, window)),
+        np.array_equal(
+            pattern_to_vec(image, matched, ca.dim_v, ca.p),
+            pattern_to_vec(target, matched, ca.dim_v, ca.p),
+        ),
         "pattern image does not match the target",
     )
-    image = vec_to_pattern(image_vec, w.target, ca.dim_v)
     payload = {
         "window": window,
         "cutoff": cutoff,
@@ -441,7 +450,7 @@ def preimage_certificate(
         "pattern": encode_pattern(ca.group, result.pattern),
     }
     transcript = {
-        "matched_cells": [encode_element(ca.group, g) for g in w.target],
+        "matched_cells": [encode_element(ca.group, g) for g in matched],
         "image": encode_pattern(ca.group, image),
     }
     return _cert("preimage", encode_ca(ca), payload, transcript)

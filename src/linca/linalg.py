@@ -11,7 +11,24 @@ member.
 
 The single hot primitive, in-place Gauss-Jordan elimination, lives in the
 kernel backends (see ``_kernels``); everything here is thin bookkeeping on
-top of it.
+top of it.  Every solve is one elimination whose kernel comes out already
+canonical, by two facts:
+
+* Reversed columns.  Eliminate [a reversed | b].  For a free column f, the
+  kernel vector in reversed order is 1 at f and nonzero only at earlier
+  pivots, so in the original order it leads at f and is zero at every other
+  free column.  Read off with its rows sorted by f, it is the RREF basis of
+  ker a, and the particular solution, zero at the free columns, is the
+  canonical point.
+* Reduced products.  Let S be in RREF with its rows sorted by pivot and K
+  in RREF.  Then K S is in RREF, and its row i leads at the pivot of S's
+  row f, f being the pivot of K's row i: row i of K S is S's row f plus
+  rows of S past f, which are zero up to and at that pivot, and at that
+  pivot every other row of K S reads K's zero entry at column f.
+
+``kernel_basis``, ``solve_affine_multi`` and ``solve_in_span`` rest on
+them; ``Subspace.from_spanning`` remains only for arbitrary spanning sets
+(``image_of_subspace`` and outside input).
 
 The bonds of a projective sequence are restrictions, which only select
 coordinates: ``image_of_subspace``, ``image_of_affine`` and
@@ -42,7 +59,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -178,18 +195,20 @@ def charpoly(mat, p: int) -> np.ndarray:
     return polys[n]
 
 
-def _kernel_from_rref(r: np.ndarray, pivots: Sequence[int], p: int):
-    """Right null space read off an RREF; returned as spanning rows."""
-    free = np.setdiff1d(np.arange(r.shape[1]), pivots)
-    vecs = np.zeros((free.size, r.shape[1]), dtype=np.int64)
-    vecs[np.arange(free.size), free] = 1
-    vecs[:, list(pivots)] = -r[: len(pivots), free].T % p
-    return vecs
+def complement(indices, size: int) -> np.ndarray:
+    """The indices in range(size) that are not in ``indices``, ascending."""
+    keep = np.ones(size, dtype=bool)
+    keep[indices] = False
+    return np.flatnonzero(keep)
 
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A linear subspace of GF(p)^ambient stored via its RREF basis."""
+    """A linear subspace of GF(p)^ambient stored via its RREF basis.
+
+    The solves build that basis directly (see the module docstring) and
+    construct the class from it; ``from_spanning`` reduces any other
+    spanning set."""
 
     ambient: int
     p: int
@@ -319,8 +338,8 @@ class AffineSubspace:
 
 def kernel_basis(mat, p: int) -> Subspace:
     """Basis of the right null space of ``mat`` over GF(p)."""
-    r, pivots, _ = rref(mat, p)
-    return Subspace.from_spanning(_kernel_from_rref(r, pivots, p), r.shape[1], p)
+    a = np.asarray(mat)
+    return _solve(a, np.zeros((len(a) if a.ndim else 0, 0), dtype=np.int64), p)[0]
 
 
 def solve_affine(mat, rhs, p: int) -> AffineSubspace:
@@ -336,21 +355,36 @@ def solve_affine_multi(
 ) -> tuple[Subspace, list[Optional[np.ndarray]]]:
     """Solve mat x = b for every column b of ``rhs_cols`` with one
     elimination; the kernel is shared by all right-hand sides.  A column
-    without a solution yields None in the returned point list."""
+    without a solution yields None in the returned point list, and every
+    other point is canonical, zero at the kernel's pivots."""
+    kernel, points, solvable = _solve(mat, rhs_cols, p)
+    return kernel, [x if ok else None for x, ok in zip(points, solvable)]
+
+
+def _solve(mat, rhs_cols, p: int) -> tuple[Subspace, np.ndarray, np.ndarray]:
+    """One elimination of [mat reversed | rhs_cols]: the kernel of ``mat``
+    in RREF, one point per column of ``rhs_cols`` and whether it solves it.
+    The reversed-columns fact of the module docstring makes the kernel and
+    the points canonical as read off."""
     a, b = np.asarray(mat), np.asarray(rhs_cols)
     if a.ndim != 2 or b.ndim != 2:
         raise LinalgError(f"expected matrices, got arrays of ndim {a.ndim} and {b.ndim}")
     rows, cols = a.shape
     if b.shape[0] != rows:
         raise LinalgError(f"rhs rows {b.shape[0]} do not match matrix rows {rows}")
-    aug, pivots, _ = rref(np.hstack([a, b]), p)
-    left_pivots = [c for c in pivots if c < cols]
-    rk = len(left_pivots)
-    kernel = Subspace.from_spanning(_kernel_from_rref(aug[:, :cols], left_pivots, p), cols, p)
-    xs = np.zeros((b.shape[1], cols), dtype=np.int64)
-    xs[:, left_pivots] = aug[:rk, cols:].T
+    aug = as_matrix(np.hstack([a[:, ::-1], b]), p)
+    pivots = np.array(rref_inplace(aug, p), dtype=np.intp)
+    rk = np.count_nonzero(pivots < cols)
+    bound = cols - 1 - pivots[:rk]  # original columns, decreasing
+    free = complement(bound, cols)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, bound] = -aug[:rk, cols - 1 - free].T % p
+    basis.setflags(write=False)
+    points = np.zeros((b.shape[1], cols), dtype=np.int64)
+    points[:, bound] = aug[:rk, cols:].T
     solvable = ~np.any(aug[rk:, cols:], axis=0)
-    return kernel, [x if ok else None for x, ok in zip(xs, solvable)]
+    return Subspace(cols, p, basis, tuple(free.tolist())), points, solvable
 
 
 def _coordinates(coords, ambient: int) -> np.ndarray:
@@ -391,23 +425,29 @@ def constrain_affine(
     t = as_vector(target, p)
     if affine.is_empty:
         return AffineSubspace.empty(affine.ambient, p)
-    basis = affine.directions.basis
-    return solve_in_span(affine.point, basis, basis[:, idx].T, t - affine.point[idx], p)
+    span = affine.directions
+    return solve_in_span(affine.point, span, span.basis[:, idx].T, t - affine.point[idx], p)
 
 
-def solve_in_span(point, spanning: np.ndarray, coeff, rhs, p: int) -> AffineSubspace:
-    """{point + c @ spanning : coeff c = rhs} in canonical form, solved in the
-    parameters c (one per row of ``spanning``); ``rhs`` need not be reduced.
-    With R the system's RREF, free parameter f spans e_f - sum_i R[i, f]
-    e_{pivot i}, so the directions are spanning[free] - R[:, free]^T
-    spanning[pivots].  ``constrain_affine`` and the preimage levels share it."""
-    cols, ambient = spanning.shape
-    aug, pivots, rk = rref(np.hstack([coeff, np.reshape(rhs, (-1, 1))]), p)
-    if rk and pivots[-1] == cols:
-        return AffineSubspace.empty(ambient, p)
-    free = np.setdiff1d(np.arange(cols), pivots)
-    # One product: R[:, free]^T spanning[pivots], then the point's shift.
-    prod = matmul(aug[:rk, np.append(free, cols)].T, spanning[list(pivots)], p)
-    prod[:-1] -= spanning[free]  # the negated directions span the same space
-    dirs = Subspace.from_spanning(prod[:-1], ambient, p)
+def solve_in_span(point, span: Subspace, coeff, rhs, p: int) -> AffineSubspace:
+    """{point + c @ span.basis : coeff c = rhs} in canonical form, solved in
+    the parameters c (one per row of the span's RREF basis); ``rhs`` need
+    not be reduced.  The system's kernel K comes out in RREF, so by the
+    reduced-products fact of the module docstring the directions K S are
+    the RREF basis as computed, one product with no further elimination.
+    ``constrain_affine`` and the preimage levels share it."""
+    kernel, points, solvable = _solve(coeff, np.reshape(rhs, (-1, 1)), p)
+    if not solvable[0]:
+        return AffineSubspace.empty(span.ambient, p)
+    # K is the identity at its pivots and the point is zero there, so one
+    # product over the other rows of S gives the directions, then the
+    # point's shift.
+    free = list(kernel.pivots)
+    bound = complement(free, span.dim)
+    prod = matmul(np.vstack([kernel.basis, points])[:, bound], span.basis[bound], p)
+    basis = prod[:-1]
+    basis += span.basis[free]
+    basis %= p
+    basis.setflags(write=False)
+    dirs = Subspace(span.ambient, p, basis, tuple(span.pivots[f] for f in kernel.pivots))
     return AffineSubspace.from_point_subspace((point + prod[-1]) % p, dirs)

@@ -82,6 +82,8 @@ from .ca import (
 from .groups import BallSequence, IntegerGroup, ball_fits
 from .linalg import (
     AffineSubspace,
+    Subspace,
+    complement,
     constrain_affine,
     image_of_affine,
     kernel_basis,
@@ -125,8 +127,8 @@ class WindowSystem:
         w, d = self.window(n), self.ca.dim_v
         below = self.window(n - 1) if n else WindowMap((), (), None)
         old = coordinates(below.source, w.source, d)
-        new_rows = np.setdiff1d(np.arange(len(w.matrix)), coordinates(below.target, w.target, d))
-        return old, np.setdiff1d(np.arange(self.ambient(n)), old), new_rows
+        new_rows = complement(coordinates(below.target, w.target, d), len(w.matrix))
+        return old, complement(old, self.ambient(n)), new_rows
 
     def target_vec(self, config: Configuration, n: int) -> np.ndarray:
         """The target configuration restricted to B_n, vectorized."""
@@ -188,22 +190,39 @@ def preimage_sequence(
     """Window fibers X_n = tau_n^{-1}(y|B_n) of the target, each built from the
     one below: B_{n-1} M lies in A_{n-1}, so the rows of W_n at B_{n-1} are
     those of W_{n-1}, and X_n = {x : x|A_{n-1} in X_{n-1}, the rows at B_n
-    minus B_{n-1} hold}, solved in the parameters of X_{n-1} and new cells."""
+    minus B_{n-1} hold}, solved in the parameters of X_{n-1} and new cells.
+
+    Those parameters span X_{n-1}'s RREF basis, lifted to A_n, and a unit
+    row at each new coordinate.  The lift keeps the basis in RREF because
+    the coordinates of A_{n-1} inside A_n increase (balls list their cells
+    in canonical order), and the unit rows are zero at every old
+    coordinate; sorted by pivot, the rows are the RREF basis of their span.
+    So ``solve_in_span`` reads X_n's directions off one product, with one
+    elimination per level."""
     p = ws.ca.p
 
     def level(n: int, below: AffineSubspace) -> AffineSubspace:
         if below.is_empty:
             return AffineSubspace.empty(ws.ambient(n), p)
         old, new, rows = ws.growth(n)
-        # x = point + c @ spanning: X_{n-1} on A_{n-1}, unit rows on the new cells.
-        lift = np.zeros((below.dim + new.size + 1, old.size + new.size), dtype=np.int64)
-        lift[: below.dim, old] = below.directions.basis
-        lift[below.dim + np.arange(new.size), new] = 1
+        span = below.directions
+        leads = np.concatenate([old[list(span.pivots)], new])
+        order = np.argsort(leads)
+        slot = np.empty_like(order)
+        slot[order] = np.arange(order.size)
+        # x = point + c @ basis: X_{n-1} on A_{n-1} and unit rows on the new
+        # cells, in pivot order; the last row is the point.
+        lift = np.zeros((leads.size + 1, old.size + new.size), dtype=np.int64)
+        lift[np.ix_(slot[: span.dim], old)] = span.basis
+        lift[slot[span.dim :], new] = 1
         lift[-1, old] = below.point
         # The new rows, pulled back to c; the last column is the point's image.
         pulled = matmul(ws.window(n).matrix[rows], lift.T, p)
         rhs = ws.target_vec(target, n)[rows] - pulled[:, -1]
-        return linalg.solve_in_span(lift[-1], lift[:-1], pulled[:, :-1], rhs, p)
+        basis = lift[:-1]
+        basis.setflags(write=False)
+        lifted = Subspace(lift.shape[1], p, basis, tuple(leads[order].tolist()))
+        return linalg.solve_in_span(lift[-1], lifted, pulled[:, :-1], rhs, p)
 
     return ProjectiveAffineSequence(p, ws.ambient, level, ws.restriction)
 

@@ -1,11 +1,12 @@
 """Shared helpers for the test suite: seeded random generators for rules,
-configurations and matrices."""
+configurations and matrices, and a textbook Gauss-Jordan oracle."""
 
 import random
 
 import numpy as np
 
 from linca import FiniteSupportConfig, IntegerGroup, LinearCA, compose, finite_support, identity_ca
+from linca.linalg import AffineSubspace, Subspace
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, p: int) -> np.ndarray:
@@ -52,3 +53,48 @@ def unit_det_rule(rng: random.Random, group, p: int, dim_v: int, factors: int = 
                 block[i, i] = rng.randrange(1, p)
         rule = compose(LinearCA(group, p, dim_v, tuple(blocks), tuple(blocks.values())), rule)
     return rule
+
+
+def reference_rref(rows: list, cols: int, p: int) -> tuple[list, list]:
+    """Textbook Gauss-Jordan over GF(p) on lists of Python integers."""
+    m = [list(row) for row in rows]
+    pivots: list = []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def reference_solve(mat, rhs, p: int) -> AffineSubspace:
+    """{x : mat x = rhs} by ``reference_rref`` of [mat | rhs], its kernel
+    read off the free columns, then put in canonical form by
+    ``Subspace.from_spanning``; shares no code with the library's solves."""
+    mat = np.asarray(mat, dtype=np.int64) % p
+    cols = mat.shape[1]
+    rows = [row + [int(b) % p] for row, b in zip(mat.tolist(), rhs)]
+    m, pivots = reference_rref(rows, cols + 1, p)
+    if cols in pivots:
+        return AffineSubspace.empty(cols, p)
+    point = [0] * cols
+    kernel = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -m[i][f] % p
+        kernel.append(v)
+    for i, c in enumerate(pivots):
+        point[c] = m[i][cols]
+    kernel = np.array(kernel, dtype=np.int64).reshape(len(kernel), cols)
+    directions = Subspace.from_spanning(kernel, cols, p)
+    return AffineSubspace.from_point_subspace(np.array(point, dtype=np.int64), directions)

@@ -11,14 +11,16 @@ cap and a runaway case cannot touch the test runner.
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import linca
-from linca import gallery, jsonio
+from linca import IntegerGroup, LinearCA, Pattern, PreimageResult, finite_support, gallery, jsonio
 from test_certificates import CASES, certificate
 
 EXPONENTS = (3, 4, 6, 9, 12, 18)
@@ -110,8 +112,9 @@ def _repeated_cell_cases():
     ]
 
 
-def test_huge_integers_are_answered_within_bounds():
-    cases = _cases()
+def _verify_bounded(cases) -> list:
+    """[label, ok, detail, seconds] for each (label, _, certificate) case,
+    verified in one subprocess under the address-space cap."""
     proc = subprocess.run(
         [sys.executable, "-c", WORKER],
         input=json.dumps([[label, cert] for label, _, cert in cases]),
@@ -125,6 +128,12 @@ def test_huge_integers_are_answered_within_bounds():
     assert proc.returncode == 0, proc.stderr[-2000:]
     results = json.loads(proc.stdout)
     assert len(results) == len(cases)
+    return results
+
+
+def test_huge_integers_are_answered_within_bounds():
+    cases = _cases()
+    results = _verify_bounded(cases)
     failures = []
     for (label, checked, _), (_, ok, detail, seconds) in zip(cases, results):
         if ok is None or seconds > SECONDS:
@@ -144,3 +153,20 @@ def test_sigma_builder_holds_round_trips_to_block_j0_plus_1():
     far = [gallery.lazy_config(2, {0: gallery.basis(2, edge + 1)})]
     with pytest.raises(jsonio.CertificateError, match="past block j0 \\+ 1"):
         jsonio.sigma_witness_certificate(witness, far)
+
+
+def test_valid_preimage_certificate_at_window_10_4_verifies_within_bounds():
+    """A valid certificate of 20,003 listed cells: the image is evaluated
+    cell by cell, so neither the build nor the verifier's rebuild forms the
+    20,002 x 20,003 window matrix (3.2 GB) that the cap would refuse."""
+    window = 10**4
+    ca = LinearCA(IntegerGroup(), 2, 1, (0, 1), ([[1]], [[1]]))
+    rng = random.Random(5)
+    cells = {g: np.array([rng.randrange(2)]) for g in ca.balls().window(window)}
+    target = ca.apply_config(finite_support(2, 1, cells))
+    result = PreimageResult("ok", pattern=Pattern(cells))
+    cert = jsonio.preimage_certificate(ca, target, result, window, 0)
+    assert (len(cells), len(cert["transcript"]["matched_cells"])) == (20_003, 20_002)
+    [(_, ok, detail, seconds)] = _verify_bounded([("preimage window = 10^4", True, cert)])
+    assert ok is True, detail
+    assert seconds <= SECONDS

@@ -1,0 +1,226 @@
+"""Every solve is one elimination whose kernel comes out canonical.
+
+The library reads a kernel in RREF straight off the RREF of the
+column-reversed system, and the directions of a solve in a span off one
+product (see the ``linalg`` docstring).  These tests hold the results to the
+reference Gauss-Jordan of ``conftest``, hold every returned basis to its own
+re-reduction, count the eliminations, and check the precondition of the
+reduced span: the coordinates of A_{n-1} inside A_n increase."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_ca, random_finite_support, reference_solve
+from linca import (
+    FreeGroup,
+    IntegerGroup,
+    LatticeGroup,
+    WindowSystem,
+    cyclic_group,
+    kernel_sequence,
+    preimage_sequence,
+    symmetric_group_3,
+)
+from linca import linalg
+from linca.linalg import (
+    AffineSubspace,
+    Subspace,
+    constrain_affine,
+    kernel_basis,
+    solve_affine_multi,
+    solve_in_span,
+)
+
+PRIMES = (2, 3, 5, 1048573)
+SHAPES = ("zero-rows", "zero-cols", "tall", "wide", "square")
+GROUPS = [
+    (IntegerGroup(), (0, 1)),
+    (LatticeGroup(2), ((0, 0), (1, 0), (0, 1))),
+    (LatticeGroup(3), ((0, 0, 0), (1, 0, 0), (0, 0, 1))),
+    (FreeGroup(2), ((), (1,), (-2,))),
+    (symmetric_group_3(), (0, 1, 3)),
+    (cyclic_group(6), (0, 1, 3)),
+]
+GROUP_IDS = ["Z", "Z2", "Z3", "F2", "S3", "Z6"]
+
+
+@st.composite
+def systems(draw, rhs_cols=1):
+    """(mat, rhs, p): a random or rank-deficient matrix of one of the shape
+    kinds, and ``rhs_cols`` right-hand sides, half of them in the image."""
+    p = draw(st.sampled_from(PRIMES))
+    kind = draw(st.sampled_from(SHAPES))
+    small, large = draw(st.integers(1, 4)), draw(st.integers(5, 8))
+    rows, cols = {
+        "zero-rows": (0, large),
+        "zero-cols": (large, 0),
+        "tall": (large, small),
+        "wide": (small, large),
+        "square": (small, small),
+    }[kind]
+    entries = st.integers(0, p - 1)
+
+    def matrix(r, c):
+        flat = draw(st.lists(entries, min_size=r * c, max_size=r * c))
+        return np.array(flat, dtype=np.int64).reshape(r, c)
+
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(rows, cols)))
+        mat = linalg.matmul(matrix(rows, k), matrix(k, cols), p)
+    else:
+        mat = matrix(rows, cols)
+    rhs = matrix(rows, rhs_cols)
+    image = linalg.matmul(mat, matrix(cols, rhs_cols), p)
+    keep = np.array(draw(st.lists(st.booleans(), min_size=rhs_cols, max_size=rhs_cols)))
+    return mat, np.where(keep, image, rhs), p
+
+
+def assert_canonical(sub: Subspace):
+    """The basis is its own re-RREF, and its stored pivots lead its rows."""
+    again = Subspace.from_spanning(sub.basis, sub.ambient, sub.p)
+    assert np.array_equal(again.basis, sub.basis)
+    assert again.pivots == sub.pivots
+    assert sub.pivots == tuple(int(np.flatnonzero(row)[0]) for row in sub.basis)
+    assert sub.basis.dtype == np.int64 and not sub.basis.flags.writeable
+
+
+def assert_affine_canonical(affine: AffineSubspace):
+    if affine.is_empty:
+        return
+    assert_canonical(affine.directions)
+    again = AffineSubspace.from_point_subspace(affine.point, affine.directions)
+    assert np.array_equal(again.point, affine.point)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(systems())
+def test_kernel_basis_matches_the_reference(system):
+    mat, _, p = system
+    kernel = kernel_basis(mat, p)
+    assert kernel == reference_solve(mat, np.zeros(len(mat), dtype=np.int64), p).directions
+    assert_canonical(kernel)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(systems(rhs_cols=3))
+def test_solve_affine_multi_matches_the_reference(system):
+    mat, rhs, p = system
+    kernel, points = solve_affine_multi(mat, rhs, p)
+    assert_canonical(kernel)
+    for point, column in zip(points, rhs.T):
+        expected = reference_solve(mat, column, p)
+        if expected.is_empty:
+            assert point is None
+            continue
+        assert kernel == expected.directions
+        # The points come out canonical, zero at the kernel's pivots.
+        assert np.array_equal(point, expected.point)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(systems(), st.data())
+def test_constrain_affine_matches_the_reference(system, data):
+    """The constrained set against one reference solve in the ambient space:
+    x[coords] = target, and N x = N point for the rows N of a basis of the
+    annihilator of the directions."""
+    spanning, _, p = system
+    ambient = spanning.shape[1]
+
+    def vector(size, values=st.integers(0, p - 1), dtype=np.int64):
+        return np.array(data.draw(st.lists(values, min_size=size, max_size=size)), dtype=dtype)
+
+    affine = AffineSubspace.from_point_subspace(
+        vector(ambient), Subspace.from_spanning(spanning, ambient, p)
+    )
+    count = data.draw(st.integers(0, 4 if ambient else 0))
+    coords = vector(count, st.integers(0, max(ambient - 1, 0)), np.intp)
+    target = vector(coords.size)
+    if coords.size and data.draw(st.booleans()):
+        target = affine.point[coords]  # a target the affine set meets
+    got = constrain_affine(affine, coords, target, p)
+    assert_affine_canonical(got)
+    annihilator = reference_solve(affine.directions.basis, np.zeros(affine.dim, dtype=np.int64), p)
+    normals = annihilator.directions.basis
+    rows = np.vstack([normals, np.eye(ambient, dtype=np.int64)[coords]])
+    rhs = np.concatenate([normals @ affine.point % p, target])
+    assert got == reference_solve(rows, rhs, p)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    st.sampled_from(range(len(GROUPS))),
+    st.sampled_from(PRIMES),
+    st.integers(1, 2),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_preimage_levels_match_the_reference(group_index, p, dim_v, seed, in_image):
+    """Every level, built from the one below, against the reference solve of
+    the whole window map, for images and random targets."""
+    group, memory = GROUPS[group_index]
+    rng = random.Random(seed)
+    ca = random_ca(rng, group, p, dim_v, memory)
+    ws = WindowSystem(ca)
+    x = random_finite_support(rng, group, p, dim_v, ws.window(1).source)
+    target = ca.apply_config(x) if in_image else x
+    seq = preimage_sequence(ws, target)
+    for m in range(3):
+        level = seq.level(m)
+        assert_affine_canonical(level)
+        assert level == reference_solve(ws.window(m).matrix, ws.target_vec(target, m), p), m
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """A list that grows by one shape per elimination the library runs."""
+    calls = []
+    eliminate = linalg.rref_inplace
+
+    def counted(a, p):
+        calls.append(a.shape)
+        return eliminate(a, p)
+
+    monkeypatch.setattr(linalg, "rref_inplace", counted)
+    return calls
+
+
+def test_one_elimination_per_solve(eliminations):
+    rng = np.random.default_rng(3)
+    p = 5
+    mat = rng.integers(0, p, size=(4, 7))
+    kernel_basis(mat, p)
+    assert len(eliminations) == 1
+    solve_affine_multi(mat, rng.integers(0, p, size=(4, 3)), p)
+    assert len(eliminations) == 2
+    span = Subspace.from_spanning(rng.integers(0, p, size=(3, 7)), 7, p)
+    del eliminations[:]
+    coeff = rng.integers(0, p, size=(2, span.dim))
+    solve_in_span(np.zeros(7, dtype=np.int64), span, coeff, [1, 2], p)
+    assert len(eliminations) == 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_kernel_sequence_level_n_takes_n_plus_1_eliminations(eliminations, n):
+    ca = random_ca(random.Random(n), LatticeGroup(2), 3, 2, ((0, 0), (1, 0), (0, 1)))
+    kernel_sequence(ca).level(n)
+    assert len(eliminations) == n + 1
+
+
+@pytest.mark.parametrize("group,memory", GROUPS, ids=GROUP_IDS)
+def test_growth_keeps_old_coordinates_increasing(group, memory):
+    """The reduced span of the preimage levels needs the coordinates of
+    A_{n-1} inside A_n to increase; the rest are the complements."""
+    ws = WindowSystem(random_ca(random.Random(2), group, 3, 2, memory))
+    for n in range(4):
+        old, new, rows = ws.growth(n)
+        assert np.all(np.diff(old) > 0), n
+        assert np.array_equal(new, np.setdiff1d(np.arange(ws.ambient(n)), old))
+        below = set(ws.window(n - 1).target if n else ())
+        kept = [i for i, g in enumerate(ws.window(n).target) if g not in below]
+        assert np.array_equal(rows, np.array(
+            [ws.ca.dim_v * i + k for i in kept for k in range(ws.ca.dim_v)], dtype=np.intp
+        ))

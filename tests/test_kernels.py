@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_matrix
+from conftest import random_matrix, reference_rref
 from linca import _kernels, _modp_py
 
 
@@ -38,26 +38,6 @@ def modp_cy(tmp_path_factory):
 
 def test_backend_reports_name():
     assert _kernels.backend() in ("cy", "py")
-
-
-def reference_rref(rows: list, cols: int, p: int) -> tuple[list, list]:
-    """Textbook Gauss-Jordan over GF(p) on lists of Python integers."""
-    m = [list(row) for row in rows]
-    pivots: list = []
-    for c in range(cols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    return m, pivots
 
 
 def test_numpy_kernel_matches_reference():

@@ -14,6 +14,7 @@ from conftest import (
     random_finite_support,
     random_integer_ca,
     random_matrix,
+    reference_solve,
     unit_det_rule,
 )
 from linca import (
@@ -155,8 +156,9 @@ LEVEL_GROUPS = RESTRICTION_GROUPS + [pytest.param(cyclic_group(6), (0, 1, 3), id
 @pytest.mark.parametrize("group,memory", LEVEL_GROUPS)
 def test_levels_match_the_direct_window_solve(group, memory):
     """Each level is built from the one below; it must equal the fiber
-    solved from scratch on the whole window map, for images, random targets
-    and targets outside the image alike."""
+    solved from scratch on the whole window map by the reference
+    Gauss-Jordan, for images, random targets and targets outside the image
+    alike."""
     rng = random.Random(17)
     empty_seen, saturated = set(), False
     for p, dim_v in itertools.product((2, 3), (0, 1, 2)):
@@ -170,7 +172,7 @@ def test_levels_match_the_direct_window_solve(group, memory):
             for target in targets:
                 seq = preimage_sequence(ws, target)
                 for m in (3, 0, 1, 2):  # level(3) fills levels 0..3 bottom-up
-                    direct = solve_affine(ws.window(m).matrix, ws.target_vec(target, m), p)
+                    direct = reference_solve(ws.window(m).matrix, ws.target_vec(target, m), p)
                     assert seq.level(m) == direct, (p, dim_v, m)
                     empty_seen.add(direct.is_empty)
                     saturated |= m > 0 and ws.window(m).source == ws.window(m - 1).source
