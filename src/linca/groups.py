@@ -346,7 +346,14 @@ class FreeGroup(Group):
         return tuple(out)
 
     def multiply(self, a, b):
-        return self.word(list(a) + list(b))
+        """The product of two reduced words.  Like every group's
+        ``multiply`` it trusts its operands: ``a`` and ``b`` are tuples from
+        ``check``/``word`` or ``ball``, or products and inverses of those.
+        Two reduced words cancel only where ``a`` ends and ``b`` begins."""
+        k, n = 0, min(len(a), len(b))
+        while k < n and a[-1 - k] == -b[k]:
+            k += 1
+        return a[: len(a) - k] + b[k:]
 
     def inverse(self, a):
         return tuple(-x for x in reversed(a))

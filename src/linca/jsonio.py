@@ -1,8 +1,12 @@
 """JSON interchange formats and self-verifying certificates.
 
-All files are JSON with sorted keys; writing is canonical (two-space
-indent, trailing newline), so identical inputs always produce byte
-identical outputs and re-serialization round-trips exactly.
+All files are written in one canonical byte form: sorted keys, no
+whitespace between tokens, one trailing newline.  ``canonical_json`` is the
+only encoder; ``dumps`` adds the newline, and ``sha256_of`` hashes the same
+bytes, so a certificate's ``ca_sha256`` is the sha256 of its CA file
+without the newline.  Identical inputs produce identical bytes, and
+re-serialization round-trips exactly.  Reading accepts any JSON layout, so
+indented files written before the compact form still read and verify.
 
 Element encodings per group kind: integers as numbers, lattice points as
 arrays, finite-group elements as table ids, free-group words as strings
@@ -79,7 +83,7 @@ def canonical_json(obj) -> str:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return canonical_json(obj) + "\n"
 
 
 def loads(text: str):

@@ -5,7 +5,9 @@ the builder that wrote it, so no field can be forged or dropped."""
 import copy
 import functools
 import hashlib
+import json
 import operator
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -263,12 +265,12 @@ def _pinned_certificate(kind: str) -> dict:
 # sha256 of jsonio.dumps(certificate): certificate bytes are part of the
 # interface, so a refactor that changes them must update these on purpose.
 PINNED_SHA256 = {
-    "reversible": "ca60ff83877a1d5eee726c51a604d5cd5b67e8d3038b7ff3cc63d6a0fc37ae1f",
-    "preimage": "eea906f5f28707ccb6edb80421aa3fa4a1c8fc4a31061586c3b2a1b3bd99ee77",
-    "empty-fiber": "d0b49bf6b06a126866dcd14a8b26687e0e0e41beb3beba060dd6e95e304f0866",
-    "kernel-witness": "825f7c00d65fab0b2803a67b1c87b0a80ebb7db222d3b04d9c2d08f815de8140",
-    "sigma-nonreversibility": "e32d49add348512a3271894fb33e28ffc0ac8c5decf7fc04b02baff17ef20b72",
-    "sigma-prime-nonclosedness": "159da7b7588ae1e507793bdaf444aa82bd569860116155d674a98abf36f45047",
+    "reversible": "6cd625735a1cbee1381a27926cfc87d6daabef9d44a3a46c7d9ea7855043e8fa",
+    "preimage": "93e80562992f7b9279d820feb10c212aa90863cee2772d5dfb6f0c8631e66d56",
+    "empty-fiber": "d2f6a3f5b0142584d7325b4763ed86d9257104205af86f42b9774e57db4f73fc",
+    "kernel-witness": "3844ff1dc0c3edbc5382a7920fe74d8974acd9b91b0ee5d442bb0d41d7bd9075",
+    "sigma-nonreversibility": "906b873097431ac37e3b07c637de3ef49756769b6777a2dd560b5c70ba308605",
+    "sigma-prime-nonclosedness": "b7e3e75fbb216bf9ecc3de9b4827f858b1a725190ab4efebad802a6c38c19018",
 }
 
 
@@ -278,6 +280,66 @@ def test_certificate_bytes_are_pinned(kind):
     assert cert["kind"] == kind
     text = jsonio.dumps(cert)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256[kind]
+
+
+# -- one byte form, and files written before it -------------------------------
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_files_are_written_in_the_one_canonical_form(kind):
+    """Every file is canonical_json plus a newline, on one line, and a
+    certificate's ca_sha256 is the hash of its CA file's bytes."""
+    cert = _pinned_certificate(kind)
+    for doc in (cert, cert["ca"]):
+        text = jsonio.dumps(doc)
+        assert text == jsonio.canonical_json(doc) + "\n"
+        assert text.count("\n") == 1
+    if kind in CA_KINDS:
+        ca_file = jsonio.dumps(cert["ca"])
+        assert cert["ca_sha256"] == hashlib.sha256(ca_file[:-1].encode()).hexdigest()
+
+
+def test_jsonio_has_one_encoder():
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert (src / "linca" / "jsonio.py").read_text().count("json.dumps(") == 1
+    sources = [f for f in src.rglob("*") if f.suffix in (".py", ".pyx", ".c")]
+    assert sources
+    assert [f.name for f in sources if "indent=" in f.read_text()] == []
+
+
+def old_format(obj) -> str:
+    """The bytes files were written in before the compact form."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_indented_certificates_still_verify(kind, tmp_path, capsys):
+    text = old_format(certificate(kind))
+    ok, detail = jsonio.verify_certificate(jsonio.loads(text))
+    assert ok, detail
+    path = tmp_path / "old.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("valid: ")
+
+
+def test_indented_ca_file_is_still_read(tmp_path):
+    ca_path = tmp_path / "ca.json"
+    ca_path.write_text(old_format(jsonio.encode_ca(shift_ca())))
+    out = tmp_path / "cert.json"
+    assert main(["invert", str(ca_path), "--out", str(out)]) == 0
+    cert = jsonio.loads(out.read_text())
+    assert cert["kind"] == "reversible"
+    assert out.read_text() == jsonio.dumps(cert)
+
+
+def test_tampered_indented_certificate_is_invalid(tmp_path, capsys):
+    cert = certificate("reversible")
+    cert["payload"]["inverse"]["blocks"][0][0][0] ^= 1
+    path = tmp_path / "tampered.json"
+    path.write_text(old_format(cert))
+    assert main(["verify", str(path)]) == 10
+    assert capsys.readouterr().out.startswith("INVALID: ")
 
 
 # -- every malformed document fails the same way ------------------------------

@@ -74,6 +74,29 @@ def test_group_laws_randomized():
             assert group.multiply(e, a) == a
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_free_product_equals_reducing_the_concatenation(rank):
+    """``multiply`` cancels only at the junction of two reduced words; the
+    reference reduces the whole concatenation letter by letter."""
+    f = FreeGroup(rank)
+    ball = f.ball(3)
+    for a in ball:
+        for b in ball:
+            assert f.multiply(a, b) == f.word(a + b)
+    rng = random.Random(rank)
+    letters = [k for k in range(-rank, rank + 1) if k]
+
+    def sample(n):
+        return f.word(rng.choice(letters) for _ in range(n))
+
+    for _ in range(300):
+        a = sample(rng.randrange(60))
+        # b starts by undoing a suffix of a, so long cancellations occur.
+        k = rng.randrange(len(a) + 1)
+        b = f.word(f.inverse(a[len(a) - k:]) + sample(rng.randrange(60)))
+        assert f.multiply(a, b) == f.word(a + b)
+
+
 def test_bad_elements_rejected():
     with pytest.raises(GroupError):
         IntegerGroup().check("x")

@@ -14,9 +14,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # workload: (certificates written at seed 7, sha256 prefix of their bytes
 # concatenated in query order)
 PINNED = {
-    "invert-sigma": (4, "34c0d3706d3ba3a7"),
-    "preimage-plateau": (4, "cc1a66270e93d1d4"),
-    "mixed-small": (23, "d4be333c9c856b4e"),
+    "invert-sigma": (4, "7e45dea89966fa64"),
+    "preimage-plateau": (4, "bd98416b7efb8f50"),
+    "mixed-small": (23, "d790295f77341a37"),
 }
 
 
