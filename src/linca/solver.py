@@ -79,7 +79,7 @@ from .ca import (
     vec_to_pattern,
     zero_config,
 )
-from .groups import BallSequence, IntegerGroup, ball_fits
+from .groups import BallSequence, IntegerGroup, ball_fits, interior
 from .linalg import (
     AffineSubspace,
     Subspace,
@@ -100,39 +100,64 @@ class StabilizationCutoffError(RuntimeError):
 
 
 class WindowSystem:
-    """Cached window maps of one automaton, and the coordinate selections
-    that restrict between its windows."""
+    """The windows of one automaton: the cells A_n and B_n of each level,
+    cached, and the coordinate selections that restrict between them.
+
+    No matrix is cached.  ``window(n)`` builds the whole window map W_n
+    afresh on each call; the preimage levels never ask for it, since each
+    reads only the rows of W_n at ``new_targets(n)``, over the cells those
+    rows ``reach``."""
 
     def __init__(self, automaton: LinearCA, balls: Optional[BallSequence] = None):
         self.ca = automaton
         self.balls = balls or automaton.balls()
-        self._windows: dict[int, WindowMap] = {}
+        self._cells: dict[int, tuple[tuple, tuple]] = {}
+
+    def cells(self, n: int) -> tuple[tuple, tuple]:
+        """(A_n, B_n): the source cells and their interior, the cells where
+        the rule reads only A_n, both in canonical order."""
+        if n not in self._cells:
+            source = self.balls.window(n)
+            self._cells[n] = (source, interior(self.ca.group, source, self.ca.memory))
+        return self._cells[n]
 
     def window(self, n: int) -> WindowMap:
-        if n not in self._windows:
-            self._windows[n] = self.ca.window_map(n, self.balls)
-        return self._windows[n]
+        """The window map V^{A_n} -> V^{B_n}, built on each call."""
+        return self.ca.window_map(n, self.balls)
 
     def ambient(self, n: int) -> int:
-        return self.ca.dim_v * len(self.window(n).source)
+        return self.ca.dim_v * len(self.cells(n)[0])
 
     def restriction(self, n: int, m: int) -> np.ndarray:
         """Indices ``idx`` with x|A_n = x[idx] for x in V^{A_m}, n <= m: dimV
         coordinates per cell of A_n, in canonical cell order."""
-        return coordinates(self.window(n).source, self.window(m).source, self.ca.dim_v)
+        return coordinates(self.cells(n)[0], self.cells(m)[0], self.ca.dim_v)
+
+    def new_targets(self, n: int) -> tuple:
+        """The cells of B_n minus B_{n-1}, in canonical order; B_{-1} is empty."""
+        below = set(self.cells(n - 1)[1]) if n else set()
+        return tuple(g for g in self.cells(n)[1] if g not in below)
+
+    def reach(self, n: int, targets: Iterable) -> tuple:
+        """The cells of A_n that the rows of W_n at ``targets`` read, {g m},
+        in canonical order.  Those rows are ``ca.block_matrix(targets,
+        reach)`` at the coordinates of the reach and zero elsewhere."""
+        mul = self.ca.group.multiply
+        read = {mul(g, m) for g in targets for m in self.ca.memory}
+        return tuple(c for c in self.cells(n)[0] if c in read)
 
     def growth(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The coordinates of A_{n-1} inside A_n, the others of A_n, and the
         rows of W_n at B_n minus B_{n-1}; both windows below level 0 are empty."""
-        w, d = self.window(n), self.ca.dim_v
-        below = self.window(n - 1) if n else WindowMap((), (), None)
-        old = coordinates(below.source, w.source, d)
-        new_rows = complement(coordinates(below.target, w.target, d), len(w.matrix))
-        return old, complement(old, self.ambient(n)), new_rows
+        d = self.ca.dim_v
+        source, target = self.cells(n)
+        old = coordinates(self.cells(n - 1)[0] if n else (), source, d)
+        rows = coordinates(self.new_targets(n), target, d)
+        return old, complement(old, self.ambient(n)), rows
 
     def target_vec(self, config: Configuration, n: int) -> np.ndarray:
         """The target configuration restricted to B_n, vectorized."""
-        return pattern_to_vec(config, self.window(n).target, self.ca.dim_v, self.ca.p)
+        return pattern_to_vec(config, self.cells(n)[1], self.ca.dim_v, self.ca.p)
 
 
 class ProjectiveAffineSequence:
@@ -198,13 +223,18 @@ def preimage_sequence(
     in canonical order), and the unit rows are zero at every old
     coordinate; sorted by pivot, the rows are the RREF basis of their span.
     So ``solve_in_span`` reads X_n's directions off one product, with one
-    elimination per level."""
+    elimination per level.
+
+    No level builds W_n.  The new rows read only the cells they reach, so
+    the product takes ``ca.block_matrix(new targets, reach)`` times the
+    lift's columns at the reach: the same exact product with W_n's zero
+    columns left out."""
     p = ws.ca.p
 
     def level(n: int, below: AffineSubspace) -> AffineSubspace:
         if below.is_empty:
             return AffineSubspace.empty(ws.ambient(n), p)
-        old, new, rows = ws.growth(n)
+        old, new, _ = ws.growth(n)
         span = below.directions
         leads = np.concatenate([old[list(span.pivots)], new])
         order = np.argsort(leads)
@@ -217,8 +247,11 @@ def preimage_sequence(
         lift[slot[span.dim :], new] = 1
         lift[-1, old] = below.point
         # The new rows, pulled back to c; the last column is the point's image.
-        pulled = matmul(ws.window(n).matrix[rows], lift.T, p)
-        rhs = ws.target_vec(target, n)[rows] - pulled[:, -1]
+        fresh = ws.new_targets(n)
+        reach = ws.reach(n, fresh)
+        cols = coordinates(reach, ws.cells(n)[0], ws.ca.dim_v)
+        pulled = matmul(ws.ca.block_matrix(fresh, reach), lift[:, cols].T, p)
+        rhs = pattern_to_vec(target, fresh, ws.ca.dim_v, p) - pulled[:, -1]
         basis = lift[:-1]
         basis.setflags(write=False)
         lifted = Subspace(lift.shape[1], p, basis, tuple(leads[order].tolist()))
@@ -450,7 +483,7 @@ class EmptyFiberWitness:
 
     @cached_property
     def _window(self) -> WindowMap:
-        return self.window or WindowSystem(self.automaton).window(self.level)
+        return self.window or self.automaton.window_map(self.level)
 
     def _vector(self) -> np.ndarray:
         ca = self.automaton
@@ -669,10 +702,10 @@ def surjectivity_counterexample(
     ws = WindowSystem(ca)
     prev = None
     for n in range(max_radius + 1):
-        w = ws.window(n)
-        if prev is not None and w.source == prev:
+        source = ws.cells(n)[0]
+        if prev is not None and source == prev:
             break
-        prev = w.source
+        prev = source
         found = _window_fiber_counterexample(ca, n, ws)
         if found is not None:
             return found
@@ -788,15 +821,18 @@ def preimage_extract(
         return PreimageResult("not-in-image", witness=witness, extraction=result)
     if result.status != "ok":
         return PreimageResult("unknown", extraction=result)
-    w = ws.window(window_index)
-    pattern = vec_to_pattern(result.prefix, w.source, ca.dim_v)
-    image = matmul(w.matrix, result.prefix.reshape(-1, 1), ca.p).reshape(-1)
-    if not np.array_equal(image, ws.target_vec(target, window_index)):
+    source, matched = ws.cells(window_index)
+    pattern = vec_to_pattern(result.prefix, source, ca.dim_v)
+    # The rule's own loop: it shares no code with block_matrix or matmul.
+    image = Pattern(ca._evaluate(matched, pattern.cells.get))
+    if not np.array_equal(
+        pattern_to_vec(image, matched, ca.dim_v, ca.p), ws.target_vec(target, window_index)
+    ):
         raise AssertionError("extracted prefix does not match the target window")
     return PreimageResult(
         "ok",
         pattern=pattern,
-        window_cells=w.source,
-        matched_cells=w.target,
+        window_cells=source,
+        matched_cells=matched,
         extraction=result,
     )

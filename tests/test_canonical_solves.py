@@ -26,6 +26,7 @@ from linca import (
     symmetric_group_3,
 )
 from linca import linalg
+from linca.ca import coordinates
 from linca.linalg import (
     AffineSubspace,
     Subspace,
@@ -224,3 +225,20 @@ def test_growth_keeps_old_coordinates_increasing(group, memory):
         assert np.array_equal(rows, np.array(
             [ws.ca.dim_v * i + k for i in kept for k in range(ws.ca.dim_v)], dtype=np.intp
         ))
+
+
+@pytest.mark.parametrize("group,memory", GROUPS, ids=GROUP_IDS)
+def test_new_rows_read_only_their_reach(group, memory):
+    """The preimage levels multiply the block matrix of the new targets over
+    their reach, not the new rows of W_n: those rows must be that block
+    matrix at the reach's coordinates and zero at every other one."""
+    ws = WindowSystem(random_ca(random.Random(5), group, 3, 2, memory))
+    d = ws.ca.dim_v
+    for n in range(4):
+        _, _, rows = ws.growth(n)
+        fresh = ws.new_targets(n)
+        reach = ws.reach(n, fresh)
+        cols = coordinates(reach, ws.cells(n)[0], d)
+        new_rows = ws.window(n).matrix[rows]
+        assert np.array_equal(new_rows[:, cols], ws.ca.block_matrix(fresh, reach)), n
+        assert not np.delete(new_rows, cols, axis=1).any(), n

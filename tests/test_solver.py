@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -182,7 +183,8 @@ def test_levels_match_the_direct_window_solve(group, memory):
 
 def test_preimage_sequence_is_freed_without_the_cycle_collector():
     """The level function must not hold its own sequence: a reference cycle
-    would keep every sequence and its window maps alive until a collection."""
+    would keep every sequence, its window system and the cached cells of its
+    windows alive until a collection."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -194,6 +196,48 @@ def test_preimage_sequence_is_freed_without_the_cycle_collector():
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("group,memory", LEVEL_GROUPS)
+def test_preimage_levels_build_only_their_new_rows(monkeypatch, group, memory):
+    """Level n builds one block matrix with at most dimV |B_n minus B_{n-1}|
+    rows, never the whole window map."""
+    rng = random.Random(23)
+    ca = random_ca(rng, group, 3, 2, memory)
+    ws = WindowSystem(ca)
+    target = ca.apply_config(random_finite_support(rng, group, 3, 2, ws.cells(1)[0]))
+    shapes = []
+    build = LinearCA.block_matrix
+
+    def recorded(self, rows, cols):
+        mat = build(self, rows, cols)
+        shapes.append(mat.shape)
+        return mat
+
+    monkeypatch.setattr(LinearCA, "block_matrix", recorded)
+    preimage_sequence(ws, target).level(3)
+    assert len(shapes) == 4
+    for n, (rows, _) in enumerate(shapes):
+        assert rows <= ca.dim_v * len(ws.new_targets(n)), n
+
+
+def test_preimage_extract_memory_on_sigma_10():
+    """sigma_10 (dimV 55) at window 4 and cutoff 24 reaches level 15.  A dense
+    W_n per level put the tracemalloc peak near 160 MB; the new rows over
+    their reach need under 20 MB."""
+    ca = gallery.sigma_truncated_ca(10, 2)
+    rng = random.Random(11)
+    target = finite_support(
+        2, ca.dim_v, {g: [rng.randrange(2) for _ in range(ca.dim_v)] for g in range(-2, 3)}
+    )
+    tracemalloc.start()
+    try:
+        result = preimage_extract(ca, target, 4, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == "ok"
+    assert peak < 40 * 2**20, peak
 
 
 def test_universal_chain_constant_sequence_plateaus_immediately():
