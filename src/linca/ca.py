@@ -160,6 +160,7 @@ class LinearCA:
         return Pattern(self._evaluate(cells, pattern.cells.get))
 
     def apply_config(self, config: "Configuration") -> "Configuration":
+        check_on_group(self.group, config)
         d = self.dim_v
         if isinstance(config, FiniteSupportConfig):
             g = self.group
@@ -168,8 +169,6 @@ class LinearCA:
             }
             return finite_support(self.p, d, self._evaluate(cells, config.cells.get))
         if isinstance(config, PeriodicConfig):
-            if not isinstance(self.group, IntegerGroup):
-                raise CAError("periodic configurations require the integer group")
             out = self._evaluate(range(config.period), lambda h: config.value_at(h, d))
             return PeriodicConfig(tuple(_freeze(v) for v in out.values()))
         if isinstance(config, ConstantConfig):
@@ -360,15 +359,21 @@ def zero_config() -> FiniteSupportConfig:
     return FiniteSupportConfig({})
 
 
+def check_on_group(group: Group, config: Configuration) -> None:
+    """Raise CAError unless ``config`` is a configuration on ``group``:
+    periodic ones are defined on the integers only."""
+    if isinstance(config, PeriodicConfig) and not isinstance(group, IntegerGroup):
+        raise CAError("periodic configurations require the integer group")
+
+
 def shift_config(group: Group, g, config: Configuration) -> Configuration:
     """The left shift action: (g x)(h) = x(g^{-1} h)."""
+    check_on_group(group, config)
     if isinstance(config, FiniteSupportConfig):
         return FiniteSupportConfig(
             {group.multiply(g, h): v for h, v in config.cells.items()}
         )
     if isinstance(config, PeriodicConfig):
-        if not isinstance(group, IntegerGroup):
-            raise CAError("periodic configurations require the integer group")
         q = config.period
         return PeriodicConfig(tuple(config.values[(i - g) % q] for i in range(q)))
     if isinstance(config, ConstantConfig):

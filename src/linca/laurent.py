@@ -84,45 +84,6 @@ def coefficients(ca: LinearCA) -> LaurentMatrix:
     return LaurentMatrix(ca, low, radix, blocks)
 
 
-def taylor_shift(coeffs: np.ndarray, c: int, p: int) -> np.ndarray:
-    """Coefficients of f(x + c) from those of f (scalars or matrices along axis
-    0, constant term first): the Pascal matrix C(k, i) c^(k-i) applied to them."""
-    if c % p == 0:
-        return coeffs
-    n = len(coeffs)
-    pascal = np.zeros((n, n), dtype=np.int64)
-    pascal[0, 0] = 1
-    for k in range(1, n):
-        pascal[1:, k] = pascal[:-1, k - 1]
-        pascal[:, k] = (pascal[:, k] + c % p * pascal[:, k - 1]) % p
-    return linalg.matmul(pascal, coeffs.reshape(n, -1), p).reshape(coeffs.shape)
-
-
-def determinant(ca: LinearCA) -> Optional[np.ndarray]:
-    """det P(t) over GF(p) for the coefficient blocks Q_0..Q_D of a rule (on
-    Z, P = sum_m b_m t^(m - min M) over the cells M it reads): up to a nonzero
-    factor, constant term first, all zeros for det = 0 and None when GF(p) is
-    too small to decide.  det P has degree <= nD (n = dimV).  At the first
-    t0 < min(p, nD + 1) with P(t0) invertible, P(t0 + s) = Q_0 (I + M_1 s +
-    ... + M_D s^D), whose det is the reversed charpoly of the block companion
-    of the M_i.  No such t0 means nD + 1 roots, so det P = 0, unless p <= nD."""
-    n, p, blocks = ca.dim_v, ca.p, coefficients(ca).blocks
-    low, deg = min(blocks), max(blocks) - min(blocks)
-    coeffs = np.zeros((deg + 1, n, n), dtype=np.int64)
-    for k, b in blocks.items():
-        coeffs[k - low] = b
-    for t0 in range(min(p, n * deg + 1)):
-        # Reduce [Q_0 | ... | Q_D]: Q_0 is invertible iff it holds the first n pivots.
-        shifted = taylor_shift(coeffs, t0, p).transpose(1, 0, 2).reshape(n, -1 if n else 0)
-        r, pivots, _ = linalg.rref(shifted, p)
-        if pivots[:n] == tuple(range(n)):
-            companion = np.eye(n * deg, k=-n, dtype=np.int64)
-            if deg:  # else the companion is empty and det P = det Q_0
-                companion[:n] = -r[:, n:] % p  # -[M_1 ... M_D]
-            return taylor_shift(linalg.charpoly(companion, p)[::-1], -t0, p)
-    return np.zeros(1, dtype=np.int64) if p > n * deg else None
-
-
 class Series(NamedTuple):
     """What the inverse power series says about a rule: ``ends`` True with
     the inverse rule when det A is a unit, False when det A is nonzero but

@@ -161,40 +161,6 @@ def rank(mat, p: int) -> int:
     return rref(mat, p)[2]
 
 
-def charpoly(mat, p: int) -> np.ndarray:
-    """Coefficients of det(x I - mat) over GF(p), constant term first, in
-    O(N^3): elementary similarities bring ``mat`` to upper Hessenberg form H,
-    and the leading k x k blocks of H have p_k = (x - h_kk) p_{k-1} - sum_{i<k}
-    h_ik (h_{i+1,i} ... h_{k,k-1}) p_{i-1}.  int64 sums stay below N (p-1)^2."""
-    h = as_matrix(mat, p)
-    n = h.shape[0]
-    if h.shape[1] != n:
-        raise LinalgError(f"charpoly needs a square matrix, got shape {h.shape}")
-    for j in range(n - 2):
-        nz = np.flatnonzero(h[j + 1 :, j])
-        if nz.size == 0:
-            continue
-        i = j + 1 + nz[0]
-        if i != j + 1:
-            h[[i, j + 1]] = h[[j + 1, i]]
-            h[:, [i, j + 1]] = h[:, [j + 1, i]]
-        # Rows j+2.. lose multiples u of row j+1; column j+1 gains u of them.
-        u = h[j + 2 :, j] * pow(int(h[j + 1, j]), -1, p) % p
-        h[j + 2 :] = (h[j + 2 :] - u[:, None] * h[j + 1]) % p
-        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2 :] @ u) % p
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    chain = np.zeros(n, dtype=np.int64)  # h_{i+1,i} ... h_{k,k-1}, i < k
-    for k in range(1, n + 1):
-        if k > 1:
-            chain[k - 2] = 1
-            chain[: k - 1] = chain[: k - 1] * h[k - 1, k - 2] % p
-        lower = h[: k - 1, k - 1] * chain[: k - 1] % p @ polys[: k - 1]
-        polys[k, 1:] = polys[k - 1, :-1]
-        polys[k] = (polys[k] - h[k - 1, k - 1] * polys[k - 1] - lower) % p
-    return polys[n]
-
-
 def complement(indices, size: int) -> np.ndarray:
     """The indices in range(size) that are not in ``indices``, ascending."""
     keep = np.ones(size, dtype=bool)

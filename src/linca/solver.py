@@ -29,7 +29,7 @@ amenable groups Z^d a linear CA is surjective iff pre-injective, and
 injective ones are surjective (linear Garden of Eden; Ceccherini-Silberstein
 & Coornaert, Cellular Automata and Groups, ch. 8).  An invertible end block
 makes det A nonzero; the series ends iff det A is a unit.  With both end
-blocks singular the series cannot tell, and on Z the determinant decides.
+blocks singular the series cannot tell, and every search runs.
 
     group   series     det A      searches run              why the others cannot succeed
     Z, Z^d  ends       unit       left inverse, read off    bijective: no kernel element, every window
@@ -41,12 +41,8 @@ blocks singular the series cannot tell, and on Z the determinant decides.
     Z^d     does not   nonzero    constant                  the same; a constant kernel element is not
             end                                             finitely supported, and only Z has the
                                                             periodic search
-    Z       undecided  unit       left inverse              bijective: no kernel element, every window
-                                                            map onto
-    Z       undecided  nonzero    periodic                  as for a series that does not end
-    Z       undecided  zero       support, periodic, fiber  not injective, so no left inverse
-    Z       undecided  undecided  all                       (GF(p) has no point where A is invertible)
-    Z^d     undecided  -          all                       (the determinant is taken on Z only)
+    Z, Z^d  undecided  -          all but constant on Z     none is ruled out; on Z period 1 is the
+                                                            constant search
 
 Rows marked Z^d are for d >= 2.
 """
@@ -68,6 +64,7 @@ from .ca import (
     PeriodicConfig,
     WindowMap,
     cell_view,
+    check_on_group,
     compose,
     config_equal,
     constant,
@@ -615,15 +612,7 @@ def _possible_families(ca: LinearCA, series: Optional[laurent.Series] = None) ->
         if series.ends:
             return frozenset({"left-inverse"})
         return frozenset({"periodic"} if on_z else {"constant"})
-    if not on_z:
-        return every
-    det = laurent.determinant(ca)
-    if det is None:  # on the integers period 1 subsumes the constant search
-        return every - {"constant"}
-    terms = np.count_nonzero(det)
-    if terms == 1:
-        return frozenset({"left-inverse"})
-    return frozenset({"periodic"} if terms else {"support", "periodic", "fiber"})
+    return every - {"constant"} if on_z else every
 
 
 def _kernel_search(
@@ -650,8 +639,8 @@ def kernel_witness(
 ) -> Optional[Configuration]:
     """Search for a nonzero configuration in the kernel: finitely supported
     ones on growing balls first, then periodic ones on the integers, as far as
-    the Laurent determinant allows.  Any returned witness is re-verified
-    exactly; None is inconclusive."""
+    the inverse power series allows on Z and Z^d.  Any returned witness is
+    re-verified exactly; None is inconclusive."""
     if min(support_bound, period_bound) < 0:
         raise ValueError(f"bounds must be >= 0, got {support_bound} and {period_bound}")
     radii, periods = range(support_bound + 1), range(1, period_bound + 1)
@@ -692,9 +681,9 @@ def surjectivity_counterexample(
     ca: LinearCA, max_radius: int = 6
 ) -> Optional[EmptyFiberWitness]:
     """Scan window maps for a rank deficiency; any pattern outside a window
-    image certifies non-surjectivity of the global map.  A nonzero Laurent
-    determinant (an invertible end block on Z or Z^d, or the det on Z) proves
-    the map surjective, so then nothing is scanned.  None is inconclusive."""
+    image certifies non-surjectivity of the global map.  On Z and Z^d an
+    invertible end block makes det A nonzero, which proves the map
+    surjective, so then nothing is scanned.  None is inconclusive."""
     if max_radius < 0:
         raise ValueError(f"max_radius must be >= 0, got {max_radius}")
     if "fiber" not in _possible_families(ca):
@@ -728,11 +717,9 @@ def invert_ca(ca: LinearCA, max_radius: int = 8) -> InvertResult:
     ``max_radius``; past it the answer is the search's Unknown, so
     ``max_radius`` bounds the returned inverse's radius either way.  When it
     does not end only the periodic search runs on Z and the constant one on
-    Z^d.  When neither end block is invertible the Laurent determinant
-    prunes the searches on Z: a unit det searches only left inverses, a
-    nonzero one only periodic witnesses, det = 0 all but left inverses, an
-    undecided one everything.  Order and radii are kept, so the first
-    success is the one the full search finds."""
+    Z^d.  When neither end block is invertible every search runs, except
+    the constant one on Z, which period 1 covers.  Order and radii are kept,
+    so the first success is the one the full search finds."""
     if max_radius < 0:
         raise ValueError(f"max_radius must be >= 0, got {max_radius}")
     series = laurent.inverse_series(ca)
@@ -810,6 +797,7 @@ def preimage_extract(
 ) -> PreimageResult:
     """Extract a window preimage of the target configuration through the
     projective sequence of window fibers."""
+    check_on_group(ca.group, target)
     ws = WindowSystem(ca)
     seq = preimage_sequence(ws, target)
     result = extract_limit_prefix(seq, window_index, cutoff, plateau_k)

@@ -125,15 +125,11 @@ def test_preimage_is_the_inverse_applied_to_the_target(group):
     assert checked == 6
 
 
-def test_the_determinant_is_not_taken_at_an_invertible_end_block(monkeypatch):
-    """With an invertible end block the series decides, so the determinant,
-    cubic in the memory span, is never computed.  The rule with memory
-    {0, 600} took seconds through the determinant."""
-
-    def refuse(ca):
-        raise AssertionError("the determinant was computed")
-
-    monkeypatch.setattr(laurent, "determinant", refuse)
+def test_wide_memory_and_unit_rules_get_their_answers():
+    """Wide memory, where an algorithm cubic in the memory span would take
+    seconds: {0, 600} with invertible end blocks, and {0, 150, 300} with
+    both end blocks singular, where the full search runs.  Unit-det rules are
+    inverted and the add rule gets its kernel witness."""
     rng = random.Random(5)
     p = 1048573
     wide = LinearCA(Z, p, 2, (0, 600), (random_matrix(rng, 2, 2, p), random_matrix(rng, 2, 2, p)))
@@ -148,6 +144,12 @@ def test_the_determinant_is_not_taken_at_an_invertible_end_block(monkeypatch):
         assert isinstance(invert_ca(ca, 8), ReversibilityCertificate)
     assert solver.kernel_witness(add) is not None
     assert solver.surjectivity_counterexample(wide) is None
+    blocks = (np.diag([1, 0]), random_matrix(random.Random(7), 2, 2, p), np.diag([0, 1]))
+    singular_ends = LinearCA(Z, p, 2, (0, 150, 300), blocks)
+    assert laurent.inverse_series(singular_ends).ends is None
+    assert isinstance(invert_ca(singular_ends, 3), SolverUnknown)
+    assert solver.kernel_witness(singular_ends) is None
+    assert solver.surjectivity_counterexample(singular_ends) is None
 
 
 def test_sigma_is_inverted_without_the_left_inverse_search(monkeypatch):

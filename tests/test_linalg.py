@@ -16,7 +16,6 @@ from linca.linalg import (
     Subspace,
     as_matrix,
     as_vector,
-    charpoly,
     constrain_affine,
     image_of_affine,
     image_of_subspace,
@@ -380,103 +379,3 @@ def test_zero_dimensional_edge_cases():
     assert rk == 0
     k = kernel_basis(np.zeros((2, 0), dtype=np.int64), 2)
     assert k.ambient == 0 and k.dim == 0
-
-
-# -- characteristic polynomials ------------------------------------------------
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _poly_det(m, p):
-    """Determinant of a matrix of polynomials (coefficient lists, constant
-    term first) by Laplace expansion along the first row."""
-    if not m:
-        return [1]
-    total = [0]
-    for j, entry in enumerate(m[0]):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = _poly_mul(entry, _poly_det(minor, p), p)
-        sign = 1 if j % 2 == 0 else -1
-        total += [0] * (len(term) - len(total))
-        for k, c in enumerate(term):
-            total[k] = (total[k] + sign * c) % p
-    return total
-
-
-def laplace_charpoly(a, p):
-    """det(x I - a) over GF(p) expanded in pure Python ints, sharing no code
-    with the Hessenberg reduction; padded to its n + 1 coefficients."""
-    n = len(a)
-    m = [[[-a[i][j] % p] + ([1] if i == j else []) for j in range(n)] for i in range(n)]
-    det = _poly_det(m, p)
-    return (det + [0] * (n + 1))[: n + 1]
-
-
-def _shift_nilpotent(perm):
-    """e_perm[i] -> e_perm[i+1]: a Jordan block conjugated by a permutation."""
-    n = len(perm)
-    a = np.zeros((n, n), dtype=np.int64)
-    for i in range(n - 1):
-        a[perm[i], perm[i + 1]] = 1
-    return a
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 1048573])
-def test_charpoly_small_cases_match_laplace(p):
-    assert charpoly(np.zeros((0, 0), dtype=np.int64), p).tolist() == [1]
-    assert charpoly([[3]], p).tolist() == [-3 % p, 1]
-    rng = random.Random(p)
-    for n in range(1, 5):
-        perm = rng.sample(range(n), n)
-        assert charpoly(_shift_nilpotent(perm), p).tolist() == [0] * n + [1]
-        full = np.full((n, n), p - 1, dtype=np.int64)  # int64 headroom at large p
-        for a in (full, random_matrix(rng, n, n, p)):
-            before = a.copy()
-            assert charpoly(a, p).tolist() == laplace_charpoly(a.tolist(), p)
-            assert np.array_equal(a, before)
-
-
-def test_charpoly_rejects_non_square():
-    with pytest.raises(LinalgError):
-        charpoly(np.zeros((2, 3), dtype=np.int64), 3)
-
-
-@st.composite
-def square_matrices(draw):
-    p = draw(st.sampled_from((2, 3, 5, 1048573)))
-    n = draw(st.integers(0, 4))
-    flat = draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
-    return p, np.array(flat, dtype=np.int64).reshape(n, n)
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=200)
-@given(square_matrices())
-def test_charpoly_matches_laplace(case):
-    p, a = case
-    got = charpoly(a, p)
-    assert got.dtype == np.int64 and got.shape == (a.shape[0] + 1,)
-    assert got.tolist() == laplace_charpoly(a.tolist(), p)
-
-
-def test_charpoly_matches_sympy_on_larger_matrices():
-    sympy = pytest.importorskip("sympy")
-    x = sympy.symbols("x")
-    rng = random.Random(5)
-    for p in (2, 3, 5, 1048573):
-        for n in (5, 8, 12):
-            perm = rng.sample(range(n), n)
-            sparse = random_matrix(rng, n, n, p) * (random_matrix(rng, n, n, 4) == 0)
-            for a in (
-                random_matrix(rng, n, n, p),
-                sparse,
-                np.full((n, n), p - 1, dtype=np.int64),
-                _shift_nilpotent(perm),
-            ):
-                ref = sympy.Matrix(a.tolist()).charpoly(x).all_coeffs()[::-1]
-                assert charpoly(a, p).tolist() == [int(c) % p for c in ref]

@@ -5,7 +5,6 @@ import itertools
 import random
 import tracemalloc
 import weakref
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -52,7 +51,7 @@ from linca import (
     symmetric_group_3,
     universal_spaces,
 )
-from linca.ca import pattern_to_vec, vec_to_pattern
+from linca.ca import CAError, pattern_to_vec, shift_config, vec_to_pattern
 from linca.linalg import solve_affine
 from linca.solver import (
     KernelWitness,
@@ -361,6 +360,22 @@ def test_extraction_not_in_image_reports_empty_level():
     res = preimage_extract(proj, target, 3, 8)
     assert res.status == "not-in-image"
     assert res.witness is not None and res.witness.verify()
+
+
+@pytest.mark.parametrize("group", [FreeGroup(2), cyclic_group(6)], ids=["F2", "Z6"])
+def test_periodic_target_off_the_integers_is_rejected(group):
+    """A periodic configuration lives on Z only: preimage_extract rejects
+    one on another group before any level is built, with the error that
+    apply_config and shift_config raise."""
+    ca = identity_ca(group, 2, 1)
+    target = periodic(2, 1, [[1], [0]])
+    for call in (
+        lambda: preimage_extract(ca, target, 1, 4),
+        lambda: ca.apply_config(target),
+        lambda: shift_config(group, group.identity(), target),
+    ):
+        with pytest.raises(CAError, match="integer group"):
+            call()
 
 
 @pytest.mark.parametrize("bad,plateau_k", [(2, 2), (3, 4), (4, 5)])
@@ -693,7 +708,7 @@ def test_preimage_roundtrip_randomized():
     assert failures == 0
 
 
-# -- the Laurent determinant and the searches it rules out -----------------------
+# -- the inverse series and the searches it rules out ---------------------------
 
 
 def laurent_rules(count, seed):
@@ -717,83 +732,27 @@ def laurent_rules(count, seed):
         yield LinearCA(Z, p, d, memory, blocks)
 
 
-# det P(t) = t, a unit, while P(0) is singular: the determinant is taken at t0 = 1.
+# det P(t) = t, a unit, while both end blocks are singular: the series cannot tell.
 UNIT_SINGULAR_AT_ZERO = LinearCA(Z, 3, 2, (0, 1), (np.diag([0, 1]), np.diag([1, 0])))
-# det P(t) = t (t + 1) vanishes on all of GF(2), and p <= nD = 2.
-UNDECIDED = LinearCA(Z, 2, 2, (0, 1), (np.diag([0, 1]), np.eye(2, dtype=np.int64)))
-
-
-def det_class(ca):
-    return class_of(laurent.determinant(ca))
-
-
-def class_of(det):
-    if det is None:
-        return "undecided"
-    return {0: "zero", 1: "unit"}.get(int(np.count_nonzero(det)), "nonzero")
-
-
-def up_to_constant(coeffs, p):
-    """Coefficients scaled to a monic polynomial; [] for the zero polynomial."""
-    c = [int(x) % p for x in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
-    inv = pow(c[-1], -1, p) if c else 0
-    return [x * inv % p for x in c]
-
-
-def test_laurent_det_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-    t = sympy.symbols("t")
-    rules = list(laurent_rules(150, 11)) + [UNIT_SINGULAR_AT_ZERO, UNDECIDED]
-    classes = Counter()
-    for ca in rules:
-        live = ca.support_memory
-        low, nd = min(live), ca.dim_v * (max(live) - min(live))
-        got = laurent.determinant(ca)
-        classes[class_of(got)] += 1
-        if got is None:
-            assert ca.p <= nd
-            continue
-        mat = sympy.zeros(ca.dim_v, ca.dim_v)
-        for m in live:
-            mat += sympy.Matrix(ca.block(m).tolist()) * t ** (m - low)
-        ref = sympy.Poly(mat.det(method="berkowitz"), t).all_coeffs()[::-1]
-        assert up_to_constant(got, ca.p) == up_to_constant(ref, ca.p)
-        if not np.any(got):
-            assert ca.p > nd
-    assert set(classes) == {"unit", "nonzero", "zero", "undecided"}
-    assert up_to_constant(laurent.determinant(UNIT_SINGULAR_AT_ZERO), 3) == [0, 1]
-    assert det_class(UNDECIDED) == "undecided"
-
-
-def test_laurent_det_edge_cases():
-    assert laurent.determinant(LinearCA(Z, 5, 0, (0, 1), (np.zeros((0, 0)),) * 2)).tolist() == [1]
-    assert det_class(LinearCA(Z, 5, 2, (0,), (np.diag([1, 0]),))) == "zero"
-    assert det_class(sigma2_block_ca(3)) == "unit"
-    assert det_class(add_rule()) == "nonzero"
-    # Shared v: rank 1 at every t, and p = 1048573 > nD leaves no doubt.
-    v, u0, u1 = np.array([[1, 2]]), np.array([[3], [4]]), np.array([[5], [1]])
-    assert det_class(LinearCA(Z, 1048573, 2, (0, 1), (u0 @ v, u1 @ v))) == "zero"
-
-
-# Both end blocks singular, so only the determinant can prune: on Z it is
-# undecided (det P = t (t + 1)^2 over GF(2)), on Z^2 it is not taken.
+# det P(t) = t (t + 1): the lowest block is singular and the highest is I.
+SINGULAR_LOWEST_BLOCK = LinearCA(Z, 2, 2, (0, 1), (np.diag([0, 1]), np.eye(2, dtype=np.int64)))
+# Both end blocks singular, so the series cannot tell and every search runs,
+# on Z all but the constant one (det P = t (t + 1)^2 over GF(2)).
 BOTH_ENDS_SINGULAR = LinearCA(Z, 2, 2, (0, 1, 2), (np.diag([0, 1]), np.diag([1, 0]), np.diag([0, 1])))
 BOTH_ENDS_SINGULAR_Z2 = LinearCA(
     LatticeGroup(2), 3, 2, ((0, 0), (0, 1), (1, 0)), (np.diag([1, 0]), np.diag([0, 1]), np.eye(2, dtype=np.int64))
 )
 
 
-def test_possible_families_follow_the_determinant():
+def test_possible_families_follow_the_series():
     every = {"left-inverse", "support", "constant", "periodic", "fiber"}
-    assert _possible_families(UNIT_SINGULAR_AT_ZERO) == {"left-inverse"}
+    assert _possible_families(UNIT_SINGULAR_AT_ZERO) == every - {"constant"}
     assert _possible_families(add_rule()) == {"periodic"}
     zero = LinearCA(Z, 2, 1, (0,), ([[0]],))
-    assert _possible_families(zero) == {"support", "periodic", "fiber"}
+    assert _possible_families(zero) == every - {"constant"}
     assert _possible_families(BOTH_ENDS_SINGULAR) == every - {"constant"}
-    # UNDECIDED's highest block is I: the series decides what the det cannot.
-    assert _possible_families(UNDECIDED) == {"periodic"}
+    # The highest block is I, so the series runs from it.
+    assert _possible_families(SINGULAR_LOWEST_BLOCK) == {"periodic"}
     square = LinearCA(LatticeGroup(2), 2, 1, ((0, 0), (1, 0)), ([[1]], [[1]]))
     assert _possible_families(square) == {"constant"}
     assert _possible_families(BOTH_ENDS_SINGULAR_Z2) == every
@@ -860,10 +819,10 @@ def lattice_rules(count, seed):
 
 def test_pruned_searches_give_the_full_search_answers(monkeypatch):
     """Every entry point answers byte for byte as with every family searched,
-    which is what a series and a determinant that both stay undecided run."""
+    which is what a series that stays undecided runs."""
     rng = random.Random(23)
     cases = [(ca, 2) for ca in laurent_rules(45, 29)]
-    cases += [(UNIT_SINGULAR_AT_ZERO, 2), (UNDECIDED, 2), (add_rule(3), 2)]
+    cases += [(UNIT_SINGULAR_AT_ZERO, 2), (SINGULAR_LOWEST_BLOCK, 2), (add_rule(3), 2)]
     cases += [(BOTH_ENDS_SINGULAR, 2), (BOTH_ENDS_SINGULAR_Z2, 2)]
     cases += [(ca, 2) for ca in lattice_rules(18, 31)]
     for j, p in ((2, 2), (3, 3), (4, 2), (5, 3)):
@@ -875,14 +834,12 @@ def test_pruned_searches_give_the_full_search_answers(monkeypatch):
         pruned = _visible_answers(ca, max_radius)
         with monkeypatch.context() as m:
             m.setattr(laurent, "inverse_series", lambda ca: laurent.UNDECIDED)
-            m.setattr(laurent, "determinant", lambda ca: None)
             assert _visible_answers(ca, max_radius) == pruned
     every = frozenset({"left-inverse", "support", "constant", "periodic", "fiber"})
     assert families == {
         frozenset({"left-inverse"}),
         frozenset({"periodic"}),
         frozenset({"constant"}),
-        frozenset({"support", "periodic", "fiber"}),
         every - {"constant"},
         every,
     }
