@@ -14,10 +14,12 @@ families: finitely supported (any group), periodic (integers only) and
 constant.  ``LinearCA.block_matrix`` is the one assembler of rule blocks
 into a GF(p) matrix; it writes each block once, as stored, and reduces
 nothing.  Window maps V^A -> V^B with B = interior(A, M) are block matrices
-in the canonical cell order, and so is every solver system, read directly,
-transposed or with columns folded.  This module also owns the one evaluator,
-the plain loop ``LinearCA._evaluate`` that checks those matrices
-independently, and the cell layout of window vectors (``cell_view``).
+with columns in the window's order (``BallSequence.window``) and rows in the
+canonical cell order; every other solver system is in the canonical cell
+order, read directly, transposed or with columns folded.  This module also
+owns the one evaluator, the plain loop ``LinearCA._evaluate`` that checks
+those matrices independently, and the cell layout of window vectors
+(``cell_view``).
 """
 
 from __future__ import annotations
@@ -199,8 +201,9 @@ class LinearCA:
         return mat
 
     def window_map(self, n: int, balls: Optional[BallSequence] = None) -> "WindowMap":
-        """The matrix of the induced map V^{A_n} -> V^{B_n} in canonical
-        cell order; B_n empty gives the map onto the zero-row space."""
+        """The matrix of the induced map V^{A_n} -> V^{B_n}, columns in the
+        order of A_n and rows in canonical cell order; B_n empty gives the
+        map onto the zero-row space."""
         balls = balls or self.balls()
         source = balls.window(n)
         target = interior(self.group, source, self.memory)

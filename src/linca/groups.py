@@ -435,6 +435,11 @@ class BallSequence:
     ``for_memory`` picks the smallest radius offset r0 that puts the whole
     memory set inside A_0, the convention used by all window maps here.
     On finite groups the sequence saturates to the full group.
+
+    ``window(n)`` lists A_{n-1} first, then the cells new at level n: the
+    ball sorted by layer max(word_norm(g) - r0, 0), stably, so each layer
+    keeps the canonical order.  Every restriction x|A_n of a window vector
+    over A_m is then its prefix of dimV |A_n| coordinates.
     """
 
     def __init__(self, group: Group, r0: int = 0, limit: int = DEFAULT_BALL_LIMIT):
@@ -456,7 +461,9 @@ class BallSequence:
         if n < 0:
             raise GroupError("window index must be nonnegative")
         if n not in self._cache:
-            self._cache[n] = self.group.ball(self.r0 + n, self.limit)
+            norm, r0 = self.group.word_norm, self.r0
+            ball = self.group.ball(r0 + n, self.limit)
+            self._cache[n] = tuple(sorted(ball, key=lambda g: max(norm(g) - r0, 0)))
         return self._cache[n]
 
 

@@ -52,6 +52,7 @@ from .ca import (
     LinearCA,
     Pattern,
     PeriodicConfig,
+    check_on_group,
     constant,
     finite_support,
     pattern_to_vec,
@@ -295,14 +296,15 @@ def decode_config(group: Group, p: int, dim_v: int, data):
     kind = data.get("kind")
     if kind == "finite-support":
         cells = _pairs(data.get("cells", []), functools.partial(decode_element, group))
-        return finite_support(p, dim_v, cells)
-    if kind == "periodic":
-        if not isinstance(group, IntegerGroup):
-            raise FormatError("periodic configurations require the integer group")
-        return periodic(p, dim_v, data["values"])
-    if kind == "constant":
-        return constant(p, dim_v, data["value"])
-    raise FormatError(f"unknown configuration kind {kind!r}")
+        config = finite_support(p, dim_v, cells)
+    elif kind == "periodic":
+        config = periodic(p, dim_v, data["values"])
+    elif kind == "constant":
+        config = constant(p, dim_v, data["value"])
+    else:
+        raise FormatError(f"unknown configuration kind {kind!r}")
+    check_on_group(group, config)
+    return config
 
 
 def encode_pattern(group: Group, pattern: Pattern) -> dict:

@@ -27,12 +27,14 @@ canonical, by two facts:
   pivot every other row of K S reads K's zero entry at column f.
 
 ``kernel_basis``, ``solve_affine_multi`` and ``solve_in_span`` rest on
-them; ``Subspace.from_spanning`` remains only for arbitrary spanning sets
-(``image_of_subspace`` and outside input).
+them; ``solve_in_span`` has one caller, the preimage levels.
+``Subspace.from_spanning`` remains only for spanning sets from outside.
 
-The bonds of a projective sequence are restrictions, which only select
-coordinates: ``image_of_subspace``, ``image_of_affine`` and
-``constrain_affine`` take the index array ``coords`` of x -> x[coords].
+The bonds of a projective sequence are prefixes: each window lists the one
+below it first, so x -> x[:k].  ``image_of_subspace``, ``image_of_affine``
+and ``constrain_affine`` take the length k and read their results off the
+RREF rows with no elimination.  The rows with pivot < k, cut to [:k], are
+the RREF basis of the image; the rows with pivot >= k are zero on [:k].
 
 Coercion happens once, at the edge: ``rref`` and the public functions
 accept any integer array-like (lists, read-only or non-contiguous arrays)
@@ -55,6 +57,7 @@ wrap silently and give a wrong "exact" answer.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -353,46 +356,50 @@ def _solve(mat, rhs_cols, p: int) -> tuple[Subspace, np.ndarray, np.ndarray]:
     return Subspace(cols, p, basis, tuple(free.tolist())), points, solvable
 
 
-def _coordinates(coords, ambient: int) -> np.ndarray:
-    """``coords`` as a checked 1-d index array into GF(p)^ambient; numpy
-    would wrap a negative index around silently."""
-    idx = np.asarray(coords)
-    idx = idx if idx.size else idx.astype(np.intp)
-    if idx.ndim != 1 or idx.dtype.kind not in "iu":
-        raise LinalgError(f"coordinates must be a 1-d integer array, got {idx.ndim}-d {idx.dtype}")
-    if idx.size and not 0 <= idx.min() <= idx.max() < ambient:
-        raise LinalgError(f"coordinates must lie in [0, {ambient})")
-    return idx
+def _prefix(k, ambient: int) -> int:
+    """``k`` checked as the length of a prefix of GF(p)^ambient."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= ambient:
+        raise LinalgError(f"prefix length must be an int in [0, {ambient}], got {k!r}")
+    return int(k)
 
 
-def image_of_subspace(coords, subspace: Subspace, p: int) -> Subspace:
-    """Exact image of a subspace under the coordinate selection x -> x[coords]."""
-    idx = _coordinates(coords, subspace.ambient)
-    if subspace.dim == 0:
-        return Subspace.zero(idx.size, p)
-    return Subspace.from_spanning(subspace.basis[:, idx], idx.size, p)
+def image_of_subspace(k, subspace: Subspace, p: int) -> Subspace:
+    """Exact image of a subspace under the prefix x -> x[:k]: its basis rows
+    with pivot < k, cut to [:k]."""
+    k = _prefix(k, subspace.ambient)
+    r = bisect.bisect_left(subspace.pivots, k)
+    return Subspace(k, p, subspace.basis[:r, :k], subspace.pivots[:r])
 
 
-def image_of_affine(coords, affine: AffineSubspace, p: int) -> AffineSubspace:
-    """Exact image of an affine subspace under x -> x[coords]."""
-    idx = _coordinates(coords, affine.ambient)
+def image_of_affine(k, affine: AffineSubspace, p: int) -> AffineSubspace:
+    """Exact image of an affine subspace under x -> x[:k].  The point is
+    zero at every pivot, so its prefix is canonical for the image."""
+    k = _prefix(k, affine.ambient)
     if affine.is_empty:
-        return AffineSubspace.empty(idx.size, p)
-    directions = image_of_subspace(idx, affine.directions, p)
-    return AffineSubspace.from_point_subspace(affine.point[idx], directions)
+        return AffineSubspace.empty(k, p)
+    return AffineSubspace(k, p, affine.point[:k], image_of_subspace(k, affine.directions, p))
 
 
-def constrain_affine(
-    affine: AffineSubspace, coords, target, p: int
-) -> AffineSubspace:
-    """The subset {x in affine : x[coords] = target}, again affine canonical,
-    solved in the affine set's parameter space."""
-    idx = _coordinates(coords, affine.ambient)
+def constrain_affine(affine: AffineSubspace, k, target, p: int) -> AffineSubspace:
+    """The subset {x in affine : x[:k] = target}, again affine canonical.
+    The basis rows with pivot < k fix its coefficients, target at their
+    pivots, so y = point + target[P] @ those rows is the one candidate for
+    the prefix; the rows with pivot >= k are zero on [:k] and zero at those
+    pivots, so they are the directions and y is canonical for them."""
+    k = _prefix(k, affine.ambient)
     t = as_vector(target, p)
+    if t.shape != (k,):
+        raise LinalgError(f"target has {t.size} coordinates, the prefix {k}")
     if affine.is_empty:
         return AffineSubspace.empty(affine.ambient, p)
     span = affine.directions
-    return solve_in_span(affine.point, span, span.basis[:, idx].T, t - affine.point[idx], p)
+    r = bisect.bisect_left(span.pivots, k)
+    y = (affine.point + matmul(t[list(span.pivots[:r])], span.basis[:r], p)) % p
+    if not np.array_equal(y[:k], t):
+        return AffineSubspace.empty(affine.ambient, p)
+    y.setflags(write=False)
+    dirs = Subspace(affine.ambient, p, span.basis[r:], span.pivots[r:])
+    return AffineSubspace(affine.ambient, p, y, dirs)
 
 
 def solve_in_span(point, span: Subspace, coeff, rhs, p: int) -> AffineSubspace:
@@ -400,8 +407,7 @@ def solve_in_span(point, span: Subspace, coeff, rhs, p: int) -> AffineSubspace:
     the parameters c (one per row of the span's RREF basis); ``rhs`` need
     not be reduced.  The system's kernel K comes out in RREF, so by the
     reduced-products fact of the module docstring the directions K S are
-    the RREF basis as computed, one product with no further elimination.
-    ``constrain_affine`` and the preimage levels share it."""
+    the RREF basis as computed, one product with no further elimination."""
     kernel, points, solvable = _solve(coeff, np.reshape(rhs, (-1, 1)), p)
     if not solvable[0]:
         return AffineSubspace.empty(span.ambient, p)

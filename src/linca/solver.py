@@ -80,7 +80,6 @@ from .groups import BallSequence, IntegerGroup, ball_fits, interior
 from .linalg import (
     AffineSubspace,
     Subspace,
-    complement,
     constrain_affine,
     image_of_affine,
     kernel_basis,
@@ -98,7 +97,8 @@ class StabilizationCutoffError(RuntimeError):
 
 class WindowSystem:
     """The windows of one automaton: the cells A_n and B_n of each level,
-    cached, and the coordinate selections that restrict between them.
+    cached.  A_n lists A_{n-1} first (see ``BallSequence``), so x|A_n is the
+    prefix x[:ambient(n)] of a window vector x over A_m, n <= m.
 
     No matrix is cached.  ``window(n)`` builds the whole window map W_n
     afresh on each call; the preimage levels never ask for it, since each
@@ -111,8 +111,8 @@ class WindowSystem:
         self._cells: dict[int, tuple[tuple, tuple]] = {}
 
     def cells(self, n: int) -> tuple[tuple, tuple]:
-        """(A_n, B_n): the source cells and their interior, the cells where
-        the rule reads only A_n, both in canonical order."""
+        """(A_n, B_n): the source cells, A_{n-1} first, and their interior,
+        the cells where the rule reads only A_n, in canonical order."""
         if n not in self._cells:
             source = self.balls.window(n)
             self._cells[n] = (source, interior(self.ca.group, source, self.ca.memory))
@@ -125,11 +125,6 @@ class WindowSystem:
     def ambient(self, n: int) -> int:
         return self.ca.dim_v * len(self.cells(n)[0])
 
-    def restriction(self, n: int, m: int) -> np.ndarray:
-        """Indices ``idx`` with x|A_n = x[idx] for x in V^{A_m}, n <= m: dimV
-        coordinates per cell of A_n, in canonical cell order."""
-        return coordinates(self.cells(n)[0], self.cells(m)[0], self.ca.dim_v)
-
     def new_targets(self, n: int) -> tuple:
         """The cells of B_n minus B_{n-1}, in canonical order; B_{-1} is empty."""
         below = set(self.cells(n - 1)[1]) if n else set()
@@ -137,20 +132,11 @@ class WindowSystem:
 
     def reach(self, n: int, targets: Iterable) -> tuple:
         """The cells of A_n that the rows of W_n at ``targets`` read, {g m},
-        in canonical order.  Those rows are ``ca.block_matrix(targets,
+        in the order of A_n.  Those rows are ``ca.block_matrix(targets,
         reach)`` at the coordinates of the reach and zero elsewhere."""
         mul = self.ca.group.multiply
         read = {mul(g, m) for g in targets for m in self.ca.memory}
         return tuple(c for c in self.cells(n)[0] if c in read)
-
-    def growth(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The coordinates of A_{n-1} inside A_n, the others of A_n, and the
-        rows of W_n at B_n minus B_{n-1}; both windows below level 0 are empty."""
-        d = self.ca.dim_v
-        source, target = self.cells(n)
-        old = coordinates(self.cells(n - 1)[0] if n else (), source, d)
-        rows = coordinates(self.new_targets(n), target, d)
-        return old, complement(old, self.ambient(n)), rows
 
     def target_vec(self, config: Configuration, n: int) -> np.ndarray:
         """The target configuration restricted to B_n, vectorized."""
@@ -158,8 +144,8 @@ class WindowSystem:
 
 
 class ProjectiveAffineSequence:
-    """Levels X_n (affine subspaces) with restriction bonds f_{nm}(x) = x[idx],
-    ``idx`` an index array.  ``level_fn(n, below)`` builds X_n from X_{n-1},
+    """Levels X_n (affine subspaces) with prefix bonds f_{nm}(x) = x[:k],
+    k = ambient(n).  ``level_fn(n, below)`` builds X_n from X_{n-1},
     which the sequence hands it: the single point of GF(p)^0 below level 0."""
 
     def __init__(
@@ -167,12 +153,10 @@ class ProjectiveAffineSequence:
         p: int,
         ambient_fn: Callable[[int], int],
         level_fn: Callable[[int, AffineSubspace], AffineSubspace],
-        bond_fn: Callable[[int, int], np.ndarray],
     ):
         self.p = p
         self._ambient = ambient_fn
         self._level = level_fn
-        self._bond = bond_fn
         self._levels: dict[int, AffineSubspace] = {}
 
     def ambient(self, n: int) -> int:
@@ -187,23 +171,11 @@ class ProjectiveAffineSequence:
             self._levels[k] = self._level(k, below)
         return self._levels[n]
 
-    def bond(self, n: int, m: int) -> np.ndarray:
+    def bond(self, n: int, m: int) -> int:
+        """The length k of the prefix x -> x[:k] from level m to level n."""
         if m < n:
             raise ValueError("bonding maps go from higher to lower levels")
-        if m == n:
-            return np.arange(self.ambient(n))
-        return self._bond(n, m)
-
-    def verify_axioms(self, triples: Iterable[tuple[int, int, int]]) -> bool:
-        """Identity at equal levels and composition along sampled n<=m<=k."""
-        for n, m, k in triples:
-            if not (n <= m <= k):
-                raise ValueError("need n <= m <= k")
-            if not np.array_equal(self.bond(n, n), np.arange(self.ambient(n))):
-                return False
-            if not np.array_equal(self.bond(n, k), self.bond(m, k)[self.bond(n, m)]):
-                return False
-        return True
+        return self.ambient(n)
 
 
 def preimage_sequence(
@@ -214,12 +186,11 @@ def preimage_sequence(
     those of W_{n-1}, and X_n = {x : x|A_{n-1} in X_{n-1}, the rows at B_n
     minus B_{n-1} hold}, solved in the parameters of X_{n-1} and new cells.
 
-    Those parameters span X_{n-1}'s RREF basis, lifted to A_n, and a unit
-    row at each new coordinate.  The lift keeps the basis in RREF because
-    the coordinates of A_{n-1} inside A_n increase (balls list their cells
-    in canonical order), and the unit rows are zero at every old
-    coordinate; sorted by pivot, the rows are the RREF basis of their span.
-    So ``solve_in_span`` reads X_n's directions off one product, with one
+    Those parameters span X_{n-1}'s RREF basis, padded with zeros to A_n, and
+    a unit row at each new coordinate.  A_{n-1} is the prefix of A_n, so the
+    padded basis is in RREF and the unit rows, zero on the prefix, follow it
+    in pivot order: together they are the RREF basis of their span.  So
+    ``solve_in_span`` reads X_n's directions off one product, with one
     elimination per level.
 
     No level builds W_n.  The new rows read only the cells they reach, so
@@ -229,20 +200,16 @@ def preimage_sequence(
     p = ws.ca.p
 
     def level(n: int, below: AffineSubspace) -> AffineSubspace:
+        ambient = ws.ambient(n)
         if below.is_empty:
-            return AffineSubspace.empty(ws.ambient(n), p)
-        old, new, _ = ws.growth(n)
-        span = below.directions
-        leads = np.concatenate([old[list(span.pivots)], new])
-        order = np.argsort(leads)
-        slot = np.empty_like(order)
-        slot[order] = np.arange(order.size)
-        # x = point + c @ basis: X_{n-1} on A_{n-1} and unit rows on the new
-        # cells, in pivot order; the last row is the point.
-        lift = np.zeros((leads.size + 1, old.size + new.size), dtype=np.int64)
-        lift[np.ix_(slot[: span.dim], old)] = span.basis
-        lift[slot[span.dim :], new] = 1
-        lift[-1, old] = below.point
+            return AffineSubspace.empty(ambient, p)
+        span, k = below.directions, below.ambient
+        # x = point + c @ basis: X_{n-1} on the prefix A_{n-1}, then unit rows
+        # at the new coordinates, in pivot order; the last row is the point.
+        lift = np.zeros((span.dim + ambient - k + 1, ambient), dtype=np.int64)
+        lift[: span.dim, :k] = span.basis
+        lift[np.arange(span.dim, lift.shape[0] - 1), np.arange(k, ambient)] = 1
+        lift[-1, :k] = below.point
         # The new rows, pulled back to c; the last column is the point's image.
         fresh = ws.new_targets(n)
         reach = ws.reach(n, fresh)
@@ -251,10 +218,10 @@ def preimage_sequence(
         rhs = pattern_to_vec(target, fresh, ws.ca.dim_v, p) - pulled[:, -1]
         basis = lift[:-1]
         basis.setflags(write=False)
-        lifted = Subspace(lift.shape[1], p, basis, tuple(leads[order].tolist()))
+        lifted = Subspace(ambient, p, basis, span.pivots + tuple(range(k, ambient)))
         return linalg.solve_in_span(lift[-1], lifted, pulled[:, :-1], rhs, p)
 
-    return ProjectiveAffineSequence(p, ws.ambient, level, ws.restriction)
+    return ProjectiveAffineSequence(p, ws.ambient, level)
 
 
 def kernel_sequence(automaton: LinearCA) -> ProjectiveAffineSequence:
@@ -315,9 +282,7 @@ def universal_spaces(
     images: list[AffineSubspace] = []
     plateau = None
     for m in range(n, cutoff + 1):
-        x_m = seq.level(m)
-        img = x_m if m == n else image_of_affine(seq.bond(n, m), x_m, seq.p)
-        images.append(img)
+        images.append(image_of_affine(seq.bond(n, m), seq.level(m), seq.p))
         if len(images) >= plateau_k:
             run = images[-plateau_k:]
             if all(r == run[0] for r in run[1:]):
@@ -335,8 +300,8 @@ def lift_element(
     chains: Optional[dict] = None,
 ) -> np.ndarray:
     """Lift a universal element one level: returns x_{n+1} at level n+1 with
-    x_{n+1}[bond(n, n+1)] = x_n, built by one affine solve at a witness level
-    past both plateaus.  Raises StabilizationCutoffError when no plateau or
+    x_{n+1}[:bond(n, n+1)] = x_n, the canonical point of the witness level,
+    past both plateaus, constrained to x_n on its prefix.  Raises StabilizationCutoffError when no plateau or
     no preimage is available within the cutoff."""
     chains = chains if chains is not None else {}
     for lev in (n, n + 1):
@@ -352,8 +317,8 @@ def lift_element(
         raise StabilizationCutoffError(
             f"element at level {n} has no preimage at witness level {witness_level}"
         )
-    x_next = fiber.point[seq.bond(n + 1, witness_level)]
-    if not np.array_equal(x_next[seq.bond(n, n + 1)], x_n):
+    x_next = fiber.point[: seq.bond(n + 1, witness_level)].copy()
+    if not np.array_equal(x_next[: seq.bond(n, n + 1)], x_n):
         raise AssertionError("lift violated its one-step restriction equation")
     return x_next
 

@@ -250,16 +250,18 @@ def test_equivariance_rejects_corrupted_map():
 def test_window_map_identity_ca():
     ca = identity_ca(Z, 2, 1)
     w = ca.window_map(2)
-    assert w.source == w.target == (-2, -1, 0, 1, 2)
-    assert np.array_equal(w.matrix, np.eye(5, dtype=np.int64))
+    # Each window lists the one below it first; B_2 is in canonical order.
+    assert w.source == (0, -1, 1, -2, 2)
+    assert w.target == (-2, -1, 0, 1, 2)
+    assert np.array_equal(w.matrix, np.eye(5, dtype=np.int64)[[3, 1, 0, 2, 4]])
 
 
 def test_window_map_shift_selects():
     ca = shift_ca()
     w = ca.window_map(1)  # A_1 = ball(2) since r0 = 1
-    assert w.source == (-2, -1, 0, 1, 2)
+    assert w.source == (-1, 0, 1, -2, 2)  # A_0 = ball(1), then the new cells
     assert w.target == (-2, -1, 0, 1)
-    vec = np.array([5 % 2, 1, 0, 1, 1], dtype=np.int64)
+    vec = np.array([1, 0, 1, 5 % 2, 1], dtype=np.int64)
     out = (w.matrix @ vec) % 2
     assert out.tolist() == [1, 0, 1, 1]
 

@@ -5,7 +5,9 @@ column-reversed system, and the directions of a solve in a span off one
 product (see the ``linalg`` docstring).  These tests hold the results to the
 reference Gauss-Jordan of ``conftest``, hold every returned basis to its own
 re-reduction, count the eliminations, and check the precondition of the
-reduced span: the coordinates of A_{n-1} inside A_n increase."""
+reduced span: A_{n-1} is the prefix of A_n.  The prefix images and
+constraints, read off the RREF rows, are held to ``from_spanning``, the
+reference solve and enumeration."""
 
 import random
 
@@ -21,6 +23,7 @@ from linca import (
     LatticeGroup,
     WindowSystem,
     cyclic_group,
+    extract_limit_prefix,
     kernel_sequence,
     preimage_sequence,
     symmetric_group_3,
@@ -31,6 +34,7 @@ from linca.linalg import (
     AffineSubspace,
     Subspace,
     constrain_affine,
+    image_of_affine,
     kernel_basis,
     solve_affine_multi,
     solve_in_span,
@@ -126,7 +130,7 @@ def test_solve_affine_multi_matches_the_reference(system):
 @given(systems(), st.data())
 def test_constrain_affine_matches_the_reference(system, data):
     """The constrained set against one reference solve in the ambient space:
-    x[coords] = target, and N x = N point for the rows N of a basis of the
+    x[:k] = target, and N x = N point for the rows N of a basis of the
     annihilator of the directions."""
     spanning, _, p = system
     ambient = spanning.shape[1]
@@ -137,18 +141,71 @@ def test_constrain_affine_matches_the_reference(system, data):
     affine = AffineSubspace.from_point_subspace(
         vector(ambient), Subspace.from_spanning(spanning, ambient, p)
     )
-    count = data.draw(st.integers(0, 4 if ambient else 0))
-    coords = vector(count, st.integers(0, max(ambient - 1, 0)), np.intp)
-    target = vector(coords.size)
-    if coords.size and data.draw(st.booleans()):
-        target = affine.point[coords]  # a target the affine set meets
-    got = constrain_affine(affine, coords, target, p)
+    k = data.draw(st.integers(0, ambient))
+    target = vector(k)
+    if data.draw(st.booleans()):
+        target = affine.point[:k]  # a target the affine set meets
+    got = constrain_affine(affine, k, target, p)
     assert_affine_canonical(got)
+    assert got == constrained_reference(affine, k, target)
+
+
+def constrained_reference(affine: AffineSubspace, k: int, target) -> AffineSubspace:
+    """{x in affine : x[:k] = target} by one reference solve: x[:k] = target
+    stacked on N x = N point, N a basis of the annihilator of the directions."""
+    p, ambient = affine.p, affine.ambient
+    if affine.is_empty:
+        return AffineSubspace.empty(ambient, p)
     annihilator = reference_solve(affine.directions.basis, np.zeros(affine.dim, dtype=np.int64), p)
     normals = annihilator.directions.basis
-    rows = np.vstack([normals, np.eye(ambient, dtype=np.int64)[coords]])
+    rows = np.vstack([normals, np.eye(ambient, dtype=np.int64)[:k]])
     rhs = np.concatenate([normals @ affine.point % p, target])
-    assert got == reference_solve(rows, rhs, p)
+    return reference_solve(rows, rhs, p)
+
+
+def random_affine(rng, p: int, ambient: int) -> AffineSubspace:
+    """An affine subspace in canonical form: empty, a single point or the
+    span of up to ambient random rows, some of them dependent."""
+    kind = rng.choice(("empty", "point", "span"))
+    if kind == "empty":
+        return AffineSubspace.empty(ambient, p)
+    count = 0 if kind == "point" else rng.integers(1, ambient + 1)
+    rows = rng.integers(0, p, size=(count, ambient))
+    if count > 1 and rng.random() < 0.5:
+        rows[-1] = rows[0] * 2 % p
+    point = rng.integers(0, p, size=ambient)
+    return AffineSubspace.from_point_subspace(point, Subspace.from_spanning(rows, ambient, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_prefix_read_offs_match_the_references(p):
+    """Images and constraints under every prefix x -> x[:k], read off the
+    RREF rows, against ``from_spanning`` of the cut basis, the reference
+    solve of the stacked system and, where small, enumeration."""
+    rng = np.random.default_rng(p)
+    kinds = set()
+    for _ in range(40):
+        ambient = int(rng.integers(1, 7))
+        affine = random_affine(rng, p, ambient)
+        kinds.add(min(affine.dim, 1))
+        members = [tuple(x) for x in affine.members()]
+        for k in range(ambient + 1):
+            image = image_of_affine(k, affine, p)
+            assert_affine_canonical(image)
+            if affine.is_empty:
+                assert image == AffineSubspace.empty(k, p)
+            else:
+                cut = Subspace.from_spanning(affine.directions.basis[:, :k], k, p)
+                assert image == AffineSubspace.from_point_subspace(affine.point[:k], cut)
+            assert {tuple(x) for x in image.members()} == {x[:k] for x in members}
+            targets = [rng.integers(0, p, size=k)] + [np.array(x[:k]) for x in members[:1]]
+            for target in targets:
+                got = constrain_affine(affine, k, target, p)
+                assert_affine_canonical(got)
+                assert got == constrained_reference(affine, k, target)
+                expect = {x for x in members if x[:k] == tuple(target)}
+                assert {tuple(x) for x in got.members()} == expect
+    assert kinds == {-1, 0, 1}
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -204,6 +261,20 @@ def test_one_elimination_per_solve(eliminations):
     assert len(eliminations) == 1
 
 
+@pytest.mark.parametrize("group,memory", GROUPS, ids=GROUP_IDS)
+def test_extraction_eliminates_only_to_build_levels(eliminations, group, memory):
+    """The chain images and lifts are read off the levels' RREF rows: an
+    extraction runs one elimination per level it builds and no other."""
+    rng = random.Random(11)
+    ca = random_ca(rng, group, 3, 2, memory)
+    ws = WindowSystem(ca)
+    target = ca.apply_config(random_finite_support(rng, group, 3, 2, ws.cells(1)[0]))
+    seq = preimage_sequence(ws, target)
+    result = extract_limit_prefix(seq, 2, 8)
+    assert result.status == "ok"
+    assert len(eliminations) == len(seq._levels)
+
+
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_kernel_sequence_level_n_takes_n_plus_1_eliminations(eliminations, n):
     ca = random_ca(random.Random(n), LatticeGroup(2), 3, 2, ((0, 0), (1, 0), (0, 1)))
@@ -214,17 +285,15 @@ def test_kernel_sequence_level_n_takes_n_plus_1_eliminations(eliminations, n):
 @pytest.mark.parametrize("group,memory", GROUPS, ids=GROUP_IDS)
 def test_growth_keeps_old_coordinates_increasing(group, memory):
     """The reduced span of the preimage levels needs the coordinates of
-    A_{n-1} inside A_n to increase; the rest are the complements."""
+    A_{n-1} inside A_n to be its first ambient(n - 1) coordinates, and the
+    new targets to be B_n minus B_{n-1} in canonical order."""
     ws = WindowSystem(random_ca(random.Random(2), group, 3, 2, memory))
     for n in range(4):
-        old, new, rows = ws.growth(n)
-        assert np.all(np.diff(old) > 0), n
-        assert np.array_equal(new, np.setdiff1d(np.arange(ws.ambient(n)), old))
-        below = set(ws.window(n - 1).target if n else ())
-        kept = [i for i, g in enumerate(ws.window(n).target) if g not in below]
-        assert np.array_equal(rows, np.array(
-            [ws.ca.dim_v * i + k for i in kept for k in range(ws.ca.dim_v)], dtype=np.intp
-        ))
+        below = ws.cells(n - 1) if n else ((), ())
+        old = coordinates(below[0], ws.cells(n)[0], ws.ca.dim_v)
+        assert np.array_equal(old, np.arange(ws.ambient(n - 1) if n else 0)), n
+        kept = tuple(g for g in ws.window(n).target if g not in set(below[1]))
+        assert ws.new_targets(n) == kept, n
 
 
 @pytest.mark.parametrize("group,memory", GROUPS, ids=GROUP_IDS)
@@ -235,8 +304,8 @@ def test_new_rows_read_only_their_reach(group, memory):
     ws = WindowSystem(random_ca(random.Random(5), group, 3, 2, memory))
     d = ws.ca.dim_v
     for n in range(4):
-        _, _, rows = ws.growth(n)
         fresh = ws.new_targets(n)
+        rows = coordinates(fresh, ws.cells(n)[1], d)
         reach = ws.reach(n, fresh)
         cols = coordinates(reach, ws.cells(n)[0], d)
         new_rows = ws.window(n).matrix[rows]

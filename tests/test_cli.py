@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from linca import IntegerGroup, LinearCA, cyclic_group, finite_support
+from linca import IntegerGroup, LatticeGroup, LinearCA, cyclic_group, finite_support, periodic
 from linca import jsonio
 from linca.cli import main
 from linca.gallery import MAX_FORCED_DEPTH
@@ -134,6 +134,19 @@ def test_preimage_cli(tmp_path):
     assert main(["preimage", proj, bad_target, "--out", neg_out]) == 10
     assert jsonio.loads((tmp_path / "noim.json").read_text())["kind"] == "empty-fiber"
     assert main(["verify", neg_out]) == 0
+
+
+def test_preimage_of_a_periodic_target_off_the_integers_exits_3(tmp_path, capsys):
+    """The decoder rejects the target through the same check as the library."""
+    lattice = LatticeGroup(2)
+    ca = write(
+        tmp_path, "z2.json", jsonio.encode_ca(LinearCA(lattice, 2, 1, ((0, 0),), ([[1]],)))
+    )
+    target = write(tmp_path, "y.json", jsonio.encode_config(Z, periodic(2, 1, [[1], [0]])))
+    out = tmp_path / "pre.json"
+    assert main(["preimage", ca, target, "--out", str(out)]) == 3
+    assert "periodic configurations require the integer group" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_restrict_induce_cli(tmp_path):

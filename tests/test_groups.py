@@ -184,7 +184,8 @@ def test_ball_sequence_offsets():
     seq = BallSequence.for_memory(IntegerGroup(), (0, 2))
     assert seq.r0 == 2
     assert seq.window(0) == (-2, -1, 0, 1, 2)
-    assert seq.window(1) == (-3, -2, -1, 0, 1, 2, 3)
+    assert seq.window(1) == (-2, -1, 0, 1, 2, -3, 3)
+    assert BallSequence(IntegerGroup(), 0).window(2) == (0, -1, 1, -2, 2)
 
 
 # -- interior --------------------------------------------------------------------

@@ -182,10 +182,15 @@ def test_image_of_affine_projection_example():
     line = AffineSubspace.from_point_subspace(
         np.array([1, 0]), Subspace.from_spanning([[0, 1]], 2, 2)
     )
-    img = image_of_affine([0], line, 2)
+    img = image_of_affine(1, line, 2)
     assert img.dim == 0 and img.point.tolist() == [1]
-    # Keeping y instead gives the whole line GF(2).
-    assert image_of_affine([1], line, 2) == AffineSubspace.full(1, 2)
+    assert image_of_affine(2, line, 2) == line
+    assert image_of_affine(0, line, 2) == AffineSubspace.full(0, 2)
+    # The line (0,1) + span{(1,0)} maps onto the whole line GF(2).
+    other = AffineSubspace.from_point_subspace(
+        np.array([0, 1]), Subspace.from_spanning([[1, 0]], 2, 2)
+    )
+    assert image_of_affine(1, other, 2) == AffineSubspace.full(1, 2)
 
 
 def test_solve_matches_brute_force():
@@ -266,22 +271,17 @@ def test_canonical_point_is_lex_smallest():
             assert tuple(a.point) == smallest
 
 
-def random_coords(rng, ambient):
-    """Distinct coordinates of GF(p)^ambient in random order, maybe none."""
-    return np.array(rng.sample(range(ambient), rng.randrange(ambient + 1)), dtype=np.intp)
-
-
 def test_image_of_subspace_matches_brute_force():
     rng = random.Random(23)
     for _ in range(20):
         p = rng.choice((2, 3))
-        coords = random_coords(rng, 4)
+        k = rng.randrange(5)
         sub = Subspace.from_spanning(
             [[rng.randrange(p) for _ in range(4)] for _ in range(rng.randrange(3))], 4, p
         )
-        img = image_of_subspace(coords, sub, p)
-        assert img.ambient == coords.size
-        expect = {tuple(member[coords]) for member in sub.members()}
+        img = image_of_subspace(k, sub, p)
+        assert img.ambient == k
+        expect = {tuple(member[:k]) for member in sub.members()}
         assert {tuple(v) for v in img.members()} == expect
 
 
@@ -298,10 +298,10 @@ def test_constrain_affine_is_exact_subset():
                 p,
             ),
         )
-        coords = random_coords(rng, ambient)
-        target = np.array([rng.randrange(p) for _ in coords], dtype=np.int64)
-        got = constrain_affine(base, coords, target, p)
-        expect = {tuple(v) for v in base.members() if np.array_equal(v[coords], target)}
+        k = rng.randrange(ambient + 1)
+        target = np.array([rng.randrange(p) for _ in range(k)], dtype=np.int64)
+        got = constrain_affine(base, k, target, p)
+        expect = {tuple(v) for v in base.members() if np.array_equal(v[:k], target)}
         if not expect:
             assert got.is_empty
         else:
@@ -309,9 +309,10 @@ def test_constrain_affine_is_exact_subset():
 
 
 @pytest.mark.parametrize(
-    "coords", [[-1], [0, -2], [4], [0, 5], [[0, 1]], np.zeros((0, 2), dtype=np.intp)]
+    "coords", [np.int64(-1), np.int64(5), np.bool_(True), np.array(2), [1], (2,)]
 )
 def test_coordinates_out_of_range_or_not_1d_are_rejected(coords):
+    """A prefix length must be an int in [0, ambient], not an array."""
     p = 3
     sub = Subspace.from_spanning([[1, 2, 0, 1]], 4, p)
     affine = AffineSubspace.from_point_subspace(np.array([0, 1, 2, 0]), sub)
@@ -321,6 +322,17 @@ def test_coordinates_out_of_range_or_not_1d_are_rejected(coords):
         image_of_affine(coords, affine, p)
     with pytest.raises(LinalgError):
         constrain_affine(affine, coords, np.zeros(1, dtype=np.int64), p)
+
+
+def test_prefix_lengths_and_targets_are_checked():
+    p = 3
+    affine = AffineSubspace.full(4, p)
+    assert constrain_affine(affine, np.int64(2), [1, 2], p).dim == 2
+    for k in (-1, 5, True, 2.0, None):
+        with pytest.raises(LinalgError):
+            image_of_affine(k, affine, p)
+    with pytest.raises(LinalgError):
+        constrain_affine(affine, 2, [1, 2, 0], p)
 
 
 INEXACT_ROWS = [

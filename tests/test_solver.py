@@ -19,6 +19,7 @@ from conftest import (
 )
 from linca import (
     AffineSubspace,
+    BallSequence,
     EmptyFiberWitness,
     FiniteGroup,
     FreeGroup,
@@ -51,7 +52,7 @@ from linca import (
     symmetric_group_3,
     universal_spaces,
 )
-from linca.ca import CAError, pattern_to_vec, shift_config, vec_to_pattern
+from linca.ca import CAError, coordinates, pattern_to_vec, shift_config, vec_to_pattern
 from linca.linalg import solve_affine
 from linca.solver import (
     KernelWitness,
@@ -82,10 +83,7 @@ def sigma2_block_ca(p=2):
 def constant_full_sequence(p=2, ambient=2, levels=10):
     """X_n = the full space with identity bonding maps."""
     return ProjectiveAffineSequence(
-        p,
-        lambda n: ambient,
-        lambda n, below: AffineSubspace.full(ambient, p),
-        lambda n, m: np.arange(ambient),
+        p, lambda n: ambient, lambda n, below: AffineSubspace.full(ambient, p)
     )
 
 
@@ -98,10 +96,29 @@ def restrict_vec(x, cells_m, cells_n, dim_v, p):
 # -- projective sequences and chains ------------------------------------------
 
 
+def assert_bonds_map_levels_into_levels(seq, ws, top, seed):
+    """f_{nm}(X_m) lies in X_n for n <= m <= top: random members of X_m,
+    restricted cell by cell to A_n, lie in X_n, and that restriction is
+    their prefix of length bond(n, m)."""
+    rng, p = np.random.default_rng(seed), seq.p
+    for m in range(top + 1):
+        x_m = seq.level(m)
+        with pytest.raises(ValueError):
+            seq.bond(m + 1, m)
+        for n in range(m + 1):
+            k = seq.bond(n, m)
+            assert k == seq.ambient(n)
+            idx = coordinates(ws.cells(n)[0], ws.cells(m)[0], ws.ca.dim_v)
+            for _ in range(3 if not x_m.is_empty else 0):
+                x = (x_m.point + rng.integers(0, p, size=x_m.dim) @ x_m.directions.basis) % p
+                assert np.array_equal(x[:k], x[idx])
+                assert seq.level(n).contains(x[idx])
+
+
 def test_projective_axioms_on_window_sequences():
     ws = WindowSystem(add_rule())
     seq = preimage_sequence(ws, finite_support(2, 1, {0: [1]}))
-    assert seq.verify_axioms([(0, 0, 0), (0, 1, 2), (1, 2, 4), (0, 2, 3)])
+    assert_bonds_map_levels_into_levels(seq, ws, 4, 0)
 
 
 RESTRICTION_GROUPS = [
@@ -110,6 +127,7 @@ RESTRICTION_GROUPS = [
     pytest.param(FreeGroup(2), ((), (1,), (-2,)), id="F2"),
     pytest.param(symmetric_group_3(), (0, 1, 3), id="S3"),
 ]
+LEVEL_GROUPS = RESTRICTION_GROUPS + [pytest.param(cyclic_group(6), (0, 1, 3), id="Z6")]
 
 
 def restriction_windows(group, memory):
@@ -117,19 +135,28 @@ def restriction_windows(group, memory):
     return WindowSystem(random_ca(random.Random(3), group, 3, 2, memory))
 
 
-@pytest.mark.parametrize("group,memory", RESTRICTION_GROUPS)
+@pytest.mark.parametrize("group,memory", LEVEL_GROUPS)
 def test_restriction_selects_the_cells_of_the_smaller_window(group, memory):
-    ws = restriction_windows(group, memory)
+    """Windows nest as prefixes, at the memory offset and at r0 = 0 (the
+    windows of ``kernel_sequence``): A_n is ball(r0 + n) and lists A_{n-1}
+    first, so the prefix of a window vector is its restriction, read off
+    the cells.  Finite groups still saturate."""
+    ca = restriction_windows(group, memory).ca
     rng = np.random.default_rng(5)
-    for m in range(4):
-        a_m = ws.window(m).source
-        for n in range(m + 1):
-            a_n = ws.window(n).source
-            idx = ws.restriction(n, m)
-            assert idx.dtype == np.intp and idx.shape == (2 * len(a_n),)
-            for _ in range(3):
-                x = rng.integers(0, 3, size=2 * len(a_m))
-                assert np.array_equal(x[idx], restrict_vec(x, a_m, a_n, 2, 3))
+    for balls in (ca.balls(), BallSequence(group, 0)):
+        ws = WindowSystem(ca, balls)
+        saturated = False
+        for m in range(5):
+            a_m = ws.cells(m)[0]
+            assert set(a_m) == set(group.ball(balls.r0 + m))
+            saturated |= m > 0 and a_m == ws.cells(m - 1)[0]
+            for n in range(m + 1):
+                a_n = ws.cells(n)[0]
+                assert a_m[: len(a_n)] == a_n
+                for _ in range(3):
+                    x = rng.integers(0, 3, size=2 * len(a_m))
+                    assert np.array_equal(x[: 2 * len(a_n)], restrict_vec(x, a_m, a_n, 2, 3))
+        assert saturated == isinstance(group, FiniteGroup)
 
 
 @pytest.mark.parametrize("group,memory", RESTRICTION_GROUPS)
@@ -137,8 +164,7 @@ def test_projective_axioms_on_every_group_kind(group, memory):
     ws = restriction_windows(group, memory)
     target = random_finite_support(random.Random(4), group, 3, 2, ws.window(0).target)
     seq = preimage_sequence(ws, target)
-    triples = [(n, m, k) for k in range(4) for m in range(k + 1) for n in range(m + 1)]
-    assert seq.verify_axioms(triples)
+    assert_bonds_map_levels_into_levels(seq, ws, 3, 1)
 
 
 def deficient_ca(rng, group, p, dim_v, memory):
@@ -149,8 +175,6 @@ def deficient_ca(rng, group, p, dim_v, memory):
     blocks = tuple(proj @ random_matrix(rng, dim_v, dim_v, p) for _ in memory)
     return LinearCA(group, p, dim_v, memory, blocks)
 
-
-LEVEL_GROUPS = RESTRICTION_GROUPS + [pytest.param(cyclic_group(6), (0, 1, 3), id="Z6")]
 
 
 @pytest.mark.parametrize("group,memory", LEVEL_GROUPS)
@@ -286,8 +310,8 @@ def test_lift_element_shift_preimage_chain():
     chain0 = universal_spaces(seq, 0, 10)
     x0 = chain0.stabilized.point
     x1 = lift_element(seq, 0, x0, 10)
-    assert np.array_equal(x1[seq.bond(0, 1)], x0)
-    # The same restriction read off the cells, without the index array.
+    assert np.array_equal(x1[: seq.bond(0, 1)], x0)
+    # The same restriction read off the cells, without the prefix.
     a0, a1 = ws.window(0).source, ws.window(1).source
     assert np.array_equal(restrict_vec(x1, a1, a0, 1, 2), x0)
 
@@ -328,7 +352,9 @@ def lifts_restrict(ca, extraction, window) -> bool:
     each restricts to the one below it."""
     ws, points = WindowSystem(ca), extraction.level_points
     return len(points) == window + 1 and all(
-        np.array_equal(points[n + 1][ws.restriction(n, n + 1)], points[n])
+        np.array_equal(
+            points[n + 1][coordinates(ws.cells(n)[0], ws.cells(n + 1)[0], ca.dim_v)], points[n]
+        )
         for n in range(window)
     )
 

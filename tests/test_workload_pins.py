@@ -16,7 +16,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PINNED = {
     "invert-sigma": (4, "7e45dea89966fa64"),
     "preimage-plateau": (4, "bd98416b7efb8f50"),
-    "mixed-small": (23, "d790295f77341a37"),
+    "mixed-small": (23, "76bc0667735a82fb"),
 }
 
 
