@@ -9,7 +9,6 @@ counterexamples (a bijective automaton with no finite-memory inverse and
 an automaton with non-closed image) with machine-checkable witnesses.
 """
 
-from ._kernels import backend
 from .ca import (
     ConstantConfig,
     FiniteSupportConfig,
@@ -75,3 +74,9 @@ from .solver import (
 from .transfer import induce, restrict
 
 __version__ = "0.1.0"
+
+
+def backend() -> str:
+    """Name of the elimination backend, recorded with benchmark runs: the
+    numpy kernel ``linalg.rref_inplace`` is the only one."""
+    return "py"

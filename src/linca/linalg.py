@@ -9,9 +9,9 @@ subspaces (or affine subspaces) are equal as sets iff their stored data
 compare equal, and the canonical point is the lexicographically smallest
 member.
 
-The single hot primitive, in-place Gauss-Jordan elimination, lives in the
-kernel backends (see ``_kernels``); everything here is thin bookkeeping on
-top of it.  Every solve is one elimination whose kernel comes out already
+The single hot primitive, in-place Gauss-Jordan elimination, is
+``rref_inplace`` in this module; everything else here is thin bookkeeping
+on top of it.  Every solve is one elimination whose kernel comes out already
 canonical, by two facts:
 
 * Reversed columns.  Eliminate [a reversed | b].  For a free column f, the
@@ -65,8 +65,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
-
-from ._kernels import rref_inplace
 
 ENUMERATION_CAP = 200_000
 MODULUS_BOUND = 1 << 20
@@ -151,6 +149,41 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         blocks = range(0, k, step)
         out = sum((x[..., s : s + step] @ y[s : s + step]).astype(np.int64) % p for s in blocks)
     return np.remainder(out, p, out=out)
+
+
+def rref_inplace(a: np.ndarray, p: int) -> list[int]:
+    """Reduce ``a`` to reduced row-echelon form over GF(p), in place, and
+    return its pivot columns in increasing order.
+
+    Precondition: ``a`` is a writable 2-d int64 array with every entry
+    already in [0, p), and p is a prime below 2^20, so every product of two
+    entries fits int64.  Each pivot row is scaled to lead with 1 and every
+    other row is cleared at its pivot column.  Row operations are
+    vectorized; the outer loop is one pass per column until the rows run
+    out.  Every elimination in the library goes through this function."""
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        if inv != 1:
+            a[r, c:] = (a[r, c:] * inv) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        hit = np.nonzero(col)[0]
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - np.outer(col[hit], a[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...], int]:

@@ -14,6 +14,7 @@ from conftest import (
     random_finite_support,
     random_integer_ca,
     random_matrix,
+    reference_rref,
     reference_solve,
     unit_det_rule,
 )
@@ -61,7 +62,6 @@ from linca.solver import (
     _solve_left_inverse,
 )
 from linca import gallery, jsonio, laurent, solver
-from test_kernels import reference_rref
 
 Z = IntegerGroup()
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=np.int64)
