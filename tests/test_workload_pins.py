@@ -1,7 +1,9 @@
 """The benchmark's smoke workloads write the same certificates, byte for
 byte.  Between them they cover every group kind and certificate path, so a
-refactor that changes any answer or encoding shows here first.  A change to
-the smoke inputs under ``perfbench/`` updates these pins on purpose."""
+refactor that changes any answer or encoding shows here first.  The full
+mixed-small batch pins every ``invert`` answer as well, Unknowns included,
+so a pruned search that could have succeeded shows too.  A change to the
+workload inputs under ``perfbench/`` updates these pins on purpose."""
 
 import hashlib
 from pathlib import Path
@@ -39,3 +41,35 @@ def test_smoke_certificate_bytes_are_pinned(workload, monkeypatch):
         assert answer.verified, (query.label, answer.detail)
     digest = hashlib.sha256("".join(written).encode()).hexdigest()
     assert (len(written), digest[:16]) == PINNED[workload]
+
+
+def test_mixed_small_invert_catalogue_is_pinned(monkeypatch):
+    """Every ``invert`` answer of the full mixed-small batch at seed 7: the
+    certificate bytes, or the Unknown reason.  Pruning a search that cannot
+    succeed must leave each of them unchanged."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    written = []
+    dumps = jsonio.dumps
+
+    def recording_dumps(obj):
+        written.append(dumps(obj))
+        return written[-1]
+
+    monkeypatch.setattr(jsonio, "dumps", recording_dumps)
+    session = workloads.Session()
+    answers = []
+    for query in workloads.build("mixed-small", 7):
+        if not query.label.startswith("invert-"):
+            continue
+        written.clear()
+        answer = query.run(session)
+        assert answer.verified, (query.label, answer.detail)
+        if answer.status == "certified":
+            answers.append(written[-1])
+        else:
+            answers.append(f"unknown: {answer.result.reason}\n")
+    unknown = sum(a.startswith("unknown: ") for a in answers)
+    digest = hashlib.sha256("".join(answers).encode()).hexdigest()
+    assert (len(answers), unknown, digest[:16]) == (144, 35, "7f4c9a8e7a5ab458")
