@@ -200,13 +200,16 @@ class LinearCA:
             cells[ri, :, js[ri], :] = b
         return mat
 
-    def window_map(self, n: int, balls: Optional[BallSequence] = None) -> "WindowMap":
+    def window_map(
+        self, n: int, balls: Optional[BallSequence] = None, target: Optional[tuple] = None
+    ) -> "WindowMap":
         """The matrix of the induced map V^{A_n} -> V^{B_n}, columns in the
         order of A_n and rows in canonical cell order; B_n empty gives the
-        map onto the zero-row space."""
-        balls = balls or self.balls()
-        source = balls.window(n)
-        target = interior(self.group, source, self.memory)
+        map onto the zero-row space.  ``target`` is B_n, the interior of
+        A_n, when the caller already holds it."""
+        source = (balls or self.balls()).window(n)
+        if target is None:
+            target = interior(self.group, source, self.memory)
         return WindowMap(source, target, _freeze(self.block_matrix(target, source)))
 
 

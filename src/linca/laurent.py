@@ -33,6 +33,10 @@ give the cells of A^-1.
 The terms are computed from the nonzero ones only: each pushes its products
 with the nonzero M_i onto the degrees they reach, so the work is bounded by
 the number of exponents that sums of memory offsets reach, not by T.
+
+A rule on the free group F_k goes to one on Z^k through the abelianization
+(``abelian_image``).  Its series does not decide the rule on F_k, but a
+series that does not end rules out a left inverse there.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import numpy as np
 
 from . import linalg
 from .ca import LinearCA, identity_ca
-from .groups import IntegerGroup, LatticeGroup
+from .groups import FreeGroup, IntegerGroup, LatticeGroup
 
 
 class LaurentMatrix(NamedTuple):
@@ -84,11 +88,38 @@ def coefficients(ca: LinearCA) -> LaurentMatrix:
     return LaurentMatrix(ca, low, radix, blocks)
 
 
+def abelian_point(group, m) -> tuple:
+    """phi(m) in Z^k: the cell itself on Z and Z^d, as a tuple, and on F_k
+    the exponent sum of each letter (the abelianization, letter i -> e_i)."""
+    if isinstance(group, FreeGroup):
+        point = [0] * group.rank
+        for x in m:
+            point[abs(x) - 1] += 1 if x > 0 else -1
+        return tuple(point)
+    return m if isinstance(m, tuple) else (m,)
+
+
+def abelian_image(ca: LinearCA) -> LinearCA:
+    """phi(A) for a rule A on F_k: the rule on Z^k whose block at v is the
+    sum of the b_m with phi(m) = v; the one place it is built.  phi is a
+    homomorphism, so it induces a ring map on the matrices over the group
+    rings: nu o A = identity gives phi(nu) phi(A) = I, and det phi(A) is
+    then a unit (Ceccherini-Silberstein & Coornaert, Cellular Automata and
+    Groups, ch. 8)."""
+    sums: dict = {}
+    for m, b in zip(ca.memory, ca.blocks):
+        v = abelian_point(ca.group, m)
+        sums[v] = (sums[v] + b) % ca.p if v in sums else b
+    return LinearCA(LatticeGroup(ca.group.rank), ca.p, ca.dim_v, list(sums), list(sums.values()))
+
+
 class Series(NamedTuple):
     """What the inverse power series says about a rule: ``ends`` True with
     the inverse rule when det A is a unit, False when det A is nonzero but
     not a unit, None when it cannot tell (neither end block is invertible,
-    or the rule is not on Z or Z^d)."""
+    or the rule is not on Z or Z^d).  The solver reads a finite group's
+    one elimination into the same form: True with the inverse, or False
+    when the rule is singular."""
 
     ends: Optional[bool]
     inverse: Optional[LinearCA] = None

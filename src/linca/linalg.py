@@ -292,12 +292,6 @@ class AffineSubspace:
         return cls(directions.ambient, directions.p, pt, directions)
 
     @classmethod
-    def single_point(cls, point, ambient: int, p: int) -> "AffineSubspace":
-        return cls.from_point_subspace(
-            as_vector(point, p), Subspace.zero(ambient, p)
-        )
-
-    @classmethod
     def full(cls, ambient: int, p: int) -> "AffineSubspace":
         return cls.from_point_subspace(
             np.zeros(ambient, dtype=np.int64), Subspace.full(ambient, p)

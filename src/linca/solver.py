@@ -31,20 +31,36 @@ injective ones are surjective (linear Garden of Eden; Ceccherini-Silberstein
 makes det A nonzero; the series ends iff det A is a unit.  With both end
 blocks singular the series cannot tell, and every search runs.
 
-    group   series     det A      searches run              why the others cannot succeed
-    Z, Z^d  ends       unit       left inverse, read off    bijective: no kernel element, every window
-                                  the series                map onto
-    Z       does not   nonzero    periodic                  a left inverse would make A injective, so
-            end                                             bijective and det A a unit; det A != 0 makes
-                                                            A pre-injective, so surjective: no fiber and
-                                                            no finitely supported kernel element
-    Z^d     does not   nonzero    constant                  the same; a constant kernel element is not
-            end                                             finitely supported, and only Z has the
-                                                            periodic search
-    Z, Z^d  undecided  -          all but constant on Z     none is ruled out; on Z period 1 is the
-                                                            constant search
+On a finite group one elimination decides: the left-inverse system over
+every element, the one the radius search reaches at saturation.  On F_k the
+abelianization phi (letter i -> e_i) maps the group ring homomorphically to
+Z^k's, so A invertible makes phi(A) invertible (``laurent.abelian_image``),
+and a vertex block proves every window map onto (``vertex_block``).  On
+F_k both facts only skip searches; neither answers on its own.
 
-Rows marked Z^d are for d >= 2.
+    group   decision               searches run           why the others cannot succeed
+    Z, Z^d  series ends            left inverse, read     bijective: no kernel element, every window
+                                   off the series         map onto
+    Z       series does not end    periodic               a left inverse would make A injective, so
+                                                          bijective and det A a unit; det A != 0 makes
+                                                          A pre-injective, so surjective: no fiber and
+                                                          no finitely supported kernel element
+    Z^d     series does not end    constant               the same; a constant kernel element is not
+                                                          finitely supported, and only Z has the
+                                                          periodic search
+    Z, Z^d  both ends singular     all but constant on Z  none is ruled out; on Z period 1 is the
+                                                          constant search
+    finite  elimination solves     left inverse, the      bijective
+                                   solution
+    finite  elimination does not   all but left inverse   injective, surjective and bijective agree on
+            solve                                         a finite group, so a left inverse would be
+                                                          the inverse, which the elimination finds
+    F_k     series of phi(A) does  all but left inverse   nu o A = identity gives det phi(nu)
+            not end                                       det phi(A) = 1 over a commutative ring, so
+                                                          det phi(A) would be a unit
+    F_k     vertex block           all but fiber          every window map is onto
+
+Rows marked Z^d are for d >= 2.  The two F_k rows combine.
 """
 
 from __future__ import annotations
@@ -76,7 +92,7 @@ from .ca import (
     vec_to_pattern,
     zero_config,
 )
-from .groups import BallSequence, IntegerGroup, ball_fits, interior
+from .groups import BallSequence, FreeGroup, IntegerGroup, LatticeGroup, ball_fits, interior
 from .linalg import (
     AffineSubspace,
     Subspace,
@@ -119,8 +135,9 @@ class WindowSystem:
         return self._cells[n]
 
     def window(self, n: int) -> WindowMap:
-        """The window map V^{A_n} -> V^{B_n}, built on each call."""
-        return self.ca.window_map(n, self.balls)
+        """The window map V^{A_n} -> V^{B_n}, built on each call from the
+        cached cells."""
+        return self.ca.window_map(n, self.balls, self.cells(n)[1])
 
     def ambient(self, n: int) -> int:
         return self.ca.dim_v * len(self.cells(n)[0])
@@ -252,9 +269,6 @@ class UniversalChain:
                 f"no plateau at level {self.start} within the computed images"
             )
         return self.images[self.plateau - self.start]
-
-    def dims(self) -> list[int]:
-        return [img.dim for img in self.images]
 
     def nonincreasing(self) -> bool:
         """Each image contains the next (set containment, checked exactly)."""
@@ -565,19 +579,66 @@ def _periodic_kernel_witness(ca: LinearCA, q: int) -> Optional[PeriodicConfig]:
     return periodic(ca.p, ca.dim_v, cell_view(kern.basis[0], range(q), ca.dim_v))
 
 
+def vertex_block(ca: LinearCA):
+    """A memory element m0 whose block makes every window map onto, or None.
+
+    m0 is the unique minimiser of a weight +-e_i . phi(m) over the cells the
+    rule reads (``support_memory``), phi the map onto Z^k of
+    ``laurent.abelian_point``, and b_m0 is invertible.  Then for any window,
+    the targets g taken by decreasing weight of phi(g) can be met in turn by
+    x(g m0) = b_m0^-1 (y(g) - sum_(m != m0) b_m x(g m)): every x(g m) it
+    reads is a cell no target assigns, or one assigned before.  A finite
+    group has no weight, so it has no vertex block."""
+    if ca.group.is_finite():
+        return None
+    live = ca.support_memory
+    points = [laurent.abelian_point(ca.group, m) for m in live]
+    for i in range(len(points[0])):
+        for sign in (1, -1):
+            weights = [sign * pt[i] for pt in points]
+            low = min(weights)
+            if weights.count(low) == 1:
+                m0 = live[weights.index(low)]
+                if linalg.rank(ca.block(m0), ca.p) == ca.dim_v:
+                    return m0
+    return None
+
+
+def _decide(ca: LinearCA) -> laurent.Series:
+    """Whether the rule is invertible, where one computation settles it: on
+    a finite group the left-inverse system over every element, the one the
+    radius search reaches at saturation; on Z and Z^d the inverse series;
+    elsewhere ``laurent.UNDECIDED``."""
+    g = ca.group
+    if not g.is_finite():
+        return laurent.inverse_series(ca)
+    blocks = _solve_left_inverse(ca, g.elements())
+    if blocks is None:
+        return laurent.Series(False)
+    return laurent.Series(True, LinearCA(g, ca.p, ca.dim_v, g.elements(), blocks))
+
+
 def _possible_families(ca: LinearCA, series: Optional[laurent.Series] = None) -> frozenset:
-    """The searches that can still succeed: every one off Z and Z^d, and on
-    them those the module docstring's table leaves open.  ``series`` is the
-    rule's inverse power series when the caller already holds it."""
+    """The searches that can still succeed, by the module docstring's table.
+    ``series`` is the rule's ``_decide`` verdict when the caller already
+    holds it."""
     every = frozenset({"left-inverse", "support", "constant", "periodic", "fiber"})
     if series is None:
-        series = laurent.inverse_series(ca)
-    on_z = isinstance(ca.group, IntegerGroup)
-    if series.ends is not None:
-        if series.ends:
-            return frozenset({"left-inverse"})
-        return frozenset({"periodic"} if on_z else {"constant"})
-    return every - {"constant"} if on_z else every
+        series = _decide(ca)
+    if series.ends:
+        return frozenset({"left-inverse"})
+    group = ca.group
+    if isinstance(group, IntegerGroup):
+        return frozenset({"periodic"}) if series.ends is False else every - {"constant"}
+    if isinstance(group, LatticeGroup) and series.ends is False:
+        return frozenset({"constant"})
+    families = every - {"left-inverse"} if series.ends is False else every
+    if isinstance(group, FreeGroup):
+        if laurent.inverse_series(laurent.abelian_image(ca)).ends is False:
+            families -= {"left-inverse"}
+        if vertex_block(ca) is not None:
+            families -= {"fiber"}
+    return families
 
 
 def _kernel_search(
@@ -604,8 +665,8 @@ def kernel_witness(
 ) -> Optional[Configuration]:
     """Search for a nonzero configuration in the kernel: finitely supported
     ones on growing balls first, then periodic ones on the integers, as far as
-    the inverse power series allows on Z and Z^d.  Any returned witness is
-    re-verified exactly; None is inconclusive."""
+    the rule's decision allows (the module docstring's table).  Any returned
+    witness is re-verified exactly; None is inconclusive."""
     if min(support_bound, period_bound) < 0:
         raise ValueError(f"bounds must be >= 0, got {support_bound} and {period_bound}")
     radii, periods = range(support_bound + 1), range(1, period_bound + 1)
@@ -646,9 +707,10 @@ def surjectivity_counterexample(
     ca: LinearCA, max_radius: int = 6
 ) -> Optional[EmptyFiberWitness]:
     """Scan window maps for a rank deficiency; any pattern outside a window
-    image certifies non-surjectivity of the global map.  On Z and Z^d an
-    invertible end block makes det A nonzero, which proves the map
-    surjective, so then nothing is scanned.  None is inconclusive."""
+    image certifies non-surjectivity of the global map.  Nothing is scanned
+    when the map is proved surjective: on Z and Z^d by an invertible end
+    block, which makes det A nonzero; on a finite group by the solved
+    left-inverse system; on F_k by a vertex block.  None is inconclusive."""
     if max_radius < 0:
         raise ValueError(f"max_radius must be >= 0, got {max_radius}")
     if "fiber" not in _possible_families(ca):
@@ -676,24 +738,34 @@ def invert_ca(ca: LinearCA, max_radius: int = 8) -> InvertResult:
     certifies non-invertibility.  If the automaton is reversible, some
     finite radius succeeds; Unknown is only returned at the cutoff.
 
-    On Z and Z^d the inverse power series comes first (the module docstring
-    says why each case holds).  When it ends it is the inverse, returned
-    once both compositions check and only if its radius is at most
-    ``max_radius``; past it the answer is the search's Unknown, so
-    ``max_radius`` bounds the returned inverse's radius either way.  When it
-    does not end only the periodic search runs on Z and the constant one on
-    Z^d.  When neither end block is invertible every search runs, except
-    the constant one on Z, which period 1 covers.  Order and radii are kept,
-    so the first success is the one the full search finds."""
+    A decision comes first where one exists (the module docstring says why
+    each case holds): the inverse power series on Z and Z^d, and on a finite
+    group the left-inverse system over every element.  When it finds the
+    inverse, the inverse is returned once both compositions check and only
+    if its radius is at most ``max_radius``; past it the answer is the
+    search's Unknown, so ``max_radius`` bounds the returned inverse's radius
+    either way.  Otherwise only the searches that can still succeed run:
+    the periodic one on Z and the constant one on Z^d when the series does
+    not end; all but the left-inverse one on a singular finite rule; on F_k,
+    all but the left-inverse one when the series of the rule's image on Z^k
+    does not end, and all but the fiber one when a vertex block exists.
+    When neither end block is invertible on Z every search runs but the
+    constant one, which period 1 covers.  Order and radii are kept, so the
+    first success is the one the full search finds."""
     if max_radius < 0:
         raise ValueError(f"max_radius must be >= 0, got {max_radius}")
-    series = laurent.inverse_series(ca)
+    series = _decide(ca)
     if series.inverse is not None:
         cert = ReversibilityCertificate(ca, series.inverse)
         if cert.verify():
             return cert if cert.radius <= max_radius else _no_verdict(max_radius)
         series = laurent.UNDECIDED  # a wrong inverse proves nothing: search
-    families = _possible_families(ca, series)
+    return _radius_search(ca, _possible_families(ca, series), max_radius)
+
+
+def _radius_search(ca: LinearCA, families: frozenset, max_radius: int) -> InvertResult:
+    """The searches of ``families``, radius by radius up to ``max_radius``:
+    the left-inverse system, then kernel witnesses, then a window fiber."""
     balls = BallSequence(ca.group, 0)
     ws = WindowSystem(ca)
     prev_ball = None

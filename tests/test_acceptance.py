@@ -152,7 +152,7 @@ def test_criterion_5_extraction_internals(extraction_battery):
         extraction = result.extraction
         assert extraction.chains_nonincreasing()
         for chain in extraction.chains.values():
-            dims = [d for d in chain.dims()]
+            dims = [img.dim for img in chain.images]
             assert dims == sorted(dims, reverse=True)
         ws, points = WindowSystem(ca), extraction.level_points
         assert len(points) == 7

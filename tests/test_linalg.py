@@ -385,7 +385,7 @@ def test_integral_floats_booleans_and_int64_extremes_are_accepted():
 def test_zero_dimensional_edge_cases():
     z = Subspace.zero(0, 2)
     assert z.dim == 0
-    a = AffineSubspace.single_point(np.zeros(0, dtype=np.int64), 0, 2)
+    a = AffineSubspace.from_point_subspace(np.zeros(0, dtype=np.int64), Subspace.zero(0, 2))
     assert not a.is_empty and a.dim == 0
     r, piv, rk = rref(np.zeros((0, 3), dtype=np.int64), 2)
     assert rk == 0

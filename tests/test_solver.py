@@ -294,7 +294,7 @@ def test_kernel_chain_of_reversible_rule_dies():
     assert chain.stabilized.dim == 0
     assert chain.stabilized.contains(np.zeros(2, dtype=np.int64))
     assert chain.nonincreasing()
-    dims = chain.dims()
+    dims = [img.dim for img in chain.images]
     assert dims == sorted(dims, reverse=True)
 
 
