@@ -73,21 +73,6 @@ class LaurentMatrix(NamedTuple):
         return cell[0] if isinstance(self.ca.group, IntegerGroup) else cell
 
 
-def coefficients(ca: LinearCA) -> LaurentMatrix:
-    """The coefficient blocks of a rule on Z or Z^d, read from the cells it
-    reads (``support_memory``); the one place they are built."""
-    live = ca.support_memory
-    points = [m if isinstance(m, tuple) else (m,) for m in live]
-    low, high = tuple(map(min, zip(*points))), tuple(map(max, zip(*points)))
-    radix = tuple(2 * ca.dim_v * (hi - lo) + 1 for lo, hi in zip(low, high))
-    weights = [1]
-    for base in radix[:-1]:
-        weights.append(weights[-1] * base)
-    degrees = [sum(w * (e - lo) for w, e, lo in zip(weights, pt, low)) for pt in points]
-    blocks = {k: ca.block(m) for k, m in sorted(zip(degrees, live))}
-    return LaurentMatrix(ca, low, radix, blocks)
-
-
 def abelian_point(group, m) -> tuple:
     """phi(m) in Z^k: the cell itself on Z and Z^d, as a tuple, and on F_k
     the exponent sum of each letter (the abelianization, letter i -> e_i)."""
@@ -97,6 +82,21 @@ def abelian_point(group, m) -> tuple:
             point[abs(x) - 1] += 1 if x > 0 else -1
         return tuple(point)
     return m if isinstance(m, tuple) else (m,)
+
+
+def coefficients(ca: LinearCA) -> LaurentMatrix:
+    """The coefficient blocks of a rule on Z or Z^d, read from the cells it
+    reads (``support_memory``); the one place they are built."""
+    live = ca.support_memory
+    points = [abelian_point(ca.group, m) for m in live]
+    low, high = tuple(map(min, zip(*points))), tuple(map(max, zip(*points)))
+    radix = tuple(2 * ca.dim_v * (hi - lo) + 1 for lo, hi in zip(low, high))
+    weights = [1]
+    for base in radix[:-1]:
+        weights.append(weights[-1] * base)
+    degrees = [sum(w * (e - lo) for w, e, lo in zip(weights, pt, low)) for pt in points]
+    blocks = {k: ca.block(m) for k, m in sorted(zip(degrees, live))}
+    return LaurentMatrix(ca, low, radix, blocks)
 
 
 def abelian_image(ca: LinearCA) -> LinearCA:

@@ -32,7 +32,9 @@ makes det A nonzero; the series ends iff det A is a unit.  With both end
 blocks singular the series cannot tell, and every search runs.
 
 On a finite group one elimination decides: the left-inverse system over
-every element, the one the radius search reaches at saturation.  On F_k the
+every element, the one the radius search reaches at saturation.  It runs
+only when the search's radius reaches the whole group, so it never builds
+a system larger than the search would.  On F_k the
 abelianization phi (letter i -> e_i) maps the group ring homomorphically to
 Z^k's, so A invertible makes phi(A) invertible (``laurent.abelian_image``),
 and a vertex block proves every window map onto (``vertex_block``).  On
@@ -604,14 +606,17 @@ def vertex_block(ca: LinearCA):
     return None
 
 
-def _decide(ca: LinearCA) -> laurent.Series:
+def _decide(ca: LinearCA, radius: int) -> laurent.Series:
     """Whether the rule is invertible, where one computation settles it: on
     a finite group the left-inverse system over every element, the one the
-    radius search reaches at saturation; on Z and Z^d the inverse series;
-    elsewhere ``laurent.UNDECIDED``."""
+    radius search reaches at saturation, once ball(radius) is the whole
+    group (below that the search never builds a system that large); on Z
+    and Z^d the inverse series; elsewhere ``laurent.UNDECIDED``."""
     g = ca.group
     if not g.is_finite():
         return laurent.inverse_series(ca)
+    if len(g.ball(radius)) < g.order:
+        return laurent.UNDECIDED
     blocks = _solve_left_inverse(ca, g.elements())
     if blocks is None:
         return laurent.Series(False)
@@ -620,11 +625,11 @@ def _decide(ca: LinearCA) -> laurent.Series:
 
 def _possible_families(ca: LinearCA, series: Optional[laurent.Series] = None) -> frozenset:
     """The searches that can still succeed, by the module docstring's table.
-    ``series`` is the rule's ``_decide`` verdict when the caller already
-    holds it."""
+    ``series`` is the rule's ``_decide`` verdict, by default its inverse
+    series, which leaves a finite group undecided."""
     every = frozenset({"left-inverse", "support", "constant", "periodic", "fiber"})
     if series is None:
-        series = _decide(ca)
+        series = laurent.inverse_series(ca)
     if series.ends:
         return frozenset({"left-inverse"})
     group = ca.group
@@ -670,7 +675,8 @@ def kernel_witness(
     if min(support_bound, period_bound) < 0:
         raise ValueError(f"bounds must be >= 0, got {support_bound} and {period_bound}")
     radii, periods = range(support_bound + 1), range(1, period_bound + 1)
-    witness = _kernel_search(ca, _possible_families(ca), radii, periods)
+    families = _possible_families(ca, _decide(ca, support_bound))
+    witness = _kernel_search(ca, families, radii, periods)
     return witness.config if witness is not None else None
 
 
@@ -713,7 +719,7 @@ def surjectivity_counterexample(
     left-inverse system; on F_k by a vertex block.  None is inconclusive."""
     if max_radius < 0:
         raise ValueError(f"max_radius must be >= 0, got {max_radius}")
-    if "fiber" not in _possible_families(ca):
+    if "fiber" not in _possible_families(ca, _decide(ca, max_radius)):
         return None
     ws = WindowSystem(ca)
     prev = None
@@ -740,11 +746,12 @@ def invert_ca(ca: LinearCA, max_radius: int = 8) -> InvertResult:
 
     A decision comes first where one exists (the module docstring says why
     each case holds): the inverse power series on Z and Z^d, and on a finite
-    group the left-inverse system over every element.  When it finds the
-    inverse, the inverse is returned once both compositions check and only
-    if its radius is at most ``max_radius``; past it the answer is the
-    search's Unknown, so ``max_radius`` bounds the returned inverse's radius
-    either way.  Otherwise only the searches that can still succeed run:
+    group the left-inverse system over every element, once ball(max_radius)
+    is the whole group.  When it finds the inverse, the inverse is returned
+    once both compositions check and only if its radius is at most
+    ``max_radius``; past it the answer is the search's Unknown, so
+    ``max_radius`` bounds the returned inverse's radius either way.
+    Otherwise only the searches that can still succeed run:
     the periodic one on Z and the constant one on Z^d when the series does
     not end; all but the left-inverse one on a singular finite rule; on F_k,
     all but the left-inverse one when the series of the rule's image on Z^k
@@ -754,7 +761,7 @@ def invert_ca(ca: LinearCA, max_radius: int = 8) -> InvertResult:
     first success is the one the full search finds."""
     if max_radius < 0:
         raise ValueError(f"max_radius must be >= 0, got {max_radius}")
-    series = _decide(ca)
+    series = _decide(ca, max_radius)
     if series.inverse is not None:
         cert = ReversibilityCertificate(ca, series.inverse)
         if cert.verify():

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import random_ca, random_matrix, reference_rref, unit_det_rule
 from linca import (
+    FiniteGroup,
     FreeGroup,
     LatticeGroup,
     LinearCA,
@@ -77,7 +78,7 @@ def test_finite_decision_is_the_full_group_rank(group):
     for ca in _rules(group, 24, 61, 3):
         rows = _full_group_rows(ca)
         bijective = len(reference_rref(rows, len(rows), ca.p)[1]) == len(rows)
-        series = _decide(ca)
+        series = _decide(ca, 1)  # ball(1) is the whole group
         assert series.ends is bijective, ca
         if bijective:
             assert ReversibilityCertificate(ca, series.inverse).verify()
@@ -87,6 +88,18 @@ def test_finite_decision_is_the_full_group_rank(group):
             assert _possible_families(ca, series) == EVERY - {"left-inverse"}
         verdicts.append(bijective)
     assert 8 <= verdicts.count(False) <= 16
+
+
+def test_finite_decision_waits_for_the_search_to_reach_the_whole_group():
+    """On Z/12 generated by 1, ball(r) is the whole group from r = 6 on.
+    Below that the search never builds the |G| dimV system, and neither
+    does the decision; the answers are the search's either way."""
+    cycle = FiniteGroup(cyclic_group(12).table, generator_ids=[1])
+    for ca in _rules(cycle, 6, 83, 2):
+        assert _decide(ca, 5).ends is None
+        assert _decide(ca, 6).ends is not None
+        for radius in (2, 6):
+            assert _text(invert_ca(ca, radius)) == _text(_radius_search(ca, EVERY, radius))
 
 
 @pytest.mark.parametrize("group", [F2, Z2], ids=["F2", "Z2"])
