@@ -34,11 +34,11 @@ blocks singular the series cannot tell, and every search runs.
 On a finite group one elimination decides: the left-inverse system over
 every element, the one the radius search reaches at saturation.  It runs
 only when the search's radius reaches the whole group, so it never builds
-a system larger than the search would.  On F_k the
-abelianization phi (letter i -> e_i) maps the group ring homomorphically to
-Z^k's, so A invertible makes phi(A) invertible (``laurent.abelian_image``),
-and a vertex block proves every window map onto (``vertex_block``).  On
-F_k both facts only skip searches; neither answers on its own.
+a system larger than the search would.  On F_k the abelianization phi
+(letter i -> e_i) maps the group ring homomorphically to Z^k's, so A
+invertible makes phi(A) invertible (``laurent.abelian_image``), and a
+vertex block proves every window map onto (``vertex_block``).  On F_k both
+facts only skip searches; neither answers on its own.
 
     group   decision               searches run           why the others cannot succeed
     Z, Z^d  series ends            left inverse, read     bijective: no kernel element, every window
