@@ -25,9 +25,12 @@ canonical, by two facts:
   row f, f being the pivot of K's row i: row i of K S is S's row f plus
   rows of S past f, which are zero up to and at that pivot, and at that
   pivot every other row of K S reads K's zero entry at column f.
+  ``solve_in_lift`` applies it to S = [[B, 0], [0, I]], B an RREF basis
+  and I the unit rows of new coordinates, without building S: K S is K's
+  product with B next to K's own columns at the unit rows.
 
-``kernel_basis``, ``solve_affine_multi`` and ``solve_in_span`` rest on
-them; ``solve_in_span`` has one caller, the preimage levels.
+``kernel_basis``, ``solve_affine_multi`` and ``solve_in_lift`` rest on
+them; ``solve_in_lift`` has one caller, the preimage levels.
 ``Subspace.from_spanning`` remains only for spanning sets from outside.
 
 The bonds of a projective sequence are prefixes: each window lists the one
@@ -160,29 +163,49 @@ def rref_inplace(a: np.ndarray, p: int) -> list[int]:
     entries fits int64.  Each pivot row is scaled to lead with 1 and every
     other row is cleared at its pivot column.  Row operations are
     vectorized; the outer loop is one pass per column until the rows run
-    out.  Every elimination in the library goes through this function."""
+    out.  Every elimination in the library goes through this function.
+
+    No row moves during the loop.  One ``nonzero`` over each column gives
+    both the rows to clear and the pivot candidates, and the pivot row is
+    the first candidate that is not a pivot row yet.  A row that is not a
+    pivot row is zero at every column already passed, so the new pivot row
+    leads at this column; the RREF is unique, so any candidate gives the
+    same result.  The rows are ordered once, at the end: one gather moves
+    the pivot rows to the top in pivot order, and every other row is zero,
+    so the rows below them are set to zero."""
     rows, cols = a.shape
     pivots: list[int] = []
-    r = 0
+    order: list[int] = []  # the pivot rows, in pivot order
+    taken = np.zeros(rows, dtype=bool)
     for c in range(cols):
-        if r == rows:
+        if len(order) == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        nz = a[:, c].nonzero()[0]
+        if not nz.size:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
+        pivot_rows = taken[nz]
+        first = int(pivot_rows.argmin())  # the first row not yet a pivot row
+        if pivot_rows[first]:
+            continue
+        r = int(nz[first])
         inv = pow(int(a[r, c]), -1, p)
+        row = a[r, c:]
         if inv != 1:
-            a[r, c:] = (a[r, c:] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            a[hit, c:] = (a[hit, c:] - np.outer(col[hit], a[r, c:])) % p
+            row *= inv
+            row %= p
+        if nz.size > 1:
+            hit = nz[nz != r]
+            block = a[hit, c:]
+            block -= np.multiply.outer(block[:, 0], row)
+            block %= p
+            a[hit, c:] = block
+        taken[r] = True
+        order.append(r)
         pivots.append(c)
-        r += 1
+    rank = len(order)
+    if order != list(range(rank)):
+        a[:rank] = a[order]
+        a[rank:] = 0
     return pivots
 
 
@@ -429,24 +452,38 @@ def constrain_affine(affine: AffineSubspace, k, target, p: int) -> AffineSubspac
     return AffineSubspace(affine.ambient, p, y, dirs)
 
 
-def solve_in_span(point, span: Subspace, coeff, rhs, p: int) -> AffineSubspace:
-    """{point + c @ span.basis : coeff c = rhs} in canonical form, solved in
-    the parameters c (one per row of the span's RREF basis); ``rhs`` need
-    not be reduced.  The system's kernel K comes out in RREF, so by the
-    reduced-products fact of the module docstring the directions K S are
-    the RREF basis as computed, one product with no further elimination."""
+def solve_in_lift(below: AffineSubspace, new: int, coeff, rhs, p: int) -> AffineSubspace:
+    """The lift of a nonempty ``below`` by ``new`` free coordinates,
+    {[below.point + c @ B | e] : coeff [c | e] = rhs} in canonical form, B
+    being below's RREF basis, solved in the parameters [c | e]; ``rhs``
+    need not be reduced.
+
+    The lift spans the rows of S = [[B, 0], [0, I]], and S is the RREF basis
+    of that span, so by the reduced-products fact of the module docstring
+    the directions K S are in RREF as computed, K being the system's kernel,
+    itself in RREF.  S is never built: K is the identity at its pivots and
+    the point is zero there, so the B part of K S is B at K's pivots below
+    B's dimension plus one product over B's other rows, and the I part is
+    K's own columns past B's dimension."""
+    span, k = below.directions, below.ambient
+    d = span.dim
     kernel, points, solvable = _solve(coeff, np.reshape(rhs, (-1, 1)), p)
     if not solvable[0]:
-        return AffineSubspace.empty(span.ambient, p)
-    # K is the identity at its pivots and the point is zero there, so one
-    # product over the other rows of S gives the directions, then the
-    # point's shift.
-    free = list(kernel.pivots)
-    bound = complement(free, span.dim)
-    prod = matmul(np.vstack([kernel.basis, points])[:, bound], span.basis[bound], p)
-    basis = prod[:-1]
-    basis += span.basis[free]
-    basis %= p
-    basis.setflags(write=False)
-    dirs = Subspace(span.ambient, p, basis, tuple(span.pivots[f] for f in kernel.pivots))
-    return AffineSubspace.from_point_subspace((point + prod[-1]) % p, dirs)
+        return AffineSubspace.empty(k + new, p)
+    split = bisect.bisect_left(kernel.pivots, d)
+    old = list(kernel.pivots[:split])  # K's first rows lead in B's parameters
+    bound = complement(old, d)
+    rows = np.vstack([kernel.basis, points])  # the last row is the point
+    lifted = np.empty((len(rows), k + new), dtype=np.int64)
+    lifted[:, :k] = matmul(rows[:, bound], span.basis[bound], p)
+    lifted[:, k:] = rows[:, d:]
+    # Only these rows of the B part gain a term; both terms lie in [0, p).
+    for part, term in ((lifted[:split, :k], span.basis[old]), (lifted[-1, :k], below.point)):
+        part += term
+        np.subtract(part, p, out=part, where=part >= p)
+    lifted.setflags(write=False)
+    pivots = [span.pivots[f] for f in old] + [f + k - d for f in kernel.pivots[split:]]
+    dirs = Subspace(k + new, p, lifted[:-1], tuple(pivots))
+    # The point is zero at every pivot: the point below is zero at B's, and
+    # the solution is zero at K's, the rows of S that lead at the others.
+    return AffineSubspace(k + new, p, lifted[-1], dirs)

@@ -97,7 +97,6 @@ from .ca import (
 from .groups import BallSequence, FreeGroup, IntegerGroup, LatticeGroup, ball_fits, interior
 from .linalg import (
     AffineSubspace,
-    Subspace,
     constrain_affine,
     image_of_affine,
     kernel_basis,
@@ -205,17 +204,17 @@ def preimage_sequence(
     those of W_{n-1}, and X_n = {x : x|A_{n-1} in X_{n-1}, the rows at B_n
     minus B_{n-1} hold}, solved in the parameters of X_{n-1} and new cells.
 
-    Those parameters span X_{n-1}'s RREF basis, padded with zeros to A_n, and
-    a unit row at each new coordinate.  A_{n-1} is the prefix of A_n, so the
-    padded basis is in RREF and the unit rows, zero on the prefix, follow it
-    in pivot order: together they are the RREF basis of their span.  So
-    ``solve_in_span`` reads X_n's directions off one product, with one
-    elimination per level.
+    Those parameters span X_{n-1}'s RREF basis on the prefix A_{n-1} and a
+    unit row at each new coordinate, so ``solve_in_lift`` reads X_n's
+    directions off one product, with one elimination per level, and never
+    builds the unit rows.
 
     No level builds W_n.  The new rows read only the cells they reach, so
-    the product takes ``ca.block_matrix(new targets, reach)`` times the
-    lift's columns at the reach: the same exact product with W_n's zero
-    columns left out."""
+    the level takes ``ca.block_matrix(new targets, reach)``.  Its columns
+    at the reach's cells in A_{n-1} meet X_{n-1}'s basis and point in one
+    product; its columns at the new cells are already the coefficients of
+    the unit rows.  This is the lift's exact product with W_n's zero columns
+    and the unit rows left out."""
     p = ws.ca.p
 
     def level(n: int, below: AffineSubspace) -> AffineSubspace:
@@ -223,22 +222,21 @@ def preimage_sequence(
         if below.is_empty:
             return AffineSubspace.empty(ambient, p)
         span, k = below.directions, below.ambient
-        # x = point + c @ basis: X_{n-1} on the prefix A_{n-1}, then unit rows
-        # at the new coordinates, in pivot order; the last row is the point.
-        lift = np.zeros((span.dim + ambient - k + 1, ambient), dtype=np.int64)
-        lift[: span.dim, :k] = span.basis
-        lift[np.arange(span.dim, lift.shape[0] - 1), np.arange(k, ambient)] = 1
-        lift[-1, :k] = below.point
-        # The new rows, pulled back to c; the last column is the point's image.
         fresh = ws.new_targets(n)
         reach = ws.reach(n, fresh)
         cols = coordinates(reach, ws.cells(n)[0], ws.ca.dim_v)
-        pulled = matmul(ws.ca.block_matrix(fresh, reach), lift[:, cols].T, p)
+        w = ws.ca.block_matrix(fresh, reach)
+        # The reach lists its cells in A_{n-1}, the prefix, first.
+        old = int(np.searchsorted(cols, k))
+        known = cols[:old]
+        # X_{n-1}'s basis rows and its point, pulled back; the last column
+        # is the point's image.
+        pulled = matmul(w[:, :old], np.vstack([span.basis[:, known], below.point[known]]).T, p)
+        coeff = np.zeros((len(w), span.dim + ambient - k), dtype=np.int64)
+        coeff[:, : span.dim] = pulled[:, :-1]
+        coeff[:, span.dim + cols[old:] - k] = w[:, old:]
         rhs = pattern_to_vec(target, fresh, ws.ca.dim_v, p) - pulled[:, -1]
-        basis = lift[:-1]
-        basis.setflags(write=False)
-        lifted = Subspace(ambient, p, basis, span.pivots + tuple(range(k, ambient)))
-        return linalg.solve_in_span(lift[-1], lifted, pulled[:, :-1], rhs, p)
+        return linalg.solve_in_lift(below, ambient - k, coeff, rhs, p)
 
     return ProjectiveAffineSequence(p, ws.ambient, level)
 
@@ -623,13 +621,10 @@ def _decide(ca: LinearCA, radius: int) -> laurent.Series:
     return laurent.Series(True, LinearCA(g, ca.p, ca.dim_v, g.elements(), blocks))
 
 
-def _possible_families(ca: LinearCA, series: Optional[laurent.Series] = None) -> frozenset:
+def _possible_families(ca: LinearCA, series: laurent.Series) -> frozenset:
     """The searches that can still succeed, by the module docstring's table.
-    ``series`` is the rule's ``_decide`` verdict, by default its inverse
-    series, which leaves a finite group undecided."""
+    ``series`` is the rule's ``_decide`` verdict."""
     every = frozenset({"left-inverse", "support", "constant", "periodic", "fiber"})
-    if series is None:
-        series = laurent.inverse_series(ca)
     if series.ends:
         return frozenset({"left-inverse"})
     group = ca.group

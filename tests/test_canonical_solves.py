@@ -37,7 +37,7 @@ from linca.linalg import (
     image_of_affine,
     kernel_basis,
     solve_affine_multi,
-    solve_in_span,
+    solve_in_lift,
 )
 
 PRIMES = (2, 3, 5, 1048573)
@@ -256,8 +256,9 @@ def test_one_elimination_per_solve(eliminations):
     assert len(eliminations) == 2
     span = Subspace.from_spanning(rng.integers(0, p, size=(3, 7)), 7, p)
     del eliminations[:]
-    coeff = rng.integers(0, p, size=(2, span.dim))
-    solve_in_span(np.zeros(7, dtype=np.int64), span, coeff, [1, 2], p)
+    coeff = rng.integers(0, p, size=(2, span.dim + 3))
+    below = AffineSubspace.from_point_subspace(np.zeros(7, dtype=np.int64), span)
+    solve_in_lift(below, 3, coeff, [1, 2], p)
     assert len(eliminations) == 1
 
 

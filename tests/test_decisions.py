@@ -149,12 +149,13 @@ def test_free_image_series_rules_out_left_inverses():
         else:
             ca = random_ca(rng, F2, p, d, rng.sample(F2.ball(1), rng.randint(2, 3)))
         ends = laurent.inverse_series(laurent.abelian_image(ca)).ends
+        families = _possible_families(ca, laurent.inverse_series(ca))
         if i % 3 == 0:
             assert ends is not False
-            assert "left-inverse" in _possible_families(ca)
+            assert "left-inverse" in families
         if ends is False:
             ruled_out += 1
-            assert "left-inverse" not in _possible_families(ca)
+            assert "left-inverse" not in families
             for n in range(4):
                 assert _solve_left_inverse(ca, F2.ball(n)) is None, (ca, n)
     assert ruled_out >= 6

@@ -771,19 +771,22 @@ BOTH_ENDS_SINGULAR_Z2 = LinearCA(
 
 
 def test_possible_families_follow_the_series():
+    def families(ca):
+        return _possible_families(ca, laurent.inverse_series(ca))
+
     every = {"left-inverse", "support", "constant", "periodic", "fiber"}
-    assert _possible_families(UNIT_SINGULAR_AT_ZERO) == every - {"constant"}
-    assert _possible_families(add_rule()) == {"periodic"}
+    assert families(UNIT_SINGULAR_AT_ZERO) == every - {"constant"}
+    assert families(add_rule()) == {"periodic"}
     zero = LinearCA(Z, 2, 1, (0,), ([[0]],))
-    assert _possible_families(zero) == every - {"constant"}
-    assert _possible_families(BOTH_ENDS_SINGULAR) == every - {"constant"}
+    assert families(zero) == every - {"constant"}
+    assert families(BOTH_ENDS_SINGULAR) == every - {"constant"}
     # The highest block is I, so the series runs from it.
-    assert _possible_families(SINGULAR_LOWEST_BLOCK) == {"periodic"}
+    assert families(SINGULAR_LOWEST_BLOCK) == {"periodic"}
     square = LinearCA(LatticeGroup(2), 2, 1, ((0, 0), (1, 0)), ([[1]], [[1]]))
-    assert _possible_families(square) == {"constant"}
-    assert _possible_families(BOTH_ENDS_SINGULAR_Z2) == every
+    assert families(square) == {"constant"}
+    assert families(BOTH_ENDS_SINGULAR_Z2) == every
     sigma = gallery.sigma_truncated_ca(3, 2)
-    assert _possible_families(sigma) == {"left-inverse"}
+    assert families(sigma) == {"left-inverse"}
 
 
 def _unitriangular_conjugate(ca, rng):
@@ -856,7 +859,7 @@ def test_pruned_searches_give_the_full_search_answers(monkeypatch):
         cases += [(sigma, j), (sigma, j - 2), (_unitriangular_conjugate(sigma, rng), j)]
     families = set()
     for ca, max_radius in cases:
-        families.add(_possible_families(ca))
+        families.add(_possible_families(ca, laurent.inverse_series(ca)))
         pruned = _visible_answers(ca, max_radius)
         with monkeypatch.context() as m:
             m.setattr(laurent, "inverse_series", lambda ca: laurent.UNDECIDED)
