@@ -13,7 +13,6 @@ from .ca import (
     ConstantConfig,
     FiniteSupportConfig,
     LinearCA,
-    LocalRule,
     Pattern,
     PeriodicConfig,
     WindowMap,

@@ -13,20 +13,20 @@ Patterns live on finite windows; configurations come in three decidable
 families: finitely supported (any group), periodic (integers only) and
 constant.  ``LinearCA.block_matrix`` is the one assembler of rule blocks
 into a GF(p) matrix; it writes each block once, as stored, and reduces
-nothing.  Window maps V^A -> V^B with B = interior(A, M) are block matrices
-with columns in the window's order (``BallSequence.window``) and rows in the
-canonical cell order; every other solver system is in the canonical cell
-order, read directly, transposed or with columns folded.  This module also
-owns the one evaluator, the plain loop ``LinearCA._evaluate`` that checks
-those matrices independently, and the cell layout of window vectors
-(``cell_view``).
+nothing.  ``LinearCA.window_map`` wraps it for the source and target cells
+it is given and decides no window: ``solver.WindowSystem`` owns the windows,
+A_n in the order of ``BallSequence.window`` and B_n = interior(A_n, M) in
+the canonical cell order.  Every other solver system is in the canonical
+cell order, read directly, transposed or with columns folded.  This module also owns the one evaluator, the plain
+loop ``LinearCA._evaluate`` that checks those matrices independently, and
+the cell layout of window vectors (``cell_view``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -43,27 +43,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class LocalRule:
-    """Normalized memory list plus matching blocks."""
-
-    memory: tuple
-    blocks: tuple
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LocalRule)
-            and self.memory == other.memory
-            and all(np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks))
-        )
-
-    def __repr__(self):
-        return f"LocalRule(memory={self.memory!r})"
-
-
-def normalize_rule(group: Group, p: int, dim_v: int, memory, blocks) -> LocalRule:
-    """Canonical form of a rule: identity present, zero blocks pruned,
-    memory in canonical order.  The represented global map is unchanged."""
+def normalize_rule(group: Group, p: int, dim_v: int, memory, blocks) -> tuple[tuple, tuple]:
+    """Canonical form of a rule, as (memory, blocks): identity present, zero
+    blocks pruned, memory in canonical order, blocks read-only.  The
+    represented global map is unchanged."""
     mem = [group.check(m) for m in memory]
     if len(set(mem)) != len(mem):
         raise CAError("memory elements must be pairwise distinct")
@@ -79,7 +62,7 @@ def normalize_rule(group: Group, p: int, dim_v: int, memory, blocks) -> LocalRul
     if e not in kept:
         kept[e] = np.zeros((dim_v, dim_v), dtype=np.int64)
     ordered = group.sort_elements(kept)
-    return LocalRule(ordered, tuple(_freeze(kept[m].copy()) for m in ordered))
+    return ordered, tuple(_freeze(kept[m]) for m in ordered)
 
 
 class LinearCA:
@@ -92,15 +75,7 @@ class LinearCA:
         self.group = group
         self.p = p
         self.dim_v = dim_v
-        self.rule = normalize_rule(group, p, dim_v, memory, blocks)
-
-    @property
-    def memory(self) -> tuple:
-        return self.rule.memory
-
-    @property
-    def blocks(self) -> tuple:
-        return self.rule.blocks
+        self.memory, self.blocks = normalize_rule(group, p, dim_v, memory, blocks)
 
     @property
     def support_memory(self) -> tuple:
@@ -127,7 +102,8 @@ class LinearCA:
             and self.group == other.group
             and self.p == other.p
             and self.dim_v == other.dim_v
-            and self.rule == other.rule
+            and self.memory == other.memory
+            and all(np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks))
         )
 
     def __repr__(self):
@@ -200,16 +176,10 @@ class LinearCA:
             cells[ri, :, js[ri], :] = b
         return mat
 
-    def window_map(
-        self, n: int, balls: Optional[BallSequence] = None, target: Optional[tuple] = None
-    ) -> "WindowMap":
-        """The matrix of the induced map V^{A_n} -> V^{B_n}, columns in the
-        order of A_n and rows in canonical cell order; B_n empty gives the
-        map onto the zero-row space.  ``target`` is B_n, the interior of
-        A_n, when the caller already holds it."""
-        source = (balls or self.balls()).window(n)
-        if target is None:
-            target = interior(self.group, source, self.memory)
+    def window_map(self, source: tuple, target: tuple) -> "WindowMap":
+        """The window map V^source -> V^target as a read-only block matrix,
+        columns in the order of ``source`` and rows in that of ``target``.
+        ``solver.WindowSystem`` decides the cells: A_n and its interior B_n."""
         return WindowMap(source, target, _freeze(self.block_matrix(target, source)))
 
 

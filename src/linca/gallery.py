@@ -177,9 +177,6 @@ class LazySparseConfig:
             raise GalleryError(f"unknown tail kind {self.tail.kind!r}")
         return zero_vector(self.p)
 
-    def support(self) -> tuple:
-        return tuple(sorted(self.cells))
-
     def __eq__(self, other):
         return (
             isinstance(other, LazySparseConfig)
@@ -477,17 +474,3 @@ def sparse_to_array(v: SparseVector, dim: int) -> np.ndarray:
     for i, c in v.entries.items():
         out[i - 1] = c
     return out
-
-
-def config_to_finite(x: LazySparseConfig, dim: int):
-    """A sparse configuration on blocks <= J as a finite-alphabet one."""
-    from .ca import finite_support
-
-    _require_sparse(x, "config_to_finite")
-    return finite_support(
-        x.p, dim, {n: sparse_to_array(v, dim) for n, v in x.cells.items()}
-    )
-
-
-def array_to_sparse(p: int, arr: np.ndarray) -> SparseVector:
-    return sparse_vector(p, {i + 1: int(c) for i, c in enumerate(arr)})

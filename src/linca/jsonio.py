@@ -55,19 +55,10 @@ from .ca import (
     check_on_group,
     constant,
     finite_support,
-    pattern_to_vec,
     periodic,
     value_vector,
 )
-from .groups import (
-    FiniteGroup,
-    FreeGroup,
-    Group,
-    IntegerGroup,
-    LatticeGroup,
-    ball_fits,
-    interior,
-)
+from .groups import FiniteGroup, FreeGroup, Group, IntegerGroup, LatticeGroup
 
 CA_FORMAT = "linca-ca/1"
 CONFIG_FORMAT = "linca-config/1"
@@ -427,28 +418,14 @@ def empty_fiber_certificate(
 def preimage_certificate(
     ca: LinearCA, target, result: solver.PreimageResult, window: int, cutoff: int
 ) -> dict:
-    """Raises CertificateError unless the pattern covers exactly the
-    window's source cells and its image equals the target on the window.
-    The source cells are the ball of radius r0 + window, so a pattern with
-    fewer cells is rejected before the ball is built."""
-    cells = result.pattern.cells
-    _require(
-        ball_fits(ca.group, ca.balls().r0 + window, len(cells)),
-        "pattern domain does not match the window",
+    """Raises CertificateError, with the reason ``solver.window_preimage``
+    gives, unless the pattern passes that one check of a window preimage.
+    The transcript records the cells B_window the check matched and the
+    image it computed there."""
+    failure, image = solver.window_preimage(
+        solver.WindowSystem(ca), target, window, result.pattern
     )
-    source = ca.balls().window(window)
-    _require(set(cells) == set(source), "pattern domain does not match the window")
-    matched = interior(ca.group, source, ca.memory)
-    # The rule's plain int64 loop on purpose: independent of the window
-    # matrix and of matmul's float64 path, and linear in the listed cells.
-    image = Pattern(ca._evaluate(matched, cells.get))
-    _require(
-        np.array_equal(
-            pattern_to_vec(image, matched, ca.dim_v, ca.p),
-            pattern_to_vec(target, matched, ca.dim_v, ca.p),
-        ),
-        "pattern image does not match the target",
-    )
+    _require(failure is None, failure)
     payload = {
         "window": window,
         "cutoff": cutoff,
@@ -456,7 +433,7 @@ def preimage_certificate(
         "pattern": encode_pattern(ca.group, result.pattern),
     }
     transcript = {
-        "matched_cells": [encode_element(ca.group, g) for g in matched],
+        "matched_cells": [encode_element(ca.group, g) for g in image.cells],
         "image": encode_pattern(ca.group, image),
     }
     return _cert("preimage", encode_ca(ca), payload, transcript)

@@ -273,9 +273,6 @@ class Subspace:
     def contains(self, v) -> bool:
         return not np.any(self.reduce(v))
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
-
     def members(self) -> Iterator[np.ndarray]:
         """All member vectors; guarded against combinatorial blowup."""
         if self.p ** self.dim > ENUMERATION_CAP:
@@ -413,30 +410,30 @@ def _prefix(k, ambient: int) -> int:
     return int(k)
 
 
-def image_of_subspace(k, subspace: Subspace, p: int) -> Subspace:
+def image_of_subspace(k, subspace: Subspace) -> Subspace:
     """Exact image of a subspace under the prefix x -> x[:k]: its basis rows
     with pivot < k, cut to [:k]."""
     k = _prefix(k, subspace.ambient)
     r = bisect.bisect_left(subspace.pivots, k)
-    return Subspace(k, p, subspace.basis[:r, :k], subspace.pivots[:r])
+    return Subspace(k, subspace.p, subspace.basis[:r, :k], subspace.pivots[:r])
 
 
-def image_of_affine(k, affine: AffineSubspace, p: int) -> AffineSubspace:
+def image_of_affine(k, affine: AffineSubspace) -> AffineSubspace:
     """Exact image of an affine subspace under x -> x[:k].  The point is
     zero at every pivot, so its prefix is canonical for the image."""
     k = _prefix(k, affine.ambient)
     if affine.is_empty:
-        return AffineSubspace.empty(k, p)
-    return AffineSubspace(k, p, affine.point[:k], image_of_subspace(k, affine.directions, p))
+        return AffineSubspace.empty(k, affine.p)
+    return AffineSubspace(k, affine.p, affine.point[:k], image_of_subspace(k, affine.directions))
 
 
-def constrain_affine(affine: AffineSubspace, k, target, p: int) -> AffineSubspace:
+def constrain_affine(affine: AffineSubspace, k, target) -> AffineSubspace:
     """The subset {x in affine : x[:k] = target}, again affine canonical.
     The basis rows with pivot < k fix its coefficients, target at their
     pivots, so y = point + target[P] @ those rows is the one candidate for
     the prefix; the rows with pivot >= k are zero on [:k] and zero at those
     pivots, so they are the directions and y is canonical for them."""
-    k = _prefix(k, affine.ambient)
+    k, p = _prefix(k, affine.ambient), affine.p
     t = as_vector(target, p)
     if t.shape != (k,):
         raise LinalgError(f"target has {t.size} coordinates, the prefix {k}")
@@ -452,7 +449,7 @@ def constrain_affine(affine: AffineSubspace, k, target, p: int) -> AffineSubspac
     return AffineSubspace(affine.ambient, p, y, dirs)
 
 
-def solve_in_lift(below: AffineSubspace, new: int, coeff, rhs, p: int) -> AffineSubspace:
+def solve_in_lift(below: AffineSubspace, new: int, coeff, rhs) -> AffineSubspace:
     """The lift of a nonempty ``below`` by ``new`` free coordinates,
     {[below.point + c @ B | e] : coeff [c | e] = rhs} in canonical form, B
     being below's RREF basis, solved in the parameters [c | e]; ``rhs``
@@ -465,7 +462,7 @@ def solve_in_lift(below: AffineSubspace, new: int, coeff, rhs, p: int) -> Affine
     the point is zero there, so the B part of K S is B at K's pivots below
     B's dimension plus one product over B's other rows, and the I part is
     K's own columns past B's dimension."""
-    span, k = below.directions, below.ambient
+    span, k, p = below.directions, below.ambient, below.p
     d = span.dim
     kernel, points, solvable = _solve(coeff, np.reshape(rhs, (-1, 1)), p)
     if not solvable[0]:

@@ -114,8 +114,10 @@ class StabilizationCutoffError(RuntimeError):
 
 class WindowSystem:
     """The windows of one automaton: the cells A_n and B_n of each level,
-    cached.  A_n lists A_{n-1} first (see ``BallSequence``), so x|A_n is the
-    prefix x[:ambient(n)] of a window vector x over A_m, n <= m.
+    cached.  This class is the one owner of the windows: every window map,
+    preimage level, fiber witness and window-preimage check takes its cells
+    from ``cells(n)``.  A_n lists A_{n-1} first (see ``BallSequence``), so
+    x|A_n is the prefix x[:ambient(n)] of a window vector x over A_m, n <= m.
 
     No matrix is cached.  ``window(n)`` builds the whole window map W_n
     afresh on each call; the preimage levels never ask for it, since each
@@ -138,7 +140,7 @@ class WindowSystem:
     def window(self, n: int) -> WindowMap:
         """The window map V^{A_n} -> V^{B_n}, built on each call from the
         cached cells."""
-        return self.ca.window_map(n, self.balls, self.cells(n)[1])
+        return self.ca.window_map(*self.cells(n))
 
     def ambient(self, n: int) -> int:
         return self.ca.dim_v * len(self.cells(n)[0])
@@ -189,12 +191,6 @@ class ProjectiveAffineSequence:
             self._levels[k] = self._level(k, below)
         return self._levels[n]
 
-    def bond(self, n: int, m: int) -> int:
-        """The length k of the prefix x -> x[:k] from level m to level n."""
-        if m < n:
-            raise ValueError("bonding maps go from higher to lower levels")
-        return self.ambient(n)
-
 
 def preimage_sequence(
     ws: WindowSystem, target: Configuration
@@ -236,7 +232,7 @@ def preimage_sequence(
         coeff[:, : span.dim] = pulled[:, :-1]
         coeff[:, span.dim + cols[old:] - k] = w[:, old:]
         rhs = pattern_to_vec(target, fresh, ws.ca.dim_v, p) - pulled[:, -1]
-        return linalg.solve_in_lift(below, ambient - k, coeff, rhs, p)
+        return linalg.solve_in_lift(below, ambient - k, coeff, rhs)
 
     return ProjectiveAffineSequence(p, ws.ambient, level)
 
@@ -270,19 +266,6 @@ class UniversalChain:
             )
         return self.images[self.plateau - self.start]
 
-    def nonincreasing(self) -> bool:
-        """Each image contains the next (set containment, checked exactly)."""
-        for a, b in zip(self.images, self.images[1:]):
-            if b.is_empty:
-                continue
-            if a.is_empty:
-                return False
-            if not a.contains(b.point):
-                return False
-            if not a.directions.contains_subspace(b.directions):
-                return False
-        return True
-
 
 def universal_spaces(
     seq: ProjectiveAffineSequence, n: int, cutoff: int, plateau_k: int = 2
@@ -296,7 +279,7 @@ def universal_spaces(
     images: list[AffineSubspace] = []
     plateau = None
     for m in range(n, cutoff + 1):
-        images.append(image_of_affine(seq.bond(n, m), seq.level(m), seq.p))
+        images.append(image_of_affine(seq.ambient(n), seq.level(m)))
         if len(images) >= plateau_k:
             run = images[-plateau_k:]
             if all(r == run[0] for r in run[1:]):
@@ -314,9 +297,10 @@ def lift_element(
     chains: Optional[dict] = None,
 ) -> np.ndarray:
     """Lift a universal element one level: returns x_{n+1} at level n+1 with
-    x_{n+1}[:bond(n, n+1)] = x_n, the canonical point of the witness level,
-    past both plateaus, constrained to x_n on its prefix.  Raises StabilizationCutoffError when no plateau or
-    no preimage is available within the cutoff."""
+    x_{n+1}[:ambient(n)] = x_n, the canonical point of the witness level,
+    past both plateaus, constrained to x_n on its prefix.  Raises
+    StabilizationCutoffError when no plateau or no preimage is available
+    within the cutoff."""
     chains = chains if chains is not None else {}
     for lev in (n, n + 1):
         if lev not in chains:
@@ -324,15 +308,13 @@ def lift_element(
         if chains[lev].plateau is None:
             raise StabilizationCutoffError(f"no plateau at level {lev} by cutoff {cutoff}")
     witness_level = max(chains[n].plateau, chains[n + 1].plateau, n + 1)
-    fiber = constrain_affine(
-        seq.level(witness_level), seq.bond(n, witness_level), x_n, seq.p
-    )
+    fiber = constrain_affine(seq.level(witness_level), seq.ambient(n), x_n)
     if fiber.is_empty:
         raise StabilizationCutoffError(
             f"element at level {n} has no preimage at witness level {witness_level}"
         )
-    x_next = fiber.point[: seq.bond(n + 1, witness_level)].copy()
-    if not np.array_equal(x_next[: seq.bond(n, n + 1)], x_n):
+    x_next = fiber.point[: seq.ambient(n + 1)].copy()
+    if not np.array_equal(x_next[: seq.ambient(n)], x_n):
         raise AssertionError("lift violated its one-step restriction equation")
     return x_next
 
@@ -351,9 +333,6 @@ class ExtractionResult:
     chains: dict = field(default_factory=dict)
     empty_level: Optional[int] = None
     detail: str = ""
-
-    def chains_nonincreasing(self) -> bool:
-        return all(chain.nonincreasing() for chain in self.chains.values())
 
 
 def extract_limit_prefix(
@@ -459,7 +438,7 @@ class EmptyFiberWitness:
 
     @cached_property
     def _window(self) -> WindowMap:
-        return self.window or self.automaton.window_map(self.level)
+        return self.window or WindowSystem(self.automaton).window(self.level)
 
     def _vector(self) -> np.ndarray:
         ca = self.automaton
@@ -816,7 +795,8 @@ class PreimageResult:
     """Outcome of preimage extraction on a window.
 
     'ok' carries a pattern on A_N whose image matches the target on B_N
-    exactly; 'not-in-image' carries a verified empty-fiber witness;
+    exactly, as ``window_preimage`` checks; 'not-in-image' carries a
+    verified empty-fiber witness;
     'unknown' means the stabilization cutoff was hit."""
 
     status: str
@@ -825,6 +805,31 @@ class PreimageResult:
     matched_cells: tuple = ()
     witness: Optional[EmptyFiberWitness] = None
     extraction: Optional[ExtractionResult] = None
+
+
+def window_preimage(
+    ws: WindowSystem, target: Configuration, n: int, pattern: Pattern
+) -> tuple[Optional[str], Optional[Pattern]]:
+    """The one check of a window preimage: ``pattern`` lists exactly the
+    cells of A_n, and its image equals the target on B_n.  Returns (None,
+    the image, on the cells of B_n in their order) when it holds, and (why
+    not, None) otherwise.
+
+    A_n is ball(r0 + n), so a pattern with fewer cells is rejected before
+    the ball is built.  The image comes from the rule's plain int64 loop on
+    purpose: it shares no code with the window matrix or matmul's float64
+    path, and it is linear in the listed cells."""
+    ca, cells = ws.ca, pattern.cells
+    if not ball_fits(ca.group, ws.balls.r0 + n, len(cells)):
+        return "pattern domain does not match the window", None
+    source, matched = ws.cells(n)
+    if set(cells) != set(source):
+        return "pattern domain does not match the window", None
+    image = Pattern(ca._evaluate(matched, cells.get))
+    got = pattern_to_vec(image, matched, ca.dim_v, ca.p)
+    if not np.array_equal(got, ws.target_vec(target, n)):
+        return "pattern image does not match the target", None
+    return None, image
 
 
 def preimage_extract(
@@ -850,12 +855,9 @@ def preimage_extract(
         return PreimageResult("unknown", extraction=result)
     source, matched = ws.cells(window_index)
     pattern = vec_to_pattern(result.prefix, source, ca.dim_v)
-    # The rule's own loop: it shares no code with block_matrix or matmul.
-    image = Pattern(ca._evaluate(matched, pattern.cells.get))
-    if not np.array_equal(
-        pattern_to_vec(image, matched, ca.dim_v, ca.p), ws.target_vec(target, window_index)
-    ):
-        raise AssertionError("extracted prefix does not match the target window")
+    failure, _ = window_preimage(ws, target, window_index, pattern)
+    if failure is not None:
+        raise AssertionError(f"extracted prefix fails its check: {failure}")
     return PreimageResult(
         "ok",
         pattern=pattern,

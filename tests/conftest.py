@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: seeded random generators for rules,
-configurations and matrices, and a textbook Gauss-Jordan oracle."""
+configurations and matrices, a textbook Gauss-Jordan oracle, and exact
+containment checks on universal chains."""
 
 import random
 
@@ -98,3 +99,24 @@ def reference_solve(mat, rhs, p: int) -> AffineSubspace:
     kernel = np.array(kernel, dtype=np.int64).reshape(len(kernel), cols)
     directions = Subspace.from_spanning(kernel, cols, p)
     return AffineSubspace.from_point_subspace(np.array(point, dtype=np.int64), directions)
+
+
+def contains_subspace(big: Subspace, small: Subspace) -> bool:
+    return all(big.contains(row) for row in small.basis)
+
+
+def nonincreasing(chain) -> bool:
+    """Each image of a universal chain contains the next (set containment,
+    checked exactly)."""
+    for a, b in zip(chain.images, chain.images[1:]):
+        if b.is_empty:
+            continue
+        if a.is_empty or not a.contains(b.point):
+            return False
+        if not contains_subspace(a.directions, b.directions):
+            return False
+    return True
+
+
+def chains_nonincreasing(extraction) -> bool:
+    return all(nonincreasing(chain) for chain in extraction.chains.values())

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_ca, random_finite_support
+from conftest import chains_nonincreasing, random_ca, random_finite_support
 from linca import (
     FreeGroup,
     IntegerGroup,
@@ -150,7 +150,7 @@ def test_criterion_5_extraction_internals(extraction_battery):
     for ca, _, result in runs:
         assert result.status == "ok"
         extraction = result.extraction
-        assert extraction.chains_nonincreasing()
+        assert chains_nonincreasing(extraction)
         for chain in extraction.chains.values():
             dims = [img.dim for img in chain.images]
             assert dims == sorted(dims, reverse=True)
@@ -238,7 +238,7 @@ def test_criterion_7_transfer_round_trips():
 
 
 def _full_matrix(ca):
-    w = ca.window_map(1)
+    w = WindowSystem(ca).window(1)
     assert set(w.source) == set(ca.group.elements())
     assert set(w.target) == set(ca.group.elements())
     return w.matrix

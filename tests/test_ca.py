@@ -14,6 +14,7 @@ from linca import (
     LatticeGroup,
     LinearCA,
     Pattern,
+    WindowSystem,
     compose,
     config_equal,
     constant,
@@ -249,7 +250,7 @@ def test_equivariance_rejects_corrupted_map():
 
 def test_window_map_identity_ca():
     ca = identity_ca(Z, 2, 1)
-    w = ca.window_map(2)
+    w = WindowSystem(ca).window(2)
     # Each window lists the one below it first; B_2 is in canonical order.
     assert w.source == (0, -1, 1, -2, 2)
     assert w.target == (-2, -1, 0, 1, 2)
@@ -258,7 +259,7 @@ def test_window_map_identity_ca():
 
 def test_window_map_shift_selects():
     ca = shift_ca()
-    w = ca.window_map(1)  # A_1 = ball(2) since r0 = 1
+    w = WindowSystem(ca).window(1)  # A_1 = ball(2) since r0 = 1
     assert w.source == (-1, 0, 1, -2, 2)  # A_0 = ball(1), then the new cells
     assert w.target == (-2, -1, 0, 1)
     vec = np.array([1, 0, 1, 5 % 2, 1], dtype=np.int64)
@@ -270,7 +271,7 @@ def test_window_map_matches_pattern_evaluation_exhaustively():
     """All 2^6 GF(2) patterns on A_1 for the nilpotent-block rule."""
     ca = sigma2_block_ca()
     balls = BallSequence(Z, 1)
-    w = ca.window_map(0, balls)
+    w = WindowSystem(ca, balls).window(0)
     assert w.source == (-1, 0, 1) and w.target == (-1, 0)
     assert w.matrix.shape == (4, 6)
     for bits in itertools.product((0, 1), repeat=6):
@@ -288,7 +289,7 @@ def test_window_map_ten_bit_exhaustive():
     rng = random.Random(49)
     ca = random_integer_ca(rng, 2, 2)
     balls = BallSequence(Z, 2)
-    w = ca.window_map(0, balls)
+    w = WindowSystem(ca, balls).window(0)
     assert w.matrix.shape[1] == 10
     for bits in itertools.product((0, 1), repeat=10):
         vec = np.array(bits, dtype=np.int64)
@@ -304,7 +305,7 @@ def test_window_map_random_rules_match_pattern_evaluation():
     for _ in range(10):
         p = rng.choice((2, 3))
         ca = random_integer_ca(rng, p, rng.choice((1, 2)))
-        w = ca.window_map(1)
+        w = WindowSystem(ca).window(1)
         for _ in range(10):
             vec = np.array(
                 [rng.randrange(p) for _ in range(w.matrix.shape[1])], dtype=np.int64
@@ -322,7 +323,7 @@ def test_window_map_on_lattice():
     ca = LinearCA(
         lat, 2, 1, (((0, 0)), ((1, 0))), ([[1]], [[1]])
     )
-    w = ca.window_map(0)
+    w = WindowSystem(ca).window(0)
     assert all(isinstance(g, tuple) for g in w.source)
     assert set(w.target) == {
         g for g in w.source if tuple(np.add(g, (1, 0))) in set(w.source)

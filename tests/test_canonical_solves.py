@@ -145,7 +145,7 @@ def test_constrain_affine_matches_the_reference(system, data):
     target = vector(k)
     if data.draw(st.booleans()):
         target = affine.point[:k]  # a target the affine set meets
-    got = constrain_affine(affine, k, target, p)
+    got = constrain_affine(affine, k, target)
     assert_affine_canonical(got)
     assert got == constrained_reference(affine, k, target)
 
@@ -190,7 +190,7 @@ def test_prefix_read_offs_match_the_references(p):
         kinds.add(min(affine.dim, 1))
         members = [tuple(x) for x in affine.members()]
         for k in range(ambient + 1):
-            image = image_of_affine(k, affine, p)
+            image = image_of_affine(k, affine)
             assert_affine_canonical(image)
             if affine.is_empty:
                 assert image == AffineSubspace.empty(k, p)
@@ -200,7 +200,7 @@ def test_prefix_read_offs_match_the_references(p):
             assert {tuple(x) for x in image.members()} == {x[:k] for x in members}
             targets = [rng.integers(0, p, size=k)] + [np.array(x[:k]) for x in members[:1]]
             for target in targets:
-                got = constrain_affine(affine, k, target, p)
+                got = constrain_affine(affine, k, target)
                 assert_affine_canonical(got)
                 assert got == constrained_reference(affine, k, target)
                 expect = {x for x in members if x[:k] == tuple(target)}
@@ -258,7 +258,7 @@ def test_one_elimination_per_solve(eliminations):
     del eliminations[:]
     coeff = rng.integers(0, p, size=(2, span.dim + 3))
     below = AffineSubspace.from_point_subspace(np.zeros(7, dtype=np.int64), span)
-    solve_in_lift(below, 3, coeff, [1, 2], p)
+    solve_in_lift(below, 3, coeff, [1, 2])
     assert len(eliminations) == 1
 
 

@@ -7,15 +7,21 @@ import functools
 import hashlib
 import json
 import operator
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linca import (
+    FiniteGroup,
+    FreeGroup,
     IntegerGroup,
+    LatticeGroup,
     LinearCA,
+    cyclic_group,
     finite_support,
     gallery,
     jsonio,
@@ -181,6 +187,78 @@ def test_preimage_pattern_entry_changed_is_rejected():
     value = next(v for g, v in cells if g == 0)
     value[0] = 1 - value[0]
     assert rejected(cert) == "pattern image does not match the target"
+
+
+# Every group kind, for the one window-preimage check.  Each finite group
+# gets a small generating set, so that A_1 is not yet the whole group: a
+# cell can be added to it, and a far larger window lists more cells.
+PREIMAGE_GROUPS = {
+    "Z": IntegerGroup(),
+    "Z2": LatticeGroup(2),
+    "F2": FreeGroup(2),
+    "S3": FiniteGroup(symmetric_group_3().descriptor()["table"], [1, 2]),
+    "Z6": FiniteGroup(cyclic_group(6).descriptor()["table"], [1]),
+}
+DOMAIN = "pattern domain does not match the window"
+IMAGE = "pattern image does not match the target"
+
+
+@functools.lru_cache(maxsize=None)
+def _group_preimage_text(name: str) -> str:
+    """The window-1 preimage certificate of a rule with identity block I and
+    two more blocks on ball(1), for a target in its image."""
+    group, rng, p, d = PREIMAGE_GROUPS[name], random.Random(5), 3, 2
+    e = group.identity()
+    memory = [e] + rng.sample([g for g in group.ball(1) if g != e], 2)
+    blocks = [np.eye(d, dtype=np.int64)]
+    blocks += [[[rng.randrange(p) for _ in range(d)] for _ in range(d)] for _ in memory[1:]]
+    ca = LinearCA(group, p, d, memory, blocks)
+    source = {g: [rng.randrange(p) for _ in range(d)] for g in group.ball(1)}
+    target = ca.apply_config(finite_support(p, d, source))
+    result = solver.preimage_extract(ca, target, window_index=1, cutoff=4)
+    assert result.status == "ok"
+    return jsonio.dumps(jsonio.preimage_certificate(ca, target, result, 1, 4))
+
+
+@pytest.mark.parametrize("name", PREIMAGE_GROUPS)
+def test_preimage_certificates_verify_on_every_group_kind(name):
+    ok, detail = jsonio.verify_certificate(jsonio.loads(_group_preimage_text(name)))
+    assert ok, detail
+
+
+def _missing_cell(cert, group):
+    cert["payload"]["pattern"]["cells"].pop()
+
+
+def _extra_cell(cert, group):
+    """A cell of ball(r0 + 2) outside A_1, with a nonzero value."""
+    source = solver.WindowSystem(jsonio.decode_ca(cert["ca"])).cells(1)[0]
+    extra = next(g for g in group.ball(3) if g not in source)
+    cert["payload"]["pattern"]["cells"].append([jsonio.encode_element(group, extra), [1, 0]])
+
+
+def _flipped_entry(cert, group):
+    """The identity's block is I, so a changed value at the identity, a cell
+    of B_1, changes the image there."""
+    e = jsonio.encode_element(group, group.identity())
+    value = next(v for g, v in cert["payload"]["pattern"]["cells"] if g == e)
+    value[0] = (value[0] + 1) % cert["ca"]["p"]
+
+
+def _far_window(cert, group):
+    cert["payload"]["window"] = 10**4
+
+
+@pytest.mark.parametrize("name", PREIMAGE_GROUPS)
+@pytest.mark.parametrize(
+    "tamper, reason",
+    [(_missing_cell, DOMAIN), (_extra_cell, DOMAIN), (_flipped_entry, IMAGE), (_far_window, DOMAIN)],
+    ids=["missing-cell", "extra-cell", "flipped-entry", "far-window"],
+)
+def test_tampered_preimage_is_rejected_with_the_checks_reason(name, tamper, reason):
+    cert = jsonio.loads(_group_preimage_text(name))
+    tamper(cert, PREIMAGE_GROUPS[name])
+    assert rejected(cert) == reason
 
 
 @pytest.mark.parametrize("with_target", [False, True])

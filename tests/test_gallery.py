@@ -6,16 +6,14 @@ import random
 import numpy as np
 import pytest
 
-from linca import ReversibilityCertificate, compose, equals_identity, invert_ca
+from linca import ReversibilityCertificate, compose, equals_identity, finite_support, invert_ca
 from linca.gallery import (
     GalleryError,
     Tail,
-    array_to_sparse,
     basis,
     block_end,
     block_of,
     block_start,
-    config_to_finite,
     lazy_config,
     phi_matrix,
     phi_power,
@@ -28,6 +26,7 @@ from linca.gallery import (
     sigma_prime_closure_witness,
     sigma_prime_forced_support,
     sigma_truncated_ca,
+    sparse_to_array,
     sparse_vector,
     truncation_dim,
 )
@@ -40,6 +39,16 @@ def random_sparse_config(rng, p, max_block=6, cell_range=(-4, 4), cells=3):
         entries = {rng.randint(1, top): rng.randint(1, p - 1) for _ in range(3)}
         out[n] = sparse_vector(p, entries)
     return lazy_config(p, out)
+
+
+def config_to_finite(x, dim: int):
+    """A sparse configuration on blocks <= J as a finite-alphabet one."""
+    assert x.tail is None
+    return finite_support(x.p, dim, {n: sparse_to_array(v, dim) for n, v in x.cells.items()})
+
+
+def array_to_sparse(p: int, arr: np.ndarray):
+    return sparse_vector(p, {i + 1: int(c) for i, c in enumerate(arr)})
 
 
 # -- block index arithmetic -----------------------------------------------------

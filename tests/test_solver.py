@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    chains_nonincreasing,
+    nonincreasing,
     random_ca,
     random_finite_support,
     random_integer_ca,
@@ -99,15 +101,12 @@ def restrict_vec(x, cells_m, cells_n, dim_v, p):
 def assert_bonds_map_levels_into_levels(seq, ws, top, seed):
     """f_{nm}(X_m) lies in X_n for n <= m <= top: random members of X_m,
     restricted cell by cell to A_n, lie in X_n, and that restriction is
-    their prefix of length bond(n, m)."""
+    their prefix of length ambient(n)."""
     rng, p = np.random.default_rng(seed), seq.p
     for m in range(top + 1):
         x_m = seq.level(m)
-        with pytest.raises(ValueError):
-            seq.bond(m + 1, m)
         for n in range(m + 1):
-            k = seq.bond(n, m)
-            assert k == seq.ambient(n)
+            k = seq.ambient(n)
             idx = coordinates(ws.cells(n)[0], ws.cells(m)[0], ws.ca.dim_v)
             for _ in range(3 if not x_m.is_empty else 0):
                 x = (x_m.point + rng.integers(0, p, size=x_m.dim) @ x_m.directions.basis) % p
@@ -268,7 +267,7 @@ def test_universal_chain_constant_sequence_plateaus_immediately():
     chain = universal_spaces(seq, 3, 10)
     assert chain.plateau == 3
     assert chain.stabilized == AffineSubspace.full(2, 2)
-    assert chain.nonincreasing()
+    assert nonincreasing(chain)
 
 
 def test_kernel_chain_of_add_rule_keeps_constants():
@@ -293,7 +292,7 @@ def test_kernel_chain_of_reversible_rule_dies():
     assert chain.plateau is not None
     assert chain.stabilized.dim == 0
     assert chain.stabilized.contains(np.zeros(2, dtype=np.int64))
-    assert chain.nonincreasing()
+    assert nonincreasing(chain)
     dims = [img.dim for img in chain.images]
     assert dims == sorted(dims, reverse=True)
 
@@ -310,7 +309,7 @@ def test_lift_element_shift_preimage_chain():
     chain0 = universal_spaces(seq, 0, 10)
     x0 = chain0.stabilized.point
     x1 = lift_element(seq, 0, x0, 10)
-    assert np.array_equal(x1[: seq.bond(0, 1)], x0)
+    assert np.array_equal(x1[: seq.ambient(0)], x0)
     # The same restriction read off the cells, without the prefix.
     a0, a1 = ws.window(0).source, ws.window(1).source
     assert np.array_equal(restrict_vec(x1, a1, a0, 1, 2), x0)
@@ -343,7 +342,7 @@ def test_extraction_shift_delta():
     # tau(x)(n) = x(n+1) pulls the impulse back to cell 1.
     for g, v in res.pattern.cells.items():
         assert v.tolist() == ([1] if g == 1 else [0])
-    assert res.extraction.chains_nonincreasing()
+    assert chains_nonincreasing(res.extraction)
     assert lifts_restrict(shift_ca(), res.extraction, 4)
 
 
@@ -729,7 +728,7 @@ def test_preimage_roundtrip_randomized():
         w = ws.window(4)
         vec = pattern_to_vec(res.pattern, w.source, dim_v, p)
         assert np.array_equal((w.matrix @ vec) % p, ws.target_vec(y, 4))
-        assert res.extraction.chains_nonincreasing()
+        assert chains_nonincreasing(res.extraction)
         assert lifts_restrict(ca, res.extraction, 4)
     assert failures == 0
 

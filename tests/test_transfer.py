@@ -11,6 +11,7 @@ from linca import (
     IntegerGroup,
     LatticeGroup,
     LinearCA,
+    WindowSystem,
     cyclic_group,
     finite_support,
     identity_ca,
@@ -26,7 +27,7 @@ Z = IntegerGroup()
 
 def full_group_matrix(ca):
     """The square matrix of a CA on a finite group (windows saturate)."""
-    w = ca.window_map(1)
+    w = WindowSystem(ca).window(1)
     assert set(w.source) == set(w.target) == set(ca.group.elements())
     return w.matrix
 
