@@ -28,7 +28,6 @@ from .ca import (
     shift_config,
 )
 from .groups import (
-    BallSequence,
     FiniteGroup,
     FreeGroup,
     Group,

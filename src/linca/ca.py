@@ -14,12 +14,13 @@ families: finitely supported (any group), periodic (integers only) and
 constant.  ``LinearCA.block_matrix`` is the one assembler of rule blocks
 into a GF(p) matrix; it writes each block once, as stored, and reduces
 nothing.  ``LinearCA.window_map`` wraps it for the source and target cells
-it is given and decides no window: ``solver.WindowSystem`` owns the windows,
-A_n in the order of ``BallSequence.window`` and B_n = interior(A_n, M) in
-the canonical cell order.  Every other solver system is in the canonical
-cell order, read directly, transposed or with columns folded.  This module also owns the one evaluator, the plain
-loop ``LinearCA._evaluate`` that checks those matrices independently, and
-the cell layout of window vectors (``cell_view``).
+it is given and decides no window: ``solver.WindowSystem`` owns the
+windows, A_n = ball(r0 + n) in its layer order and B_n = interior(A_n, M)
+in the canonical cell order.  Every other solver system is in the
+canonical cell order, read directly, transposed or with columns folded.
+This module also owns the one evaluator, the plain loop
+``LinearCA._evaluate`` that checks those matrices independently, and the
+cell layout of window vectors (``cell_view``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from . import linalg
-from .groups import BallSequence, Group, IntegerGroup, interior
+from .groups import Group, IntegerGroup, interior
 
 
 class CAError(ValueError):
@@ -92,9 +93,6 @@ class LinearCA:
 
     def zero_vector(self) -> np.ndarray:
         return np.zeros(self.dim_v, dtype=np.int64)
-
-    def balls(self) -> BallSequence:
-        return BallSequence.for_memory(self.group, self.memory)
 
     def __eq__(self, other):
         return (

@@ -393,29 +393,18 @@ def sigma_prime_forced_support(depth: int, p: int = 2) -> ForcedSupportReport:
     if not 1 <= depth <= MAX_FORCED_DEPTH:
         raise GalleryError(f"depth must be in 1..{MAX_FORCED_DEPTH}, got {depth}")
     t_max = depth + 1
-    n_cells = depth + 1
-
-    def col(cell: int, coord: int) -> int:
-        return cell * t_max + (coord - 1)
-
-    rows = depth * t_max
-    mat = np.zeros((rows, n_cells * t_max), dtype=np.int64)
-    rhs = np.zeros(rows, dtype=np.int64)
-    r = 0
-    for k in range(depth):
-        for t in range(1, t_max + 1):
-            mat[r, col(k + 1, t)] += 1
-            if t >= 2:
-                mat[r, col(k, t - 1)] -= 1
-            rhs[r] = 1 if t == 1 else 0
-            r += 1
-    sols = linalg.solve_affine(mat % p, rhs, p)
+    eye = np.eye(t_max, dtype=np.int64)
+    # sigma' truncated to coordinates 1..t_max, on the cells 0..depth-1 of
+    # a configuration on 0..depth; the target is v_1 on every cell.
+    rule = LinearCA(IntegerGroup(), p, t_max, (0, 1), (-np.eye(t_max, k=-1), eye))
+    mat = rule.block_matrix(range(depth), range(depth + 1))
+    sols = linalg.solve_affine(mat, np.tile(eye[0], depth), p)
     if sols.is_empty:
         raise AssertionError("the forced-support window system is always solvable")
     forced = {}
-    last = n_cells - 1
+    last = depth * t_max
     for t in range(1, t_max + 1):
-        c = col(last, t)
+        c = last + t - 1
         if not np.any(sols.directions.basis[:, c]):
             forced[t] = int(sols.point[c])
     forced_units = sorted(t for t, val in forced.items() if val == 1)

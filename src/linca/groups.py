@@ -10,7 +10,7 @@ indices for free groups), so element equality is value equality and
 elements can key dictionaries directly.
 
 Word-metric balls about the identity supply the exhausting window sequences
-A_0 subset A_1 subset ... consumed by the window-map machinery, together
+A_0 subset A_1 subset ..., which ``solver.WindowSystem`` orders, together
 with the interior operator interior(A, M) = {g : gM subset A}.  Subgroup
 construction covers the cases needed downstream: dZ inside Z, sublattices
 of Z^d, table subgroups of finite groups, and cyclic subgroups of free
@@ -427,44 +427,6 @@ def ball_fits(group: Group, radius: int, count: int) -> bool:
     except ResourceLimitError:
         return False
     return True
-
-
-class BallSequence:
-    """The exhausting window sequence A_n = ball(r0 + n).
-
-    ``for_memory`` picks the smallest radius offset r0 that puts the whole
-    memory set inside A_0, the convention used by all window maps here.
-    On finite groups the sequence saturates to the full group.
-
-    ``window(n)`` lists A_{n-1} first, then the cells new at level n: the
-    ball sorted by layer max(word_norm(g) - r0, 0), stably, so each layer
-    keeps the canonical order.  Every restriction x|A_n of a window vector
-    over A_m is then its prefix of dimV |A_n| coordinates.
-    """
-
-    def __init__(self, group: Group, r0: int = 0, limit: int = DEFAULT_BALL_LIMIT):
-        if r0 < 0:
-            raise GroupError("radius offset must be nonnegative")
-        self.group = group
-        self.r0 = r0
-        self.limit = limit
-        self._cache: dict[int, tuple] = {}
-
-    @classmethod
-    def for_memory(cls, group: Group, memory: Iterable, limit: int = DEFAULT_BALL_LIMIT):
-        r0 = max(
-            [group.word_norm(m) for m in memory] + [0]
-        )
-        return cls(group, r0, limit)
-
-    def window(self, n: int) -> tuple:
-        if n < 0:
-            raise GroupError("window index must be nonnegative")
-        if n not in self._cache:
-            norm, r0 = self.group.word_norm, self.r0
-            ball = self.group.ball(r0 + n, self.limit)
-            self._cache[n] = tuple(sorted(ball, key=lambda g: max(norm(g) - r0, 0)))
-        return self._cache[n]
 
 
 @dataclass(frozen=True, eq=False)

@@ -94,7 +94,7 @@ from .ca import (
     vec_to_pattern,
     zero_config,
 )
-from .groups import BallSequence, FreeGroup, IntegerGroup, LatticeGroup, ball_fits, interior
+from .groups import FreeGroup, IntegerGroup, LatticeGroup, ball_fits, interior
 from .linalg import (
     AffineSubspace,
     constrain_affine,
@@ -114,9 +114,11 @@ class StabilizationCutoffError(RuntimeError):
 
 class WindowSystem:
     """The windows of one automaton: the cells A_n and B_n of each level,
-    cached.  This class is the one owner of the windows: every window map,
-    preimage level, fiber witness and window-preimage check takes its cells
-    from ``cells(n)``.  A_n lists A_{n-1} first (see ``BallSequence``), so
+    cached.  This class is the one owner of the windows: it decides r0 and
+    the order of the cells, and every window map, preimage level, fiber
+    witness and window-preimage check takes its cells from ``cells(n)``.
+    A_n is ball(r0 + n), r0 by default the largest word norm in the memory,
+    sorted stably by the layer max(|g| - r0, 0): A_{n-1} comes first, so
     x|A_n is the prefix x[:ambient(n)] of a window vector x over A_m, n <= m.
 
     No matrix is cached.  ``window(n)`` builds the whole window map W_n
@@ -124,17 +126,23 @@ class WindowSystem:
     reads only the rows of W_n at ``new_targets(n)``, over the cells those
     rows ``reach``."""
 
-    def __init__(self, automaton: LinearCA, balls: Optional[BallSequence] = None):
+    def __init__(self, automaton: LinearCA, r0: Optional[int] = None):
         self.ca = automaton
-        self.balls = balls or automaton.balls()
+        norm = automaton.group.word_norm
+        self.r0 = max(map(norm, automaton.memory)) if r0 is None else r0
         self._cells: dict[int, tuple[tuple, tuple]] = {}
 
     def cells(self, n: int) -> tuple[tuple, tuple]:
         """(A_n, B_n): the source cells, A_{n-1} first, and their interior,
         the cells where the rule reads only A_n, in canonical order."""
         if n not in self._cells:
-            source = self.balls.window(n)
-            self._cells[n] = (source, interior(self.ca.group, source, self.ca.memory))
+            if n < 0:
+                raise ValueError("window index must be nonnegative")
+            group, r0 = self.ca.group, self.r0
+            source = tuple(
+                sorted(group.ball(r0 + n), key=lambda g: max(group.word_norm(g) - r0, 0))
+            )
+            self._cells[n] = (source, interior(group, source, self.ca.memory))
         return self._cells[n]
 
     def window(self, n: int) -> WindowMap:
@@ -240,7 +248,7 @@ def preimage_sequence(
 def kernel_sequence(automaton: LinearCA) -> ProjectiveAffineSequence:
     """Window kernels 0 + ker W_n, the preimage sequence of zero over plain
     radius-n balls, so level 0 is the smallest window (the diagnostic chain)."""
-    ws = WindowSystem(automaton, BallSequence(automaton.group, 0))
+    ws = WindowSystem(automaton, r0=0)
     return preimage_sequence(ws, zero_config())
 
 
@@ -690,22 +698,15 @@ def surjectivity_counterexample(
     image certifies non-surjectivity of the global map.  Nothing is scanned
     when the map is proved surjective: on Z and Z^d by an invertible end
     block, which makes det A nonzero; on a finite group by the solved
-    left-inverse system; on F_k by a vertex block.  None is inconclusive."""
+    left-inverse system; on F_k by a vertex block.  Otherwise the fiber
+    search of ``_radius_search`` runs alone, once per distinct window up to
+    ``max_radius``.  None is inconclusive."""
     if max_radius < 0:
         raise ValueError(f"max_radius must be >= 0, got {max_radius}")
     if "fiber" not in _possible_families(ca, _decide(ca, max_radius)):
         return None
-    ws = WindowSystem(ca)
-    prev = None
-    for n in range(max_radius + 1):
-        source = ws.cells(n)[0]
-        if prev is not None and source == prev:
-            break
-        prev = source
-        found = _window_fiber_counterexample(ca, n, ws)
-        if found is not None:
-            return found
-    return None
+    result = _radius_search(ca, frozenset({"fiber"}), max_radius)
+    return result.witness if isinstance(result, NotInvertible) else None
 
 
 def invert_ca(ca: LinearCA, max_radius: int = 8) -> InvertResult:
@@ -745,14 +746,15 @@ def invert_ca(ca: LinearCA, max_radius: int = 8) -> InvertResult:
 
 
 def _radius_search(ca: LinearCA, families: frozenset, max_radius: int) -> InvertResult:
-    """The searches of ``families``, radius by radius up to ``max_radius``:
-    the left-inverse system, then kernel witnesses, then a window fiber."""
-    balls = BallSequence(ca.group, 0)
+    """The searches of ``families``, radius by radius up to ``max_radius``
+    or until ball(n) stops growing: the left-inverse system over ball(n),
+    then kernel witnesses, then a window fiber, skipped when A_n = A_{n-1}
+    since that check gives the same answer again."""
     ws = WindowSystem(ca)
     prev_ball = None
     left_inverse: Optional[LinearCA] = None
     for n in range(max_radius + 1):
-        cand = balls.window(n)
+        cand = ca.group.ball(n)
         if cand == prev_ball:
             break  # finite group saturated: the search space is exhausted
         prev_ball = cand
@@ -772,9 +774,10 @@ def _radius_search(ca: LinearCA, families: frozenset, max_radius: int) -> Invert
             kernel = _kernel_search(ca, allowed, (n,), (n + 1,))
             if kernel is not None:
                 return NotInvertible(kernel)
-        fiber = _window_fiber_counterexample(ca, n, ws) if "fiber" in families else None
-        if fiber is not None:
-            return NotInvertible(fiber)
+        if "fiber" in families and (n == 0 or ws.cells(n)[0] != ws.cells(n - 1)[0]):
+            fiber = _window_fiber_counterexample(ca, n, ws)
+            if fiber is not None:
+                return NotInvertible(fiber)
     if left_inverse is not None:
         return SolverUnknown(
             "a left inverse exists but no surjectivity counterexample was found "
@@ -820,7 +823,7 @@ def window_preimage(
     purpose: it shares no code with the window matrix or matmul's float64
     path, and it is linear in the listed cells."""
     ca, cells = ws.ca, pattern.cells
-    if not ball_fits(ca.group, ws.balls.r0 + n, len(cells)):
+    if not ball_fits(ca.group, ws.r0 + n, len(cells)):
         return "pattern domain does not match the window", None
     source, matched = ws.cells(n)
     if set(cells) != set(source):

@@ -20,7 +20,16 @@ import numpy as np
 import pytest
 
 import linca
-from linca import IntegerGroup, LinearCA, Pattern, PreimageResult, finite_support, gallery, jsonio
+from linca import (
+    IntegerGroup,
+    LinearCA,
+    Pattern,
+    PreimageResult,
+    WindowSystem,
+    finite_support,
+    gallery,
+    jsonio,
+)
 from test_certificates import CASES, certificate
 
 EXPONENTS = (3, 4, 6, 9, 12, 18)
@@ -162,7 +171,7 @@ def test_valid_preimage_certificate_at_window_10_4_verifies_within_bounds():
     window = 10**4
     ca = LinearCA(IntegerGroup(), 2, 1, (0, 1), ([[1]], [[1]]))
     rng = random.Random(5)
-    cells = {g: np.array([rng.randrange(2)]) for g in ca.balls().window(window)}
+    cells = {g: np.array([rng.randrange(2)]) for g in WindowSystem(ca).cells(window)[0]}
     target = ca.apply_config(finite_support(2, 1, cells))
     result = PreimageResult("ok", pattern=Pattern(cells))
     cert = jsonio.preimage_certificate(ca, target, result, window, 0)

@@ -8,7 +8,6 @@ import pytest
 
 from conftest import random_ca, random_finite_support, random_integer_ca
 from linca import (
-    BallSequence,
     FreeGroup,
     IntegerGroup,
     LatticeGroup,
@@ -270,8 +269,7 @@ def test_window_map_shift_selects():
 def test_window_map_matches_pattern_evaluation_exhaustively():
     """All 2^6 GF(2) patterns on A_1 for the nilpotent-block rule."""
     ca = sigma2_block_ca()
-    balls = BallSequence(Z, 1)
-    w = WindowSystem(ca, balls).window(0)
+    w = WindowSystem(ca, r0=1).window(0)
     assert w.source == (-1, 0, 1) and w.target == (-1, 0)
     assert w.matrix.shape == (4, 6)
     for bits in itertools.product((0, 1), repeat=6):
@@ -288,8 +286,7 @@ def test_window_map_ten_bit_exhaustive():
     """A random GF(2) two-coordinate rule checked on all 2^10 patterns."""
     rng = random.Random(49)
     ca = random_integer_ca(rng, 2, 2)
-    balls = BallSequence(Z, 2)
-    w = WindowSystem(ca, balls).window(0)
+    w = WindowSystem(ca, r0=2).window(0)
     assert w.matrix.shape[1] == 10
     for bits in itertools.product((0, 1), repeat=10):
         vec = np.array(bits, dtype=np.int64)

@@ -21,6 +21,7 @@ from linca import (
     IntegerGroup,
     LatticeGroup,
     LinearCA,
+    Pattern,
     cyclic_group,
     finite_support,
     gallery,
@@ -259,6 +260,47 @@ def test_tampered_preimage_is_rejected_with_the_checks_reason(name, tamper, reas
     cert = jsonio.loads(_group_preimage_text(name))
     tamper(cert, PREIMAGE_GROUPS[name])
     assert rejected(cert) == reason
+
+
+def test_preimage_at_a_negative_window_is_rejected():
+    """A forged preimage certificate at window -1 of a rule with r0 = 2:
+    its pattern lists ball(r0 - 1) = {-1, 0, 1}, and its transcript is the
+    image on interior(ball(1), M) = {-1}, which matches the target.  Every
+    field agrees with that window, so only the negative index rejects it."""
+    ca = LinearCA(Z, 2, 1, (0, 2), ([[1]], [[1]]))
+    source = finite_support(2, 1, {-2: [1], -1: [1], 1: [1], 2: [1]})
+    target = ca.apply_config(source)
+    ws = solver.WindowSystem(ca)
+    assert ws.r0 == 2
+    pattern = Pattern({g: source.value_at(g, 1) for g in ws.cells(0)[0]})
+    result = solver.PreimageResult("ok", pattern=pattern)
+    cert = jsonio.loads(jsonio.dumps(jsonio.preimage_certificate(ca, target, result, 0, 0)))
+    assert jsonio.verify_certificate(cert)[0]
+    forged = pattern.restrict((-1, 0, 1))
+    image = ca.apply_pattern(forged)
+    assert list(image.cells) == [-1] and image.cells[-1].tolist() == target.value_at(-1, 1).tolist()
+    cert["payload"].update(window=-1, pattern=jsonio.encode_pattern(Z, forged))
+    cert["transcript"] = {"matched_cells": [-1], "image": jsonio.encode_pattern(Z, image)}
+    assert rejected(cert) == "malformed certificate: window index must be nonnegative"
+
+
+def test_empty_fiber_at_a_negative_level_is_rejected():
+    """A forged empty-fiber certificate at level -1 of a rule with r0 = 2
+    that never writes the second coordinate: [0, 1] at B_{-1} = {-1} has an
+    empty fiber under the window map of ball(1), and the transcript holds
+    that window's ranks.  Only the negative level rejects it."""
+    proj = [[1, 0], [0, 0]]
+    ca = LinearCA(Z, 3, 2, (0, 2), (proj, proj))
+    cert = jsonio.loads(jsonio.dumps(jsonio.empty_fiber_certificate(solver.surjectivity_counterexample(ca))))
+    assert jsonio.verify_certificate(cert)[0]
+    cert["payload"].update(
+        level=-1,
+        window=[-1],
+        pattern={"format": jsonio.PATTERN_FORMAT, "cells": [[-1, [0, 1]]]},
+    )
+    cert["transcript"] = {"rank": 1, "rank_augmented": 2}
+    reason = rejected(cert)
+    assert reason.startswith("malformed certificate:") and "nonnegative" in reason
 
 
 @pytest.mark.parametrize("with_target", [False, True])

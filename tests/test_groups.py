@@ -5,7 +5,6 @@ import random
 import pytest
 
 from linca.groups import (
-    BallSequence,
     FiniteGroup,
     FreeGroup,
     GroupError,
@@ -178,14 +177,6 @@ def test_finite_ball_saturates():
     s3 = symmetric_group_3()
     assert set(s3.ball(1)) == set(range(6))
     assert s3.ball(5) == s3.ball(1)
-
-
-def test_ball_sequence_offsets():
-    seq = BallSequence.for_memory(IntegerGroup(), (0, 2))
-    assert seq.r0 == 2
-    assert seq.window(0) == (-2, -1, 0, 1, 2)
-    assert seq.window(1) == (-2, -1, 0, 1, 2, -3, 3)
-    assert BallSequence(IntegerGroup(), 0).window(2) == (0, -1, 1, -2, 2)
 
 
 # -- interior --------------------------------------------------------------------

@@ -22,7 +22,6 @@ from conftest import (
 )
 from linca import (
     AffineSubspace,
-    BallSequence,
     EmptyFiberWitness,
     FiniteGroup,
     FreeGroup,
@@ -142,12 +141,11 @@ def test_restriction_selects_the_cells_of_the_smaller_window(group, memory):
     the cells.  Finite groups still saturate."""
     ca = restriction_windows(group, memory).ca
     rng = np.random.default_rng(5)
-    for balls in (ca.balls(), BallSequence(group, 0)):
-        ws = WindowSystem(ca, balls)
+    for ws in (WindowSystem(ca), WindowSystem(ca, r0=0)):
         saturated = False
         for m in range(5):
             a_m = ws.cells(m)[0]
-            assert set(a_m) == set(group.ball(balls.r0 + m))
+            assert set(a_m) == set(group.ball(ws.r0 + m))
             saturated |= m > 0 and a_m == ws.cells(m - 1)[0]
             for n in range(m + 1):
                 a_n = ws.cells(n)[0]
@@ -156,6 +154,16 @@ def test_restriction_selects_the_cells_of_the_smaller_window(group, memory):
                     x = rng.integers(0, 3, size=2 * len(a_m))
                     assert np.array_equal(x[: 2 * len(a_n)], restrict_vec(x, a_m, a_n, 2, 3))
         assert saturated == isinstance(group, FiniteGroup)
+
+
+def test_window_system_offsets():
+    """r0 defaults to the largest word norm in the memory; each window
+    lists the one below it first."""
+    ws = WindowSystem(LinearCA(Z, 2, 1, (0, 2), ([[1]], [[1]])))
+    assert ws.r0 == 2
+    assert ws.cells(0)[0] == (-2, -1, 0, 1, 2)
+    assert ws.cells(1)[0] == (-2, -1, 0, 1, 2, -3, 3)
+    assert WindowSystem(ws.ca, r0=0).cells(2)[0] == (0, -1, 1, -2, 2)
 
 
 @pytest.mark.parametrize("group,memory", RESTRICTION_GROUPS)
@@ -615,6 +623,28 @@ def test_surjectivity_projection_rule():
     assert witness is not None and witness.verify()
     vec = np.concatenate([witness.pattern.cells[g] for g in witness.window_cells])
     assert np.any(vec)
+
+
+def test_one_fiber_elimination_per_distinct_window(monkeypatch):
+    """On Z/6 with generators {1}, x(g) + x(g + 2) over GF(3) is bijective,
+    but ball(2) is not the group, so at radius 2 the decision has not run
+    and every window is searched.  r0 = 2 makes A_1 = A_2 = G while ball(2)
+    still grows: the repeated window is not eliminated again."""
+    z6 = FiniteGroup(cyclic_group(6).descriptor()["table"], [1])
+    ca = LinearCA(z6, 3, 1, (0, 2), ([[1]], [[1]]))
+    ws = WindowSystem(ca)
+    assert ws.r0 == 2 and set(z6.ball(2)) != set(range(6))
+    assert ws.cells(1)[0] == ws.cells(2)[0]
+    levels = []
+    search = solver._window_fiber_counterexample
+
+    def recorded(ca, n, ws):
+        levels.append(n)
+        return search(ca, n, ws)
+
+    monkeypatch.setattr(solver, "_window_fiber_counterexample", recorded)
+    assert surjectivity_counterexample(ca, 2) is None
+    assert levels == [0, 1]
 
 
 def test_negative_search_bounds_are_rejected():

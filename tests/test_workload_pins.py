@@ -73,3 +73,35 @@ def test_mixed_small_invert_catalogue_is_pinned(monkeypatch):
     unknown = sum(a.startswith("unknown: ") for a in answers)
     digest = hashlib.sha256("".join(answers).encode()).hexdigest()
     assert (len(answers), unknown, digest[:16]) == (144, 35, "7f4c9a8e7a5ab458")
+
+
+def test_mixed_small_preimage_catalogue_is_pinned(monkeypatch):
+    """Every ``preimage`` answer of the full mixed-small batch at seed 7:
+    the certificate bytes, or the extraction's reason for Unknown.  Moving
+    the window decision must leave each of them unchanged."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    written = []
+    dumps = jsonio.dumps
+
+    def recording_dumps(obj):
+        written.append(dumps(obj))
+        return written[-1]
+
+    monkeypatch.setattr(jsonio, "dumps", recording_dumps)
+    session = workloads.Session()
+    answers = []
+    for query in workloads.build("mixed-small", 7):
+        if not query.label.startswith("preimage-"):
+            continue
+        written.clear()
+        answer = query.run(session)
+        assert answer.verified, (query.label, answer.detail)
+        if answer.status == "certified":
+            answers.append(written[-1])
+        else:
+            answers.append(f"unknown: {answer.result.extraction.detail}\n")
+    unknown = sum(a.startswith("unknown: ") for a in answers)
+    digest = hashlib.sha256("".join(answers).encode()).hexdigest()
+    assert (len(answers), unknown, digest[:16]) == (144, 16, "bfa624f1f55e376b")
