@@ -387,21 +387,22 @@ def config_equal(group: Group, dim_v: int, a: Configuration, b: Configuration) -
 
 
 def compose(outer: LinearCA, inner: LinearCA) -> LinearCA:
-    """The automaton computing outer(inner(x)); blocks at u collect every
-    product m_outer * m_inner = u."""
+    """The automaton computing outer(inner(x)): the block at u sums b2 b1
+    over m2 m1 = u, all products from one matmul of inner dimension dimV."""
     if outer.group != inner.group or outer.p != inner.p or outer.dim_v != inner.dim_v:
         raise CAError("composition requires matching group, field and dimV")
-    g = outer.group
+    g, p, d = outer.group, outer.p, outer.dim_v
+    prods = linalg.matmul(np.vstack(outer.blocks), np.hstack(inner.blocks), p)
+    prods = prods.reshape(len(outer.memory), d, len(inner.memory), d)
     acc: dict = {}
-    for m2, b2 in zip(outer.memory, outer.blocks):
-        for m1, b1 in zip(inner.memory, inner.blocks):
+    for i, m2 in enumerate(outer.memory):
+        for j, m1 in enumerate(inner.memory):
             u = g.multiply(m2, m1)
-            prod = linalg.matmul(b2, b1, outer.p)
             if u in acc:
-                acc[u] = (acc[u] + prod) % outer.p
+                acc[u] = (acc[u] + prods[i, :, j]) % p
             else:
-                acc[u] = prod
-    return LinearCA(g, outer.p, outer.dim_v, tuple(acc), tuple(acc.values()))
+                acc[u] = prods[i, :, j]
+    return LinearCA(g, p, d, tuple(acc), tuple(acc.values()))
 
 
 def identity_ca(group: Group, p: int, dim_v: int) -> LinearCA:

@@ -20,6 +20,7 @@ groups.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Iterable, Optional
@@ -147,7 +148,7 @@ class LatticeGroup(Group):
         return (0,) * self.dim
 
     def multiply(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inverse(self, a):
         return tuple(-x for x in a)
@@ -172,7 +173,7 @@ class LatticeGroup(Group):
         return a
 
     def word_norm(self, a):
-        return sum(abs(x) for x in a)
+        return sum(map(abs, a))
 
     def ball(self, radius, limit=DEFAULT_BALL_LIMIT):
         if radius < 0:
@@ -220,9 +221,25 @@ class FiniteGroup(Group):
             raise GroupError("table entries must be element ids")
         self.table = tbl
         self.order = n
-        self._identity = self._find_identity()
-        self._inverse = self._build_inverses()
-        self._verify_associativity()
+        t = np.array(tbl, dtype=np.intp)
+        ids = np.arange(n)
+        # The identity: the first e whose row and column read 0, ..., n-1.
+        found = ((t == ids) & (t.T == ids)).all(axis=1)
+        if not found.any():
+            raise GroupError("table has no identity element")
+        self._identity = e = int(found.argmax())
+        # The inverse of i: the first j with i j = j i = e.
+        mutual = (t == e) & (t.T == e)
+        found = mutual.any(axis=1)
+        if not found.all():
+            raise GroupError(f"element {found.argmin()} has no inverse")
+        self._inverse = tuple(mutual.argmax(axis=1).tolist())
+        # (i j) k = t[t[i, j], k] against i (j k) = t[i, t[j, k]], in blocks of
+        # about 2^20 triples, so a large table from outside takes bounded memory.
+        step = max(1, (1 << 20) // (n * n))
+        for rows in (t[i : i + step] for i in range(0, n, step)):
+            if not np.array_equal(t[rows], rows[:, t]):
+                raise GroupError("table is not associative")
         if generator_ids is None:
             gens = tuple(i for i in range(n) if i != self._identity) or (self._identity,)
         else:
@@ -231,31 +248,6 @@ class FiniteGroup(Group):
         self._distances = self._bfs_distances()
         if len(self._distances) != n:
             raise GroupError("generators do not generate the whole group")
-
-    def _find_identity(self):
-        ids = tuple(range(self.order))
-        for e in ids:
-            if self.table[e] == ids and all(self.table[i][e] == i for i in ids):
-                return e
-        raise GroupError("table has no identity element")
-
-    def _build_inverses(self):
-        inv = [None] * self.order
-        e = self._identity
-        for i in range(self.order):
-            for j in range(self.order):
-                if self.table[i][j] == e and self.table[j][i] == e:
-                    inv[i] = j
-                    break
-            if inv[i] is None:
-                raise GroupError(f"element {i} has no inverse")
-        return tuple(inv)
-
-    def _verify_associativity(self):
-        t = np.array(self.table, dtype=np.intp)
-        for i in range(self.order):
-            if not np.array_equal(t[t[i]], t[i][t]):
-                raise GroupError("table is not associative")
 
     def _bfs_distances(self):
         step = set(self._generators) | {self._inverse[g] for g in self._generators}

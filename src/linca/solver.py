@@ -5,11 +5,11 @@ For a linear CA the window maps tau_n : V^{A_n} -> V^{B_n} turn global
 questions into finite exact ones.  Given a target configuration y, the
 fibers X_n = tau_n^{-1}(y|B_n) form a projective sequence of affine
 subspaces under restriction, each built from the one below it by solving
-only the window rows new at its level.  Each ambient space is finite
-dimensional, so the image chains f_{nm}(X_m) are non-increasing and must
-stabilize; once a plateau is detected the stabilized (universal) levels
-admit surjective one-step bonding maps, which the extraction loop exploits:
-it walks a canonical point up level by level, certifying every lift by its
+only the window rows new at its level: none where the window repeats, as a
+finite group's does once A_n = G.  Each ambient space is finite dimensional,
+so the image chains f_{nm}(X_m) are non-increasing and must stabilize; past
+a plateau the (universal) levels admit surjective one-step bonding maps, and
+the extraction walks a canonical point up them, certifying every lift by its
 one-step restriction equation.  Plateau detection at a finite cutoff is
 heuristic evidence, never proof, so failures at the cutoff are reported as
 Unknown while every positive answer is verified independently.
@@ -210,8 +210,9 @@ def preimage_sequence(
 
     Those parameters span X_{n-1}'s RREF basis on the prefix A_{n-1} and a
     unit row at each new coordinate, so ``solve_in_lift`` reads X_n's
-    directions off one product, with one elimination per level, and never
-    builds the unit rows.
+    directions off one product, with one elimination per level whose window
+    grows, and never builds the unit rows.  A repeated window A_n = A_{n-1}
+    has B_n = B_{n-1}, no new row and no new cell: X_n is X_{n-1} itself.
 
     No level builds W_n.  The new rows read only the cells they reach, so
     the level takes ``ca.block_matrix(new targets, reach)``.  Its columns
@@ -222,6 +223,8 @@ def preimage_sequence(
     p = ws.ca.p
 
     def level(n: int, below: AffineSubspace) -> AffineSubspace:
+        if n and ws.cells(n)[0] == ws.cells(n - 1)[0]:
+            return below
         ambient = ws.ambient(n)
         if below.is_empty:
             return AffineSubspace.empty(ambient, p)

@@ -185,6 +185,55 @@ def test_compose_agreement_on_configs():
 # -- composition and identity -------------------------------------------------------
 
 
+def reference_compose(outer, inner):
+    """outer o inner in Python ints, as {cell: rows}: the block at u is the
+    sum of b2 b1 over m2 m1 = u, reduced, zero blocks pruned but the
+    identity's."""
+    g, p, d = outer.group, outer.p, outer.dim_v
+    acc = {g.identity(): [[0] * d for _ in range(d)]}
+    for m2, b2 in zip(outer.memory, outer.blocks):
+        for m1, b1 in zip(inner.memory, inner.blocks):
+            block = acc.setdefault(g.multiply(m2, m1), [[0] * d for _ in range(d)])
+            for r, c in itertools.product(range(d), repeat=2):
+                block[r][c] += sum(int(b2[r, k]) * int(b1[k, c]) for k in range(d))
+    reduced = {u: [[x % p for x in row] for row in b] for u, b in acc.items()}
+    return {u: b for u, b in reduced.items() if u == g.identity() or any(map(any, b))}
+
+
+COMPOSE_GROUPS = [
+    (symmetric_group_3(), (0, 1, 3, 5), (0, 2, 4)),
+    (FreeGroup(2), ((), (1,), (-1,), (2,)), ((), (-1,), (1, 2), (-2, 1))),
+    (LatticeGroup(2), ((0, 0), (1, 0), (0, 1)), ((0, 0), (-1, 0), (0, -1), (1, 1))),
+]
+
+
+@pytest.mark.parametrize("group,outer_memory,inner_memory", COMPOSE_GROUPS, ids=["S3", "F2", "Z2"])
+def test_compose_matches_integer_arithmetic(group, outer_memory, inner_memory):
+    """Each memory pair has several products m2 m1 on the same cell, and
+    the blocks are summed there; p = 1048573 makes every product large."""
+    rng = random.Random(29)
+    for p, dim_v in itertools.product((2, 3, 1048573), (0, 1, 2, 3)):
+        outer = random_ca(rng, group, p, dim_v, outer_memory)
+        inner = random_ca(rng, group, p, dim_v, inner_memory)
+        for a, b in ((outer, inner), (inner, outer)):
+            composed = compose(a, b)
+            want = reference_compose(a, b)
+            assert composed.memory == group.sort_elements(want), (p, dim_v)
+            got = {m: blk.tolist() for m, blk in zip(composed.memory, composed.blocks)}
+            assert got == want, (p, dim_v)
+
+
+@pytest.mark.parametrize("group,s,t", [(symmetric_group_3(), 1, 3), (FreeGroup(2), (1,), (2,))])
+def test_compose_keeps_the_order_of_products(group, s, t):
+    """On a non-abelian group outer o inner reads x(g s t): the product of
+    the shifts by s and t sits at s t, not at t s."""
+    assert group.multiply(s, t) != group.multiply(t, s)
+    shift = [LinearCA(group, 5, 2, (m,), (np.eye(2, dtype=np.int64),)) for m in (s, t)]
+    composed = compose(*shift)
+    assert group.multiply(s, t) in composed.memory
+    assert group.multiply(t, s) not in composed.memory
+
+
 def test_compose_shifts_add():
     ca = compose(shift_ca(), shift_ca())
     assert ca.memory == (0, 2)

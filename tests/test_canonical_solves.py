@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import random_ca, random_finite_support, reference_solve
 from linca import (
+    FiniteGroup,
     FreeGroup,
     IntegerGroup,
     LatticeGroup,
@@ -25,6 +26,7 @@ from linca import (
     cyclic_group,
     extract_limit_prefix,
     kernel_sequence,
+    preimage_extract,
     preimage_sequence,
     symmetric_group_3,
 )
@@ -265,7 +267,8 @@ def test_one_elimination_per_solve(eliminations):
 @pytest.mark.parametrize("group,memory", GROUPS, ids=GROUP_IDS)
 def test_extraction_eliminates_only_to_build_levels(eliminations, group, memory):
     """The chain images and lifts are read off the levels' RREF rows: an
-    extraction runs one elimination per level it builds and no other."""
+    extraction runs one elimination per level whose window grows and no
+    other; a repeated window is the level below."""
     rng = random.Random(11)
     ca = random_ca(rng, group, 3, 2, memory)
     ws = WindowSystem(ca)
@@ -273,7 +276,45 @@ def test_extraction_eliminates_only_to_build_levels(eliminations, group, memory)
     seq = preimage_sequence(ws, target)
     result = extract_limit_prefix(seq, 2, 8)
     assert result.status == "ok"
-    assert len(eliminations) == len(seq._levels)
+    assert len(eliminations) == growing_windows(ws, len(seq._levels))
+
+
+def growing_windows(ws, levels):
+    """The levels n < ``levels`` that build: n = 0 or A_n != A_{n-1}."""
+    return sum(n == 0 or ws.cells(n)[0] != ws.cells(n - 1)[0] for n in range(levels))
+
+
+@pytest.mark.parametrize(
+    "group,generators,builds",
+    [
+        (symmetric_group_3(), None, 1),
+        (cyclic_group(6), None, 1),
+        (cyclic_group(6), [1], 3),
+    ],
+    ids=["S3", "Z6", "Z6-gen1"],
+)
+def test_finite_preimage_eliminates_once_per_distinct_window(
+    eliminations, group, generators, builds
+):
+    """On a finite group the windows stop growing once A_n = G.  With the
+    default generators A_0 = G already, so a preimage takes the one
+    elimination of the |G| dimV system; with generator {1} of Z/6 it takes
+    one per distinct window, and every repeated window is the level below
+    itself, the same object."""
+    if generators is not None:
+        group = FiniteGroup(group.table, generator_ids=generators)
+    rng = random.Random(20)
+    ca = random_ca(rng, group, 3, 2, (0, 1, 5))
+    ws = WindowSystem(ca)
+    target = ca.apply_config(random_finite_support(rng, group, 3, 2, ws.cells(0)[0]))
+    result = preimage_extract(ca, target, 2, 8)
+    assert result.status == "ok"
+    assert len(eliminations) == builds
+    seq = preimage_sequence(ws, target)
+    for n in range(1, 8):
+        repeated = ws.cells(n)[0] == ws.cells(n - 1)[0]
+        assert (seq.level(n) is seq.level(n - 1)) == repeated, n
+    assert growing_windows(ws, 8) == builds
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])

@@ -1,5 +1,6 @@
 """Group arithmetic, balls, interiors and subgroup construction."""
 
+import itertools
 import random
 
 import pytest
@@ -107,18 +108,81 @@ def test_bad_elements_rejected():
         FreeGroup(1).check((2,))
 
 
+def reference_axioms(table):
+    """The group axioms by plain loops: (identity, inverses), or the message
+    of the first axiom that fails, checked in the order identity, inverses,
+    associativity."""
+    ids = tuple(range(len(table)))
+    e = next(
+        (e for e in ids if tuple(table[e]) == ids and all(table[i][e] == i for i in ids)),
+        None,
+    )
+    if e is None:
+        return "table has no identity element"
+    inverses = []
+    for i in ids:
+        j = next((j for j in ids if table[i][j] == e and table[j][i] == e), None)
+        if j is None:
+            return f"element {i} has no inverse"
+        inverses.append(j)
+    for i, j, k in itertools.product(ids, repeat=3):
+        if table[table[i][j]][k] != table[i][table[j][k]]:
+            return "table is not associative"
+    return e, tuple(inverses)
+
+
 def test_finite_table_validation():
-    # A latin square that is not associative is rejected.
-    bad = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
-    with pytest.raises(GroupError):
-        FiniteGroup(bad)
-    with pytest.raises(GroupError):
-        FiniteGroup([[0, 0], [0, 1]])  # row 0 is not a permutation: no identity
-    with pytest.raises(GroupError):
+    cases = [
+        ([[0, 0], [0, 0]], "table has no identity element"),
+        ([[0, 0], [0, 1]], "element 0 has no inverse"),  # 1 is the identity
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "element 1 has no inverse"),
+        # A commutative loop on identity 1 that is not a group: (0 0) 2 = 2
+        # but 0 (0 2) = 0.
+        ([[0, 0, 1], [0, 1, 2], [1, 2, 0]], "table is not associative"),
+    ]
+    for table, message in cases:
+        assert reference_axioms(table) == message
+        with pytest.raises(GroupError, match=f"^{message}$"):
+            FiniteGroup(table)
+    with pytest.raises(GroupError, match="generators do not generate the whole group"):
         FiniteGroup([[0, 1], [1, 0]], generator_ids=[0])  # identity generates nothing
     # S3 and Z/6 pass.
     assert symmetric_group_3().order == 6
     assert cyclic_group(6).order == 6
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_finite_table_checks_match_the_loop_reference(n):
+    """Every n x n table over {0, ..., n-1}: the vectorized checks accept
+    exactly the groups, reject the rest with the loops' first message, and
+    find the same identity and inverses."""
+    verdicts = set()
+    for flat in itertools.product(range(n), repeat=n * n):
+        table = [flat[i * n : (i + 1) * n] for i in range(n)]
+        want = reference_axioms(table)
+        try:
+            group = FiniteGroup(table)
+        except GroupError as exc:
+            got = str(exc)
+        else:
+            got = group.identity(), tuple(map(group.inverse, range(n)))
+        assert got == want, table
+        verdicts.add(want if isinstance(want, str) else "group")
+    assert {"group", "table has no identity element", "element 1 has no inverse"} <= verdicts
+    assert ("table is not associative" in verdicts) == (n == 3)
+
+
+def test_large_table_associativity_runs_in_blocks():
+    """Past order 101 associativity is checked over blocks of rows.  Z/120
+    passes; swapping the intercalate at rows 100, 40 and columns 110, 50
+    keeps a latin square with identity 0 and every inverse, but not a
+    group."""
+    table = [list(row) for row in cyclic_group(120).table]
+    assert FiniteGroup(table).order == 120
+    for r, c in ((100, 110), (100, 50), (40, 110), (40, 50)):
+        table[r][c] = (table[r][c] + 60) % 120
+    with pytest.raises(GroupError, match="^table is not associative$"):
+        FiniteGroup(table)
 
 
 # -- balls ---------------------------------------------------------------------
