@@ -1,12 +1,25 @@
 """JSON interchange formats and self-verifying certificates.
 
 All files are written in one canonical byte form: sorted keys, no
-whitespace between tokens, one trailing newline.  ``canonical_json`` is the
-only encoder; ``dumps`` adds the newline, and ``sha256_of`` hashes the same
-bytes, so a certificate's ``ca_sha256`` is the sha256 of its CA file
-without the newline.  Identical inputs produce identical bytes, and
-re-serialization round-trips exactly.  Reading accepts any JSON layout, so
+whitespace between tokens, one trailing newline.  orjson's encoder writes
+it, called only in ``_encode``: ``canonical_json`` returns those bytes as
+text, ``dumps`` adds the newline, and ``sha256_of`` hashes the same bytes,
+so a certificate's ``ca_sha256`` is the sha256 of its CA file without the
+newline.  Identical inputs produce identical bytes, and re-serialization
+round-trips exactly.
+
+The form is what stdlib ``json.dumps`` writes with ``sort_keys=True`` and
+``separators=(",", ":")``, byte for byte, on the domain every encoder here
+writes: ints in the signed 64-bit range, bools, None, lists, dicts with
+str keys, and strings over chr(0)..chr(126).  Outside it the two differ:
+orjson writes DEL and non-ASCII text raw, where json escapes them, and it
+raises TypeError, rather than write anything, on a non-str key or an int
+that does not fit in 64 bits (below -2^63, or from 2^64 on).
+
+Reading stays on stdlib ``json.loads``, which accepts any JSON layout, so
 indented files written before the compact form still read and verify.
+orjson's parser is faster, but on first use it allocates an 8 MiB buffer
+that the process keeps.
 
 Element encodings per group kind: integers as numbers, lattice points as
 arrays, finite-group elements as table ids, free-group words as strings
@@ -44,6 +57,7 @@ import json
 from typing import Optional
 
 import numpy as np
+import orjson
 
 from . import gallery, linalg, solver
 from .ca import (
@@ -70,12 +84,17 @@ class FormatError(ValueError):
     """Malformed or unsupported file content."""
 
 
+def _encode(obj, option: int = 0) -> bytes:
+    """The canonical bytes of ``obj``; the one call of the encoder."""
+    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS | option)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _encode(obj).decode()
 
 
 def dumps(obj) -> str:
-    return canonical_json(obj) + "\n"
+    return _encode(obj, orjson.OPT_APPEND_NEWLINE).decode()
 
 
 def loads(text: str):
@@ -86,7 +105,7 @@ def loads(text: str):
 
 
 def sha256_of(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+    return hashlib.sha256(_encode(obj)).hexdigest()
 
 
 # -- decoding ----------------------------------------------------------------

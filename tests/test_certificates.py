@@ -8,6 +8,7 @@ import hashlib
 import json
 import operator
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,12 @@ from linca import (
     LatticeGroup,
     LinearCA,
     Pattern,
+    constant,
     cyclic_group,
     finite_support,
     gallery,
     jsonio,
+    periodic,
     solver,
     symmetric_group_3,
 )
@@ -420,11 +423,78 @@ def test_files_are_written_in_the_one_canonical_form(kind):
 
 
 def test_jsonio_has_one_encoder():
+    """orjson.dumps is called once, in jsonio, and stdlib json.dumps
+    nowhere; the pattern for the latter does not match "orjson.dumps("."""
     src = Path(__file__).resolve().parents[1] / "src"
-    assert (src / "linca" / "jsonio.py").read_text().count("json.dumps(") == 1
     sources = [f for f in src.rglob("*") if f.suffix in (".py", ".pyx", ".c")]
     assert sources
-    assert [f.name for f in sources if "indent=" in f.read_text()] == []
+    texts = {f.name: f.read_text() for f in sources}
+    calls = {name: t.count("orjson.dumps(") for name, t in texts.items()}
+    assert {name: n for name, n in calls.items() if n} == {"jsonio.py": 1}
+    assert [name for name, t in texts.items() if re.search(r"(?<!\w)json\.dumps\(", t)] == []
+    assert [name for name, t in texts.items() if "indent=" in t] == []
+
+
+def stdlib_form(obj) -> str:
+    """The canonical form as stdlib json writes it."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# The domain on which the encoder and stdlib json write the same bytes.
+DOMAIN_TEXT = st.text(st.characters(min_codepoint=0, max_codepoint=126))
+DOMAIN_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**63), 2**63 - 1) | DOMAIN_TEXT,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(DOMAIN_TEXT, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(DOMAIN_DOCUMENTS)
+def test_canonical_json_is_the_stdlib_form_on_its_domain(doc):
+    text = stdlib_form(doc)
+    assert jsonio.canonical_json(doc) == text
+    assert jsonio.dumps(doc) == text + "\n"
+    assert jsonio.sha256_of(doc) == hashlib.sha256(text.encode()).hexdigest()
+
+
+def _encoded_files() -> list:
+    """The file text of every certificate built in this module, and of the
+    CA, configuration and pattern encoders on every group kind."""
+    texts = [_certificate_text(kind, with_target) for kind, with_target in CASES]
+    texts += [jsonio.dumps(_pinned_certificate(kind)) for kind in KINDS]
+    texts += [_group_preimage_text(name) for name in PREIMAGE_GROUPS]
+    for group in [*PREIMAGE_GROUPS.values(), FreeGroup(26)]:
+        cells = {g: [1, 2] for g in group.ball(1)}
+        blocks = [np.eye(2, dtype=np.int64)] * len(cells)
+        docs = [
+            jsonio.encode_ca(LinearCA(group, 3, 2, list(cells), blocks)),
+            jsonio.encode_config(group, finite_support(3, 2, cells)),
+            jsonio.encode_pattern(group, Pattern(cells)),
+        ]
+        texts += [jsonio.dumps(doc) for doc in docs]
+    for config in (periodic(3, 2, [[1, 2], [0, 1]]), constant(3, 2, [2, 1])):
+        texts.append(jsonio.dumps(jsonio.encode_config(Z, config)))
+    return texts
+
+
+def test_encoded_files_are_ascii_without_del():
+    """Every encoder writes inside the domain above: the files are ASCII
+    with no DEL, and stdlib json writes the same bytes for them."""
+    for text in _encoded_files():
+        assert text.isascii() and "\x7f" not in text
+        assert text == stdlib_form(jsonio.loads(text)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [2**64, -(2**63) - 1, {"blocks": [[[2**70]]]}, {1: "a"}, [{"p": 2, (0, 1): 1}]],
+    ids=["2**64", "-2**63-1", "nested 2**70", "int key", "tuple key"],
+)
+def test_dumps_refuses_values_no_decoder_reads(doc):
+    for encode in (jsonio.dumps, jsonio.canonical_json, jsonio.sha256_of):
+        with pytest.raises(TypeError):
+            encode(doc)
 
 
 def old_format(obj) -> str:

@@ -1,5 +1,6 @@
 """End-to-end command-line flows: formats, exit codes, determinism."""
 
+import json
 import subprocess
 import sys
 
@@ -15,8 +16,10 @@ Z = IntegerGroup()
 
 
 def write(tmp_path, name, obj):
+    """Write obj in the canonical form with stdlib json, which also writes
+    values the library's encoder refuses, such as 2**70."""
     path = tmp_path / name
-    path.write_text(jsonio.dumps(obj))
+    path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
     return str(path)
 
 
