@@ -25,6 +25,7 @@ from .ca import (
     identity_ca,
     normalize_rule,
     periodic,
+    push_forward,
     shift_config,
 )
 from .groups import (

@@ -20,7 +20,8 @@ in the canonical cell order.  Every other solver system is in the
 canonical cell order, read directly, transposed or with columns folded.
 This module also owns the one evaluator, the plain loop
 ``LinearCA._evaluate`` that checks those matrices independently, and the
-cell layout of window vectors (``cell_view``).
+cell layout of window vectors (``cell_view``).  ``_sum_by_cell`` is the one
+loop that sums rule blocks by cell, for ``push_forward`` and ``compose``.
 """
 
 from __future__ import annotations
@@ -386,6 +387,26 @@ def config_equal(group: Group, dim_v: int, a: Configuration, b: Configuration) -
 # -- rule-level operations -------------------------------------------------
 
 
+def _sum_by_cell(group: Group, p: int, dim_v: int, cells: Iterable, blocks) -> LinearCA:
+    """The rule on ``group`` whose block at u is the sum of the blocks whose
+    cell is u, reduced mod p as ``LinearCA`` reduces every block."""
+    sums: dict = {}
+    for u, b in zip(cells, blocks):
+        sums[u] = sums[u] + b if u in sums else b
+    return LinearCA(group, p, dim_v, tuple(sums), tuple(sums.values()))
+
+
+def push_forward(ca: LinearCA, group: Group, phi: Callable) -> LinearCA:
+    """The rule on ``group`` whose block at v sums, mod p, the b_m with
+    phi(m) = v.  A homomorphism phi induces a ring map on the matrices over
+    the group rings, so pushing commutes with ``compose``: nu o A = identity
+    gives phi(nu) phi(A) = I, and on Z^k det phi(A) is then a unit; on a
+    finite H, tau(v o phi)(g) = tau_H(v)(phi(g)) (Ceccherini-Silberstein &
+    Coornaert, Cellular Automata and Groups, ch. 8).  Nothing is summed
+    along a map injective on the memory."""
+    return _sum_by_cell(group, ca.p, ca.dim_v, map(phi, ca.memory), ca.blocks)
+
+
 def compose(outer: LinearCA, inner: LinearCA) -> LinearCA:
     """The automaton computing outer(inner(x)): the block at u sums b2 b1
     over m2 m1 = u, all products from one matmul of inner dimension dimV."""
@@ -393,16 +414,9 @@ def compose(outer: LinearCA, inner: LinearCA) -> LinearCA:
         raise CAError("composition requires matching group, field and dimV")
     g, p, d = outer.group, outer.p, outer.dim_v
     prods = linalg.matmul(np.vstack(outer.blocks), np.hstack(inner.blocks), p)
-    prods = prods.reshape(len(outer.memory), d, len(inner.memory), d)
-    acc: dict = {}
-    for i, m2 in enumerate(outer.memory):
-        for j, m1 in enumerate(inner.memory):
-            u = g.multiply(m2, m1)
-            if u in acc:
-                acc[u] = (acc[u] + prods[i, :, j]) % p
-            else:
-                acc[u] = prods[i, :, j]
-    return LinearCA(g, p, d, tuple(acc), tuple(acc.values()))
+    cells = [g.multiply(m2, m1) for m2 in outer.memory for m1 in inner.memory]
+    grid = prods.reshape(len(outer.memory), d, len(inner.memory), d).transpose(0, 2, 1, 3)
+    return _sum_by_cell(g, p, d, cells, grid.reshape(len(cells), d, d))
 
 
 def identity_ca(group: Group, p: int, dim_v: int) -> LinearCA:

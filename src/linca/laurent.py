@@ -34,9 +34,9 @@ The terms are computed from the nonzero ones only: each pushes its products
 with the nonzero M_i onto the degrees they reach, so the work is bounded by
 the number of exponents that sums of memory offsets reach, not by T.
 
-A rule on the free group F_k goes to one on Z^k through the abelianization
-(``abelian_image``).  Its series does not decide the rule on F_k, but a
-series that does not end rules out a left inverse there.
+A rule on the free group F_k goes to one on Z^k by ``ca.push_forward`` along
+the abelianization (``abelian_point``).  Its series does not decide the rule
+on F_k, but a series that does not end rules out a left inverse there.
 """
 
 from __future__ import annotations
@@ -86,7 +86,8 @@ def abelian_point(group, m) -> tuple:
 
 def coefficients(ca: LinearCA) -> LaurentMatrix:
     """The coefficient blocks of a rule on Z or Z^d, read from the cells it
-    reads (``support_memory``); the one place they are built."""
+    reads (``support_memory``); the one place they are built.  The Kronecker
+    map is injective on the support, so this push-forward sums nothing."""
     live = ca.support_memory
     points = [abelian_point(ca.group, m) for m in live]
     low, high = tuple(map(min, zip(*points))), tuple(map(max, zip(*points)))
@@ -97,20 +98,6 @@ def coefficients(ca: LinearCA) -> LaurentMatrix:
     degrees = [sum(w * (e - lo) for w, e, lo in zip(weights, pt, low)) for pt in points]
     blocks = {k: ca.block(m) for k, m in sorted(zip(degrees, live))}
     return LaurentMatrix(ca, low, radix, blocks)
-
-
-def abelian_image(ca: LinearCA) -> LinearCA:
-    """phi(A) for a rule A on F_k: the rule on Z^k whose block at v is the
-    sum of the b_m with phi(m) = v; the one place it is built.  phi is a
-    homomorphism, so it induces a ring map on the matrices over the group
-    rings: nu o A = identity gives phi(nu) phi(A) = I, and det phi(A) is
-    then a unit (Ceccherini-Silberstein & Coornaert, Cellular Automata and
-    Groups, ch. 8)."""
-    sums: dict = {}
-    for m, b in zip(ca.memory, ca.blocks):
-        v = abelian_point(ca.group, m)
-        sums[v] = (sums[v] + b) % ca.p if v in sums else b
-    return LinearCA(LatticeGroup(ca.group.rank), ca.p, ca.dim_v, list(sums), list(sums.values()))
 
 
 class Series(NamedTuple):

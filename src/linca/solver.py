@@ -36,7 +36,7 @@ every element, the one the radius search reaches at saturation.  It runs
 only when the search's radius reaches the whole group, so it never builds
 a system larger than the search would.  On F_k the abelianization phi
 (letter i -> e_i) maps the group ring homomorphically to Z^k's, so A
-invertible makes phi(A) invertible (``laurent.abelian_image``), and a
+invertible makes phi(A) invertible (``ca.push_forward``), and a
 vertex block proves every window map onto (``vertex_block``).  On F_k both
 facts only skip searches; neither answers on its own.
 
@@ -68,7 +68,7 @@ Rows marked Z^d are for d >= 2.  The two F_k rows combine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -91,6 +91,7 @@ from .ca import (
     finite_support,
     pattern_to_vec,
     periodic,
+    push_forward,
     vec_to_pattern,
     zero_config,
 )
@@ -538,7 +539,8 @@ def _support_kernel_witness(ca: LinearCA, radius: int) -> Optional[FiniteSupport
 
 
 def _constant_kernel_witness(ca: LinearCA):
-    """Nonzero constant kernel configuration (valid on every group)."""
+    """Nonzero constant kernel configuration (valid on every group);
+    ``sum(ca.blocks) % p`` is already the push-forward to the trivial group."""
     if ca.dim_v == 0:
         return None
     kern = kernel_basis(sum(ca.blocks) % ca.p, ca.p)
@@ -550,7 +552,10 @@ def _constant_kernel_witness(ca: LinearCA):
 def _periodic_system(ca: LinearCA, q: int) -> np.ndarray:
     """The automaton on q-periodic configurations of the integers, as a
     matrix on one period: its block matrix from the cells i + m reach, with
-    the columns of cells equal mod q added together and reduced."""
+    the columns of cells equal mod q added together and reduced: the block
+    matrix of ``push_forward`` along Z -> Z/q without ``cyclic_group(q)``,
+    whose O(q^3) table check took 1.42 s of 1.57 s at dimV 1 and q = 600,
+    against 0.20 s folded (one Intel Xeon core)."""
     d, first = ca.dim_v, min(ca.memory) // q * q
     k = (q - 1 + max(ca.memory)) // q - first // q + 1
     wide = ca.block_matrix(range(q), range(first, first + k * q))
@@ -624,7 +629,8 @@ def _possible_families(ca: LinearCA, series: laurent.Series) -> frozenset:
         return frozenset({"constant"})
     families = every - {"left-inverse"} if series.ends is False else every
     if isinstance(group, FreeGroup):
-        if laurent.inverse_series(laurent.abelian_image(ca)).ends is False:
+        image = push_forward(ca, LatticeGroup(group.rank), partial(laurent.abelian_point, group))
+        if laurent.inverse_series(image).ends is False:
             families -= {"left-inverse"}
         if vertex_block(ca) is not None:
             families -= {"fiber"}
@@ -654,9 +660,9 @@ def kernel_witness(
     ca: LinearCA, support_bound: int = 4, period_bound: int = 4
 ) -> Optional[Configuration]:
     """Search for a nonzero configuration in the kernel: finitely supported
-    ones on growing balls first, then periodic ones on the integers, as far as
-    the rule's decision allows (the module docstring's table).  Any returned
-    witness is re-verified exactly; None is inconclusive."""
+    ones on growing balls, then the constant one, then periodic ones on the
+    integers, as far as the rule's decision allows (the module docstring's
+    table).  Any returned witness is re-verified exactly; None is inconclusive."""
     if min(support_bound, period_bound) < 0:
         raise ValueError(f"bounds must be >= 0, got {support_bound} and {period_bound}")
     radii, periods = range(support_bound + 1), range(1, period_bound + 1)

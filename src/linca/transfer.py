@@ -1,12 +1,12 @@
 """Restriction of an automaton to a subgroup containing its memory set, and
-induction back up.  Both operations relabel the memory through the subgroup's
-embed/recognize maps and keep the blocks untouched, so they are exact inverses
-of each other on normalized rules.  Induction is only defined along the
+induction back up: push-forwards along the subgroup's recognize and embed
+maps, injective on the memory, so the blocks stay untouched and the two are
+exact inverses on normalized rules.  Induction is only defined along the
 certified-injective embeddings produced by ``subgroup_generated``."""
 
 from __future__ import annotations
 
-from .ca import CAError, LinearCA
+from .ca import CAError, LinearCA, push_forward
 from .groups import Subgroup
 
 
@@ -21,22 +21,14 @@ def restrict(automaton: LinearCA, subgroup: Subgroup) -> LinearCA:
     reused unchanged."""
     if subgroup.parent != automaton.group:
         raise TransferError("subgroup does not belong to the automaton's group")
-    new_memory = []
-    for m in automaton.memory:
-        h = subgroup.recognize(m)
-        if h is None:
-            raise TransferError(f"memory element {m!r} is outside the subgroup")
-        new_memory.append(h)
-    return LinearCA(
-        subgroup.group, automaton.p, automaton.dim_v, new_memory, automaton.blocks
-    )
+    outside = [m for m in automaton.memory if subgroup.recognize(m) is None]
+    if outside:
+        raise TransferError(f"memory element {outside[0]!r} is outside the subgroup")
+    return push_forward(automaton, subgroup.group, subgroup.recognize)
 
 
 def induce(automaton: LinearCA, subgroup: Subgroup) -> LinearCA:
     """The same local rule viewed over the ambient group, memory embedded."""
     if subgroup.group != automaton.group:
         raise TransferError("automaton is not defined over the subgroup")
-    new_memory = [subgroup.embed(m) for m in automaton.memory]
-    return LinearCA(
-        subgroup.parent, automaton.p, automaton.dim_v, new_memory, automaton.blocks
-    )
+    return push_forward(automaton, subgroup.parent, subgroup.embed)

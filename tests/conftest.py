@@ -25,6 +25,20 @@ def random_integer_ca(rng: random.Random, p: int, dim_v: int, span=1) -> LinearC
     return random_ca(rng, IntegerGroup(), p, dim_v, memory)
 
 
+def free_group_map(target, images):
+    """The homomorphism F_k -> target sending letter i to images[i - 1]: a
+    word goes to the product of its letters' images."""
+
+    def phi(word):
+        out = target.identity()
+        for x in word:
+            g = images[abs(x) - 1]
+            out = target.multiply(out, g if x > 0 else target.inverse(g))
+        return out
+
+    return phi
+
+
 def random_finite_support(
     rng: random.Random, group, p: int, dim_v: int, cells
 ) -> FiniteSupportConfig:

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_ca, random_finite_support, random_integer_ca
+from conftest import free_group_map, random_ca, random_finite_support, random_integer_ca
 from linca import (
     FreeGroup,
     IntegerGroup,
@@ -23,9 +23,11 @@ from linca import (
     finite_support,
     identity_ca,
     periodic,
+    push_forward,
     symmetric_group_3,
 )
-from linca.ca import CAError, pattern_to_vec, vec_to_pattern
+from linca.ca import CAError, cell_view, pattern_to_vec, vec_to_pattern
+from linca.linalg import kernel_basis
 from linca.solver import _periodic_system
 
 Z = IntegerGroup()
@@ -434,3 +436,47 @@ def test_periodic_system_sums_and_reduces_folded_columns(q):
         image = ca.apply_config(periodic(p, d, values))
         vec = np.array(values, dtype=np.int64).reshape(-1)
         assert np.array_equal(mat @ vec % p, np.concatenate(image.values))
+
+
+def test_periodic_system_is_the_push_forward_to_z_mod_q():
+    """Folding the columns of cells equal mod q gives the block matrix of the
+    rule pushed along Z -> Z/q."""
+    rng = random.Random(71)
+    quotients = {q: cyclic_group(q) for q in range(1, 14)}
+    for _ in range(51):
+        p, d = rng.choice((2, 3, 5)), rng.randint(1, 2)
+        ca = random_ca(rng, Z, p, d, rng.sample(range(-9, 10), rng.randint(1, 5)))
+        for q, quotient in quotients.items():
+            pushed = push_forward(ca, quotient, lambda m: m % q)
+            expected = pushed.block_matrix(range(q), range(q))
+            assert np.array_equal(_periodic_system(ca, q), expected), (ca, q)
+
+
+@pytest.mark.parametrize("quotient", ["Z/q", "S3"])
+def test_quotient_kernel_vectors_pull_back(quotient):
+    """tau(v o phi)(g) = tau_Q(v)(phi(g)) for the rule pushed along phi onto a
+    finite quotient Q, both sides evaluated by the plain loop on a ball of G:
+    a kernel vector of the pushed rule pulls back to a kernel element."""
+    rng = random.Random(73)
+    s3, f2 = symmetric_group_3(), FreeGroup(2)
+    kernel_vectors = 0
+    for _ in range(24):
+        p, d = rng.choice((2, 3)), rng.randint(1, 2)
+        if quotient == "Z/q":
+            q = rng.randint(1, 6)
+            group, target, phi = Z, cyclic_group(q), lambda m, q=q: m % q
+        else:
+            group, target, phi = f2, s3, free_group_map(s3, (1, 3))
+        ca = random_ca(rng, group, p, d, rng.sample(group.ball(2), 3))
+        pushed, cells = push_forward(ca, target, phi), target.elements()
+        kern = kernel_basis(pushed.block_matrix(cells, cells), p)
+        kernel_vectors += kern.dim
+        some = np.array([rng.randrange(p) for _ in range(d * len(cells))], dtype=np.int64)
+        for i, vec in enumerate([some, *kern.basis]):
+            v = dict(zip(cells, cell_view(vec, cells, d)))
+            image = pushed._evaluate(cells, v.get)
+            pulled = ca._evaluate(group.ball(3), lambda h: v[phi(h)])
+            for g, value in pulled.items():
+                assert np.array_equal(value, image[phi(g)]), (ca, g)
+            assert i == 0 or not any(w.any() for w in pulled.values())
+    assert kernel_vectors >= 12

@@ -5,13 +5,15 @@ only skips searches that cannot succeed, so every entry point answers as
 the search with every family does."""
 
 import random
+from functools import partial
 
 import pytest
 
-from conftest import random_ca, random_matrix, reference_rref, unit_det_rule
+from conftest import free_group_map, random_ca, random_matrix, reference_rref, unit_det_rule
 from linca import (
     FiniteGroup,
     FreeGroup,
+    IntegerGroup,
     LatticeGroup,
     LinearCA,
     NotInvertible,
@@ -23,7 +25,9 @@ from linca import (
     invert_ca,
     jsonio,
     laurent,
+    push_forward,
     solver,
+    subgroup_generated,
     symmetric_group_3,
 )
 from linca.solver import (
@@ -126,15 +130,27 @@ def test_vertex_block_needs_a_unique_minimiser_with_an_invertible_block():
     assert vertex_block(LinearCA(Z2, 3, 2, ((0, 0), (0, 1)), (singular, eye))) == (0, 1)
 
 
-def test_free_image_is_a_ring_map():
-    """phi(B o A) = phi(B) o phi(A): composition multiplies the matrices
-    over the group rings, and abelianization is a homomorphism."""
+def test_push_forward_is_a_ring_map():
+    """push(B o A) = push(B) o push(A): composition multiplies the matrices
+    over the group rings, and each map below is a homomorphism, so it
+    induces a ring map on them."""
+    z = IntegerGroup()
+    word = F2.word((1, 2, 2))
+    sub = subgroup_generated(F2, (word,))
+    maps = [
+        ("F2 -> Z^2", F2, Z2, partial(laurent.abelian_point, F2)),
+        ("Z^2 -> Z", Z2, z, lambda m: m[0] + 3 * m[1]),
+        *((f"Z -> Z/{q}", z, cyclic_group(q), lambda m, q=q: m % q) for q in range(1, 7)),
+        ("F2 -> S3", F2, S3, free_group_map(S3, (1, 3))),
+        ("<abb> -> F2", sub.group, F2, sub.embed),
+    ]
     rng = random.Random(79)
-    for _ in range(10):
-        p, d = rng.choice((2, 3, 5)), rng.randint(1, 3)
-        a, b = (random_ca(rng, F2, p, d, rng.sample(F2.ball(2), 3)) for _ in range(2))
-        image = laurent.abelian_image
-        assert image(compose(b, a)) == compose(image(b), image(a))
+    for name, source, target, phi in maps:
+        for _ in range(6):
+            p, d = rng.choice((2, 3, 5)), rng.randint(0, 3)
+            a, b = (random_ca(rng, source, p, d, rng.sample(source.ball(2), 3)) for _ in range(2))
+            push = partial(push_forward, group=target, phi=phi)
+            assert push(compose(b, a)) == compose(push(b), push(a)), (name, a, b)
 
 
 def test_free_image_series_rules_out_left_inverses():
@@ -148,7 +164,8 @@ def test_free_image_series_rules_out_left_inverses():
             ca = unit_det_rule(rng, F2, p, d, 2)
         else:
             ca = random_ca(rng, F2, p, d, rng.sample(F2.ball(1), rng.randint(2, 3)))
-        ends = laurent.inverse_series(laurent.abelian_image(ca)).ends
+        image = push_forward(ca, Z2, partial(laurent.abelian_point, F2))
+        ends = laurent.inverse_series(image).ends
         families = _possible_families(ca, laurent.inverse_series(ca))
         if i % 3 == 0:
             assert ends is not False
