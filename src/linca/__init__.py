@@ -51,7 +51,6 @@ from .linalg import (
 )
 from .solver import (
     EmptyFiberWitness,
-    ExtractionResult,
     KernelWitness,
     NotInvertible,
     PreimageResult,
@@ -66,7 +65,6 @@ from .solver import (
     kernel_witness,
     lift_element,
     preimage_extract,
-    preimage_sequence,
     surjectivity_counterexample,
     universal_spaces,
 )

@@ -132,7 +132,7 @@ def cmd_preimage(args) -> int:
     if result.status == "not-in-image":
         _emit(jsonio.empty_fiber_certificate(result.witness, target=target), args.out)
         return EXIT_NEGATIVE
-    print(f"unknown: {result.extraction.detail}")
+    print(f"unknown: {result.detail}")
     return EXIT_UNKNOWN
 
 

@@ -373,7 +373,6 @@ class ForcedSupportReport:
 
     p: int
     depth: int
-    truncation: int
     forced: dict
     forced_unit_coordinates: list
     solution_dim: int
@@ -409,9 +408,7 @@ def sigma_prime_forced_support(depth: int, p: int = 2) -> ForcedSupportReport:
             forced[t] = int(sols.point[c])
     forced_units = sorted(t for t, val in forced.items() if val == 1)
     ok = forced_units == list(range(1, depth + 1))
-    return ForcedSupportReport(
-        p, depth, t_max, forced, forced_units, sols.dim, ok
-    )
+    return ForcedSupportReport(p, depth, forced, forced_units, sols.dim, ok)
 
 
 # -- finite truncations -------------------------------------------------------

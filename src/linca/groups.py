@@ -432,7 +432,6 @@ class Subgroup:
 
     parent: Group
     group: Group
-    generators: tuple
     embed: Callable = field(repr=False)
     recognize: Callable = field(repr=False)
 
@@ -443,7 +442,6 @@ def trivial_subgroup(parent: Group) -> Subgroup:
     return Subgroup(
         parent,
         triv,
-        (),
         embed=lambda h: e,
         recognize=lambda g: 0 if g == e else None,
     )
@@ -518,20 +516,13 @@ def _lattice_subgroup(parent: LatticeGroup, elements) -> Subgroup:
         return Subgroup(
             parent,
             IntegerGroup(),
-            (1,),
             embed=lambda h: combine((h,)),
             recognize=lambda g: (lambda c: c[0] if c is not None else None)(
                 coeffs_of(g)
             ),
         )
     sub = LatticeGroup(rank)
-    return Subgroup(
-        parent,
-        sub,
-        sub.generators(),
-        embed=combine,
-        recognize=coeffs_of,
-    )
+    return Subgroup(parent, sub, embed=combine, recognize=coeffs_of)
 
 
 def _finite_subgroup(parent: FiniteGroup, elements) -> Subgroup:
@@ -559,7 +550,7 @@ def _finite_subgroup(parent: FiniteGroup, elements) -> Subgroup:
     def recognize(g):
         return index.get(g)
 
-    return Subgroup(parent, sub, tuple(gen_ids), embed=embed, recognize=recognize)
+    return Subgroup(parent, sub, embed=embed, recognize=recognize)
 
 
 def _integer_subgroup(parent: IntegerGroup, elements) -> Subgroup:
@@ -572,7 +563,6 @@ def _integer_subgroup(parent: IntegerGroup, elements) -> Subgroup:
     return Subgroup(
         parent,
         sub,
-        (1,),
         embed=lambda h: h * d,
         recognize=lambda g: g // d if g % d == 0 else None,
     )
@@ -612,7 +602,7 @@ def _free_cyclic_subgroup(parent: FreeGroup, elements) -> Subgroup:
                     break
         return None
 
-    return Subgroup(parent, sub, (1,), embed=embed, recognize=recognize)
+    return Subgroup(parent, sub, embed=embed, recognize=recognize)
 
 
 def subgroup_generated(group: Group, elements: Iterable) -> Subgroup:

@@ -181,7 +181,10 @@ def decode_group(data) -> Group:
     if kind == "integers":
         return IntegerGroup()
     if kind == "lattice":
-        return LatticeGroup(_int(data["dim"]))
+        dim = _int(data["dim"])
+        if dim > 26:
+            raise FormatError("lattice dimension must be <= 26, the bound of the free rank")
+        return LatticeGroup(dim)
     if kind == "finite":
         gens = data.get("generators")
         return FiniteGroup(

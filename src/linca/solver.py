@@ -4,15 +4,19 @@ extraction, inverse-rule synthesis and witness searches.
 For a linear CA the window maps tau_n : V^{A_n} -> V^{B_n} turn global
 questions into finite exact ones.  Given a target configuration y, the
 fibers X_n = tau_n^{-1}(y|B_n) form a projective sequence of affine
-subspaces under restriction, each built from the one below it by solving
-only the window rows new at its level: none where the window repeats, as a
+subspaces under restriction (``ProjectiveAffineSequence`` over the windows
+of a ``WindowSystem``), each built from the one below it by solving only
+the window rows new at its level: none where the window repeats, as a
 finite group's does once A_n = G.  Each ambient space is finite dimensional,
 so the image chains f_{nm}(X_m) are non-increasing and must stabilize; past
 a plateau the (universal) levels admit surjective one-step bonding maps, and
 the extraction walks a canonical point up them, certifying every lift by its
-one-step restriction equation.  Plateau detection at a finite cutoff is
-heuristic evidence, never proof, so failures at the cutoff are reported as
-Unknown while every positive answer is verified independently.
+one-step restriction equation.  ``extract_limit_prefix`` returns the
+``PreimageResult`` itself: a first empty level comes with its checked fiber
+witness, and the top point passes ``window_preimage``.  Plateau detection
+at a finite cutoff is heuristic evidence, never proof, so failures at the
+cutoff are reported as Unknown while every positive answer is verified
+independently.
 
 Inverse synthesis does not wait for kernel chains to stabilize: it solves
 the exact linear system "candidate_rule o automaton = identity" over the
@@ -69,7 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -173,23 +177,19 @@ class WindowSystem:
 
 
 class ProjectiveAffineSequence:
-    """Levels X_n (affine subspaces) with prefix bonds f_{nm}(x) = x[:k],
-    k = ambient(n).  ``level_fn(n, below)`` builds X_n from X_{n-1},
-    which the sequence hands it: the single point of GF(p)^0 below level 0."""
+    """The window fibers X_n = tau_n^{-1}(y|B_n) of a target y over the
+    windows A_n, B_n of ``windows``: affine subspaces with prefix bonds
+    f_{nm}(x) = x[:k], k = ambient(n).  Levels are built bottom-up, each
+    from the one below: the single point of GF(p)^0 below level 0."""
 
-    def __init__(
-        self,
-        p: int,
-        ambient_fn: Callable[[int], int],
-        level_fn: Callable[[int, AffineSubspace], AffineSubspace],
-    ):
-        self.p = p
-        self._ambient = ambient_fn
-        self._level = level_fn
+    def __init__(self, windows: WindowSystem, target: Configuration):
+        self.windows = windows
+        self.target = target
+        self.p = windows.ca.p
         self._levels: dict[int, AffineSubspace] = {}
 
     def ambient(self, n: int) -> int:
-        return self._ambient(n)
+        return self.windows.ambient(n)
 
     def level(self, n: int) -> AffineSubspace:
         """X_n; levels are computed bottom-up, so levels 0..len - 1 are cached."""
@@ -200,30 +200,26 @@ class ProjectiveAffineSequence:
             self._levels[k] = self._level(k, below)
         return self._levels[n]
 
+    def _level(self, n: int, below: AffineSubspace) -> AffineSubspace:
+        """X_n from X_{n-1}: B_{n-1} M lies in A_{n-1}, so the rows of W_n at
+        B_{n-1} are those of W_{n-1}, and X_n = {x : x|A_{n-1} in X_{n-1},
+        the rows at B_n minus B_{n-1} hold}, solved in the parameters of
+        X_{n-1} and new cells.
 
-def preimage_sequence(
-    ws: WindowSystem, target: Configuration
-) -> ProjectiveAffineSequence:
-    """Window fibers X_n = tau_n^{-1}(y|B_n) of the target, each built from the
-    one below: B_{n-1} M lies in A_{n-1}, so the rows of W_n at B_{n-1} are
-    those of W_{n-1}, and X_n = {x : x|A_{n-1} in X_{n-1}, the rows at B_n
-    minus B_{n-1} hold}, solved in the parameters of X_{n-1} and new cells.
+        Those parameters span X_{n-1}'s RREF basis on the prefix A_{n-1} and
+        a unit row at each new coordinate, so ``solve_in_lift`` reads X_n's
+        directions off one product, with one elimination per level whose
+        window grows, and never builds the unit rows.  A repeated window
+        A_n = A_{n-1} has B_n = B_{n-1}, no new row and no new cell: X_n is
+        X_{n-1} itself.
 
-    Those parameters span X_{n-1}'s RREF basis on the prefix A_{n-1} and a
-    unit row at each new coordinate, so ``solve_in_lift`` reads X_n's
-    directions off one product, with one elimination per level whose window
-    grows, and never builds the unit rows.  A repeated window A_n = A_{n-1}
-    has B_n = B_{n-1}, no new row and no new cell: X_n is X_{n-1} itself.
-
-    No level builds W_n.  The new rows read only the cells they reach, so
-    the level takes ``ca.block_matrix(new targets, reach)``.  Its columns
-    at the reach's cells in A_{n-1} meet X_{n-1}'s basis and point in one
-    product; its columns at the new cells are already the coefficients of
-    the unit rows.  This is the lift's exact product with W_n's zero columns
-    and the unit rows left out."""
-    p = ws.ca.p
-
-    def level(n: int, below: AffineSubspace) -> AffineSubspace:
+        No level builds W_n.  The new rows read only the cells they reach, so
+        the level takes ``ca.block_matrix(new targets, reach)``.  Its columns
+        at the reach's cells in A_{n-1} meet X_{n-1}'s basis and point in one
+        product; its columns at the new cells are already the coefficients of
+        the unit rows.  This is the lift's exact product with W_n's zero
+        columns and the unit rows left out."""
+        ws, p = self.windows, self.p
         if n and ws.cells(n)[0] == ws.cells(n - 1)[0]:
             return below
         ambient = ws.ambient(n)
@@ -243,17 +239,14 @@ def preimage_sequence(
         coeff = np.zeros((len(w), span.dim + ambient - k), dtype=np.int64)
         coeff[:, : span.dim] = pulled[:, :-1]
         coeff[:, span.dim + cols[old:] - k] = w[:, old:]
-        rhs = pattern_to_vec(target, fresh, ws.ca.dim_v, p) - pulled[:, -1]
+        rhs = pattern_to_vec(self.target, fresh, ws.ca.dim_v, p) - pulled[:, -1]
         return linalg.solve_in_lift(below, ambient - k, coeff, rhs)
-
-    return ProjectiveAffineSequence(p, ws.ambient, level)
 
 
 def kernel_sequence(automaton: LinearCA) -> ProjectiveAffineSequence:
     """Window kernels 0 + ker W_n, the preimage sequence of zero over plain
     radius-n balls, so level 0 is the smallest window (the diagnostic chain)."""
-    ws = WindowSystem(automaton, r0=0)
-    return preimage_sequence(ws, zero_config())
+    return ProjectiveAffineSequence(WindowSystem(automaton, r0=0), zero_config())
 
 
 # -- universal chains and extraction ----------------------------------------
@@ -301,25 +294,17 @@ def universal_spaces(
 
 
 def lift_element(
-    seq: ProjectiveAffineSequence,
-    n: int,
-    x_n: np.ndarray,
-    cutoff: int,
-    plateau_k: int = 2,
-    chains: Optional[dict] = None,
+    seq: ProjectiveAffineSequence, n: int, x_n: np.ndarray, chains: dict
 ) -> np.ndarray:
     """Lift a universal element one level: returns x_{n+1} at level n+1 with
     x_{n+1}[:ambient(n)] = x_n, the canonical point of the witness level,
-    past both plateaus, constrained to x_n on its prefix.  Raises
-    StabilizationCutoffError when no plateau or no preimage is available
-    within the cutoff."""
-    chains = chains if chains is not None else {}
-    for lev in (n, n + 1):
-        if lev not in chains:
-            chains[lev] = universal_spaces(seq, lev, cutoff, plateau_k)
-        if chains[lev].plateau is None:
-            raise StabilizationCutoffError(f"no plateau at level {lev} by cutoff {cutoff}")
-    witness_level = max(chains[n].plateau, chains[n + 1].plateau, n + 1)
+    past the plateaus of ``chains[n]`` and ``chains[n + 1]``, constrained to
+    x_n on its prefix.  Raises StabilizationCutoffError when either chain has
+    no plateau or the witness level holds no preimage."""
+    plateaus = [chains[lev].plateau for lev in (n, n + 1)]
+    if None in plateaus:
+        raise StabilizationCutoffError(f"no plateau at level {n} or {n + 1}")
+    witness_level = max(*plateaus, n + 1)
     fiber = constrain_affine(seq.level(witness_level), seq.ambient(n), x_n)
     if fiber.is_empty:
         raise StabilizationCutoffError(
@@ -329,63 +314,6 @@ def lift_element(
     if not np.array_equal(x_next[: seq.ambient(n)], x_n):
         raise AssertionError("lift violated its one-step restriction equation")
     return x_next
-
-
-@dataclass
-class ExtractionResult:
-    """Outcome of a limit-prefix extraction.
-
-    status 'ok' carries the level-N vector and the full compatible chain;
-    'empty-level' certifies the first empty level (a hard negative for the
-    originating question); 'cutoff' is inconclusive."""
-
-    status: str
-    prefix: Optional[np.ndarray] = None
-    level_points: list = field(default_factory=list)
-    chains: dict = field(default_factory=dict)
-    empty_level: Optional[int] = None
-    detail: str = ""
-
-
-def extract_limit_prefix(
-    seq: ProjectiveAffineSequence, n_max: int, cutoff: int, plateau_k: int = 2
-) -> ExtractionResult:
-    """Extract a compatible chain x_0 <- x_1 <- ... <- x_{n_max} through the
-    stabilized levels; successive restrictions agree by construction and are
-    re-checked on every lift."""
-    if not 0 <= n_max <= cutoff:
-        raise ValueError(f"need 0 <= level <= cutoff, got level {n_max}, cutoff {cutoff}")
-    chains: dict[int, UniversalChain] = {}
-    for lev in range(n_max + 1):
-        if seq.level(lev).is_empty:
-            return ExtractionResult(
-                "empty-level", empty_level=lev, chains=chains,
-                detail=f"level {lev} is empty",
-            )
-        chains[lev] = universal_spaces(seq, lev, cutoff, plateau_k)
-        empty = next((i for i, x in enumerate(chains[lev].images) if x.is_empty), None)
-        if empty is not None:
-            # Lower levels were checked above; the rest have nonempty images.
-            return ExtractionResult(
-                "empty-level", empty_level=lev + empty, chains=chains,
-                detail="an image in the universal chain is empty",
-            )
-        if chains[lev].plateau is None:
-            return ExtractionResult(
-                "cutoff", chains=chains,
-                detail=f"no plateau at level {lev} by cutoff {cutoff}",
-            )
-    x = np.array(chains[0].stabilized.point, dtype=np.int64)
-    points = [x]
-    for n in range(n_max):
-        try:
-            x = lift_element(seq, n, x, cutoff, plateau_k, chains)
-        except StabilizationCutoffError as exc:
-            return ExtractionResult(
-                "cutoff", level_points=points, chains=chains, detail=str(exc)
-            )
-        points.append(x)
-    return ExtractionResult("ok", prefix=points[-1], level_points=points, chains=chains)
 
 
 # -- inverse synthesis -------------------------------------------------------
@@ -807,16 +735,20 @@ class PreimageResult:
     """Outcome of preimage extraction on a window.
 
     'ok' carries a pattern on A_N whose image matches the target on B_N
-    exactly, as ``window_preimage`` checks; 'not-in-image' carries a
-    verified empty-fiber witness;
-    'unknown' means the stabilization cutoff was hit."""
+    exactly, as ``window_preimage`` checks, and the compatible chain of
+    level points it was lifted through; 'not-in-image' carries a verified
+    empty-fiber witness at the first empty level; 'unknown' means the
+    stabilization cutoff was hit, and ``detail`` says where.  ``chains``
+    holds the universal chains computed on the way."""
 
     status: str
     pattern: Optional[Pattern] = None
     window_cells: tuple = ()
     matched_cells: tuple = ()
     witness: Optional[EmptyFiberWitness] = None
-    extraction: Optional[ExtractionResult] = None
+    level_points: list = field(default_factory=list)
+    chains: dict = field(default_factory=dict)
+    detail: str = ""
 
 
 def window_preimage(
@@ -844,6 +776,57 @@ def window_preimage(
     return None, image
 
 
+def extract_limit_prefix(
+    seq: ProjectiveAffineSequence, n_max: int, cutoff: int, plateau_k: int = 2
+) -> PreimageResult:
+    """Extract a compatible chain x_0 <- x_1 <- ... <- x_{n_max} through the
+    stabilized levels; successive restrictions agree by construction and are
+    re-checked on every lift, and x_{n_max} passes ``window_preimage``.
+
+    The chain at level n starts with the image of X_n, and each lower level
+    started a chain of its own, so the first empty image met is the first
+    empty level: it is answered 'not-in-image' with that level's checked
+    fiber witness."""
+    if not 0 <= n_max <= cutoff:
+        raise ValueError(f"need 0 <= level <= cutoff, got level {n_max}, cutoff {cutoff}")
+    ws, target = seq.windows, seq.target
+    chains: dict[int, UniversalChain] = {}
+    for lev in range(n_max + 1):
+        chains[lev] = universal_spaces(seq, lev, cutoff, plateau_k)
+        empty = next((i for i, x in enumerate(chains[lev].images) if x.is_empty), None)
+        if empty is not None:
+            m = lev + empty
+            witness = _checked_fiber_witness(ws.ca, m, ws.window(m), ws.target_vec(target, m))
+            if witness is None:
+                raise AssertionError("empty level failed its independent verification")
+            return PreimageResult(
+                "not-in-image", witness=witness, chains=chains, detail=f"level {m} is empty"
+            )
+        if chains[lev].plateau is None:
+            return PreimageResult(
+                "unknown", chains=chains, detail=f"no plateau at level {lev} by cutoff {cutoff}"
+            )
+    points = [np.array(chains[0].stabilized.point, dtype=np.int64)]
+    for n in range(n_max):
+        try:
+            points.append(lift_element(seq, n, points[-1], chains))
+        except StabilizationCutoffError as exc:
+            return PreimageResult("unknown", level_points=points, chains=chains, detail=str(exc))
+    source, matched = ws.cells(n_max)
+    pattern = vec_to_pattern(points[-1], source, ws.ca.dim_v)
+    failure, _ = window_preimage(ws, target, n_max, pattern)
+    if failure is not None:
+        raise AssertionError(f"extracted prefix fails its check: {failure}")
+    return PreimageResult(
+        "ok",
+        pattern=pattern,
+        window_cells=source,
+        matched_cells=matched,
+        level_points=points,
+        chains=chains,
+    )
+
+
 def preimage_extract(
     ca: LinearCA,
     target: Configuration,
@@ -854,26 +837,5 @@ def preimage_extract(
     """Extract a window preimage of the target configuration through the
     projective sequence of window fibers."""
     check_on_group(ca.group, target)
-    ws = WindowSystem(ca)
-    seq = preimage_sequence(ws, target)
-    result = extract_limit_prefix(seq, window_index, cutoff, plateau_k)
-    if result.status == "empty-level":
-        m = result.empty_level
-        witness = _checked_fiber_witness(ca, m, ws.window(m), ws.target_vec(target, m))
-        if witness is None:
-            raise AssertionError("empty level failed its independent verification")
-        return PreimageResult("not-in-image", witness=witness, extraction=result)
-    if result.status != "ok":
-        return PreimageResult("unknown", extraction=result)
-    source, matched = ws.cells(window_index)
-    pattern = vec_to_pattern(result.prefix, source, ca.dim_v)
-    failure, _ = window_preimage(ws, target, window_index, pattern)
-    if failure is not None:
-        raise AssertionError(f"extracted prefix fails its check: {failure}")
-    return PreimageResult(
-        "ok",
-        pattern=pattern,
-        window_cells=source,
-        matched_cells=matched,
-        extraction=result,
-    )
+    seq = ProjectiveAffineSequence(WindowSystem(ca), target)
+    return extract_limit_prefix(seq, window_index, cutoff, plateau_k)

@@ -132,5 +132,5 @@ def nonincreasing(chain) -> bool:
     return True
 
 
-def chains_nonincreasing(extraction) -> bool:
-    return all(nonincreasing(chain) for chain in extraction.chains.values())
+def chains_nonincreasing(result) -> bool:
+    return all(nonincreasing(chain) for chain in result.chains.values())

@@ -149,12 +149,11 @@ def test_criterion_5_extraction_internals(extraction_battery):
     lifts = 0
     for ca, _, result in runs:
         assert result.status == "ok"
-        extraction = result.extraction
-        assert chains_nonincreasing(extraction)
-        for chain in extraction.chains.values():
+        assert chains_nonincreasing(result)
+        for chain in result.chains.values():
             dims = [img.dim for img in chain.images]
             assert dims == sorted(dims, reverse=True)
-        ws, points = WindowSystem(ca), extraction.level_points
+        ws, points = WindowSystem(ca), result.level_points
         assert len(points) == 7
         for n in range(6):
             # Restricted cell by cell, not through the prefix the solver uses.

@@ -22,12 +22,12 @@ from linca import (
     FreeGroup,
     IntegerGroup,
     LatticeGroup,
+    ProjectiveAffineSequence,
     WindowSystem,
     cyclic_group,
     extract_limit_prefix,
     kernel_sequence,
     preimage_extract,
-    preimage_sequence,
     symmetric_group_3,
 )
 from linca import linalg
@@ -227,7 +227,7 @@ def test_preimage_levels_match_the_reference(group_index, p, dim_v, seed, in_ima
     ws = WindowSystem(ca)
     x = random_finite_support(rng, group, p, dim_v, ws.window(1).source)
     target = ca.apply_config(x) if in_image else x
-    seq = preimage_sequence(ws, target)
+    seq = ProjectiveAffineSequence(ws, target)
     for m in range(3):
         level = seq.level(m)
         assert_affine_canonical(level)
@@ -273,7 +273,7 @@ def test_extraction_eliminates_only_to_build_levels(eliminations, group, memory)
     ca = random_ca(rng, group, 3, 2, memory)
     ws = WindowSystem(ca)
     target = ca.apply_config(random_finite_support(rng, group, 3, 2, ws.cells(1)[0]))
-    seq = preimage_sequence(ws, target)
+    seq = ProjectiveAffineSequence(ws, target)
     result = extract_limit_prefix(seq, 2, 8)
     assert result.status == "ok"
     assert len(eliminations) == growing_windows(ws, len(seq._levels))
@@ -310,7 +310,7 @@ def test_finite_preimage_eliminates_once_per_distinct_window(
     result = preimage_extract(ca, target, 2, 8)
     assert result.status == "ok"
     assert len(eliminations) == builds
-    seq = preimage_sequence(ws, target)
+    seq = ProjectiveAffineSequence(ws, target)
     for n in range(1, 8):
         repeated = ws.cells(n)[0] == ws.cells(n - 1)[0]
         assert (seq.level(n) is seq.level(n - 1)) == repeated, n

@@ -3,6 +3,8 @@
 import json
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,9 @@ from linca.cli import main
 from linca.gallery import MAX_FORCED_DEPTH
 
 Z = IntegerGroup()
+# The directory holding the package under test: ``python -m linca`` run
+# there imports it, installed or not.
+SRC = Path(jsonio.__file__).parents[1]
 
 
 def write(tmp_path, name, obj):
@@ -332,6 +337,44 @@ def test_free_rank_above_26_is_rejected_before_any_solve(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_lattice_dimension_shares_the_free_rank_bound():
+    assert jsonio.decode_group({"kind": "lattice", "dim": 26}) == LatticeGroup(26)
+    with pytest.raises(jsonio.FormatError, match="lattice dimension"):
+        jsonio.decode_group({"kind": "lattice", "dim": 27})
+
+
+def test_invert_on_a_huge_lattice_dimension_exits_3(tmp_path, capsys):
+    """Z^2000 with an empty rule: ball(1) would recurse once per dimension."""
+    ca_json = dict(shift_ca_json(), group={"kind": "lattice", "dim": 2000}, memory=[], blocks=[])
+    out = tmp_path / "cert.json"
+    assert main(["invert", write(tmp_path, "z2000.json", ca_json), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not out.exists()
+
+
+def test_verify_of_a_huge_lattice_dimension_is_invalid_in_small_memory(tmp_path, capsys):
+    """A certificate whose CA claims Z^(10^9) is rejected before any element
+    of that length is built: identity() alone would take gigabytes."""
+    rule = LinearCA(LatticeGroup(2), 2, 1, ((1, 0),), ([[1]],))
+    ca = write(tmp_path, "z2.json", jsonio.encode_ca(rule))
+    out = tmp_path / "cert.json"
+    assert main(["invert", ca, "--out", str(out)]) == 0
+    cert = jsonio.loads(out.read_text())
+    cert["ca"]["group"]["dim"] = 10**9
+    path = write(tmp_path, "huge.json", cert)
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["verify", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 10
+    assert capsys.readouterr().out.startswith("INVALID:")
+    assert peak < 10 * 2**20, peak
+
+
 def test_verify_reports_entries_beyond_int64_invalid(tmp_path, capsys):
     add = write(tmp_path, "add.json", add_rule_json())
     shift = write(tmp_path, "shift.json", shift_ca_json())
@@ -408,6 +451,7 @@ def test_module_invocation_subprocess(tmp_path):
         [sys.executable, "-m", "linca", "invert", ca_path, "--out", out],
         capture_output=True,
         text=True,
+        cwd=SRC,
     )
     assert proc.returncode == 0
     demo_out = str(tmp_path / "demo.json")
@@ -417,6 +461,7 @@ def test_module_invocation_subprocess(tmp_path):
             [sys.executable, "-m", "linca", "verify", path],
             capture_output=True,
             text=True,
+            cwd=SRC,
         )
         assert proc2.returncode == 0
         assert "valid" in proc2.stdout

@@ -47,7 +47,6 @@ from linca import (
     lift_element,
     periodic,
     preimage_extract,
-    preimage_sequence,
     restrict,
     subgroup_generated,
     surjectivity_counterexample,
@@ -81,11 +80,9 @@ def sigma2_block_ca(p=2):
     return LinearCA(Z, p, 2, (0, 1), (np.eye(2, dtype=np.int64), (-NILPOTENT) % p))
 
 
-def constant_full_sequence(p=2, ambient=2, levels=10):
-    """X_n = the full space with identity bonding maps."""
-    return ProjectiveAffineSequence(
-        p, lambda n: ambient, lambda n, below: AffineSubspace.full(ambient, p)
-    )
+def zero_ca(p=2, dim_v=2):
+    """tau(x) = 0: every window kernel is the whole space."""
+    return LinearCA(Z, p, dim_v, (0,), (np.zeros((dim_v, dim_v), dtype=np.int64),))
 
 
 def restrict_vec(x, cells_m, cells_n, dim_v, p):
@@ -115,7 +112,7 @@ def assert_bonds_map_levels_into_levels(seq, ws, top, seed):
 
 def test_projective_axioms_on_window_sequences():
     ws = WindowSystem(add_rule())
-    seq = preimage_sequence(ws, finite_support(2, 1, {0: [1]}))
+    seq = ProjectiveAffineSequence(ws, finite_support(2, 1, {0: [1]}))
     assert_bonds_map_levels_into_levels(seq, ws, 4, 0)
 
 
@@ -170,7 +167,7 @@ def test_window_system_offsets():
 def test_projective_axioms_on_every_group_kind(group, memory):
     ws = restriction_windows(group, memory)
     target = random_finite_support(random.Random(4), group, 3, 2, ws.window(0).target)
-    seq = preimage_sequence(ws, target)
+    seq = ProjectiveAffineSequence(ws, target)
     assert_bonds_map_levels_into_levels(seq, ws, 3, 1)
 
 
@@ -201,7 +198,7 @@ def test_levels_match_the_direct_window_solve(group, memory):
             x = random_finite_support(rng, group, p, dim_v, cells)
             targets = [ca.apply_config(x), random_finite_support(rng, group, p, dim_v, cells)]
             for target in targets:
-                seq = preimage_sequence(ws, target)
+                seq = ProjectiveAffineSequence(ws, target)
                 for m in (3, 0, 1, 2):  # level(3) fills levels 0..3 bottom-up
                     direct = reference_solve(ws.window(m).matrix, ws.target_vec(target, m), p)
                     assert seq.level(m) == direct, (p, dim_v, m)
@@ -212,13 +209,13 @@ def test_levels_match_the_direct_window_solve(group, memory):
 
 
 def test_preimage_sequence_is_freed_without_the_cycle_collector():
-    """The level function must not hold its own sequence: a reference cycle
-    would keep every sequence, its window system and the cached cells of its
-    windows alive until a collection."""
+    """The sequence must not hold itself: a reference cycle would keep
+    every sequence, its window system and the cached cells of its windows
+    alive until a collection."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        seq = preimage_sequence(WindowSystem(add_rule()), finite_support(2, 1, {0: [1]}))
+        seq = ProjectiveAffineSequence(WindowSystem(add_rule()), finite_support(2, 1, {0: [1]}))
         seq.level(3)
         ref = weakref.ref(seq)
         del seq
@@ -245,7 +242,7 @@ def test_preimage_levels_build_only_their_new_rows(monkeypatch, group, memory):
         return mat
 
     monkeypatch.setattr(LinearCA, "block_matrix", recorded)
-    preimage_sequence(ws, target).level(3)
+    ProjectiveAffineSequence(ws, target).level(3)
     growing = [n for n in range(4) if n == 0 or ws.cells(n)[0] != ws.cells(n - 1)[0]]
     assert len(shapes) == len(growing)
     for n, (rows, _) in zip(growing, shapes):
@@ -272,10 +269,10 @@ def test_preimage_extract_memory_on_sigma_10():
 
 
 def test_universal_chain_constant_sequence_plateaus_immediately():
-    seq = constant_full_sequence()
+    seq = kernel_sequence(zero_ca())
     chain = universal_spaces(seq, 3, 10)
     assert chain.plateau == 3
-    assert chain.stabilized == AffineSubspace.full(2, 2)
+    assert chain.stabilized == AffineSubspace.full(seq.ambient(3), 2)
     assert nonincreasing(chain)
 
 
@@ -307,17 +304,20 @@ def test_kernel_chain_of_reversible_rule_dies():
 
 
 def test_lift_element_identity_bonds():
-    seq = constant_full_sequence()
+    seq = kernel_sequence(zero_ca())
     x = np.array([1, 0], dtype=np.int64)
-    assert np.array_equal(lift_element(seq, 0, x, 8), x)
+    chains = {n: universal_spaces(seq, n, 8) for n in (0, 1)}
+    x1 = lift_element(seq, 0, x, chains)
+    assert np.array_equal(x1[: seq.ambient(0)], x)
+    assert len(x1) == seq.ambient(1) and not np.any(x1[seq.ambient(0) :])
 
 
 def test_lift_element_shift_preimage_chain():
     ws = WindowSystem(shift_ca())
-    seq = preimage_sequence(ws, finite_support(2, 1, {0: [1]}))
+    seq = ProjectiveAffineSequence(ws, finite_support(2, 1, {0: [1]}))
     chain0 = universal_spaces(seq, 0, 10)
     x0 = chain0.stabilized.point
-    x1 = lift_element(seq, 0, x0, 10)
+    x1 = lift_element(seq, 0, x0, {n: universal_spaces(seq, n, 10) for n in (0, 1)})
     assert np.array_equal(x1[: seq.ambient(0)], x0)
     # The same restriction read off the cells, without the prefix.
     a0, a1 = ws.window(0).source, ws.window(1).source
@@ -327,10 +327,10 @@ def test_lift_element_shift_preimage_chain():
 def test_lift_element_sigma2_preimage_chain():
     target = finite_support(2, 2, {0: [1, 1]})
     ws = WindowSystem(sigma2_block_ca())
-    seq = preimage_sequence(ws, target)
+    seq = ProjectiveAffineSequence(ws, target)
     chain0 = universal_spaces(seq, 0, 10)
     x0 = chain0.stabilized.point
-    x1 = lift_element(seq, 0, x0, 10)
+    x1 = lift_element(seq, 0, x0, {n: universal_spaces(seq, n, 10) for n in (0, 1)})
     assert x1.shape[0] == seq.ambient(1)
 
 
@@ -351,14 +351,14 @@ def test_extraction_shift_delta():
     # tau(x)(n) = x(n+1) pulls the impulse back to cell 1.
     for g, v in res.pattern.cells.items():
         assert v.tolist() == ([1] if g == 1 else [0])
-    assert chains_nonincreasing(res.extraction)
-    assert lifts_restrict(shift_ca(), res.extraction, 4)
+    assert chains_nonincreasing(res)
+    assert lifts_restrict(shift_ca(), res, 4)
 
 
-def lifts_restrict(ca, extraction, window) -> bool:
+def lifts_restrict(ca, result, window) -> bool:
     """The extracted chain has one point per level up to the window, and
     each restricts to the one below it."""
-    ws, points = WindowSystem(ca), extraction.level_points
+    ws, points = WindowSystem(ca), result.level_points
     return len(points) == window + 1 and all(
         np.array_equal(
             points[n + 1][coordinates(ws.cells(n)[0], ws.cells(n + 1)[0], ca.dim_v)], points[n]
@@ -394,6 +394,11 @@ def test_extraction_not_in_image_reports_empty_level():
     res = preimage_extract(proj, target, 3, 8)
     assert res.status == "not-in-image"
     assert res.witness is not None and res.witness.verify()
+    # Memory {0}: X_0 is already empty, and the chain at level 0 finds it.
+    assert res.witness.level == 0
+    seq = ProjectiveAffineSequence(WindowSystem(proj), target)
+    direct = extract_limit_prefix(seq, 3, 8)
+    assert (direct.status, direct.witness.level) == ("not-in-image", 0)
 
 
 @pytest.mark.parametrize("group", [FreeGroup(2), cyclic_group(6)], ids=["F2", "Z6"])
@@ -419,11 +424,11 @@ def test_extraction_empty_level_above_the_window(bad, plateau_k):
     must be the smallest level m with X_m empty."""
     proj = LinearCA(Z, 2, 2, (0, 1), (np.diag([1, 0]), [[1, 1], [0, 0]]))
     target = finite_support(2, 2, {bad: [0, 1]})
-    seq = preimage_sequence(WindowSystem(proj), target)
+    seq = ProjectiveAffineSequence(WindowSystem(proj), target)
     res = extract_limit_prefix(seq, 1, 8, plateau_k)
     first = next(m for m in range(9) if seq.level(m).is_empty)
-    assert res.status == "empty-level"
-    assert res.empty_level == first > 1
+    assert res.status == "not-in-image"
+    assert res.witness.level == first > 1
 
 
 def test_extraction_periodic_and_constant_targets():
@@ -759,8 +764,8 @@ def test_preimage_roundtrip_randomized():
         w = ws.window(4)
         vec = pattern_to_vec(res.pattern, w.source, dim_v, p)
         assert np.array_equal((w.matrix @ vec) % p, ws.target_vec(y, 4))
-        assert chains_nonincreasing(res.extraction)
-        assert lifts_restrict(ca, res.extraction, 4)
+        assert chains_nonincreasing(res)
+        assert lifts_restrict(ca, res, 4)
     assert failures == 0
 
 

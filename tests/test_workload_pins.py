@@ -101,7 +101,7 @@ def test_mixed_small_preimage_catalogue_is_pinned(monkeypatch):
         if answer.status == "certified":
             answers.append(written[-1])
         else:
-            answers.append(f"unknown: {answer.result.extraction.detail}\n")
+            answers.append(f"unknown: {answer.result.detail}\n")
     unknown = sum(a.startswith("unknown: ") for a in answers)
     digest = hashlib.sha256("".join(answers).encode()).hexdigest()
     assert (len(answers), unknown, digest[:16]) == (144, 16, "bfa624f1f55e376b")
