@@ -2,13 +2,14 @@
 
 Exit codes follow the certification contract: 0 for a certified positive
 answer (or a plain successful transformation), 10 for a certified negative
-answer with an enclosed witness, 20 for inconclusive-at-cutoff.  Usage
-errors exit 2 (argparse), malformed files and JSON arguments (including
-numbers that are not exact integers) exit 3, incompatible data exits 4
-(including a ``demo --p`` that is not a prime below 2^20 and a
-``demo sigma-prime --depth`` above ``gallery.MAX_FORCED_DEPTH``), and a
-``demo`` whose gallery witness fails its own check exits 1 after writing
-the certificate.
+answer with an enclosed witness, 20 for inconclusive-at-cutoff and for
+a computation that ran out of memory (one stderr line names the allocation
+that failed).  Usage errors exit 2 (argparse), malformed files and JSON
+arguments (including numbers that are not exact integers) exit 3,
+incompatible data exits 4 (including a ``demo --p`` that is not a prime
+below 2^20 and a ``demo sigma-prime --depth`` above
+``gallery.MAX_FORCED_DEPTH``), and a ``demo`` whose gallery witness fails
+its own check exits 1 after writing the certificate.
 """
 
 from __future__ import annotations
@@ -292,6 +293,10 @@ def main(argv=None) -> int:
         # GroupError, CAError, LinalgError, GalleryError and plain misuse.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError as exc:
+        # An allocation failed before any answer: neither yes nor no.
+        print(f"unknown: out of memory ({str(exc) or 'allocation failed'})", file=sys.stderr)
+        return EXIT_UNKNOWN
 
 
 def entry() -> None:

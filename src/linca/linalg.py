@@ -26,8 +26,10 @@ canonical, by two facts:
   rows of S past f, which are zero up to and at that pivot, and at that
   pivot every other row of K S reads K's zero entry at column f.
   ``solve_in_lift`` applies it to S = [[B, 0], [0, I]], B an RREF basis
-  and I the unit rows of new coordinates, without building S: K S is K's
-  product with B next to K's own columns at the unit rows.
+  and I the unit rows of new coordinates, without building S: on B's
+  columns K S is a copy of B's row f for each row of K that leads at f,
+  plus a product with B's rows at K's non-pivot parameters that only the
+  rows of K nonzero there take; on the new columns it is K's own columns.
 
 ``kernel_basis``, ``solve_affine_multi`` and ``solve_in_lift`` rest on
 them; ``solve_in_lift`` has one caller, the preimage levels.
@@ -458,10 +460,13 @@ def solve_in_lift(below: AffineSubspace, new: int, coeff, rhs) -> AffineSubspace
     The lift spans the rows of S = [[B, 0], [0, I]], and S is the RREF basis
     of that span, so by the reduced-products fact of the module docstring
     the directions K S are in RREF as computed, K being the system's kernel,
-    itself in RREF.  S is never built: K is the identity at its pivots and
-    the point is zero there, so the B part of K S is B at K's pivots below
-    B's dimension plus one product over B's other rows, and the I part is
-    K's own columns past B's dimension."""
+    itself in RREF.  S is never built.  K is the identity at its pivots and
+    the point is zero there, so the B part of K S starts as one copy: B's
+    row f on each row of K that leads at a parameter f of B, zero on K's
+    other rows, and below's point on the point row.  The rest is a product
+    with B's rows at the parameters that K does not lead at, and only the
+    rows with a nonzero at those parameters take it.  The I part is K's own
+    columns past B's dimension."""
     span, k, p = below.directions, below.ambient, below.p
     d = span.dim
     kernel, points, solvable = _solve(coeff, np.reshape(rhs, (-1, 1)), p)
@@ -471,13 +476,17 @@ def solve_in_lift(below: AffineSubspace, new: int, coeff, rhs) -> AffineSubspace
     old = list(kernel.pivots[:split])  # K's first rows lead in B's parameters
     bound = complement(old, d)
     rows = np.vstack([kernel.basis, points])  # the last row is the point
-    lifted = np.empty((len(rows), k + new), dtype=np.int64)
-    lifted[:, :k] = matmul(rows[:, bound], span.basis[bound], p)
+    lifted = np.zeros((len(rows), k + new), dtype=np.int64)
+    lifted[:split, :k] = span.basis[old]
+    lifted[-1, :k] = below.point
     lifted[:, k:] = rows[:, d:]
-    # Only these rows of the B part gain a term; both terms lie in [0, p).
-    for part, term in ((lifted[:split, :k], span.basis[old]), (lifted[-1, :k], below.point)):
-        part += term
+    reads = rows[:, bound]
+    hit = reads.any(axis=1).nonzero()[0]
+    if hit.size:
+        # Both terms lie in [0, p), so one subtract folds the sum back.
+        part = lifted[hit, :k] + matmul(reads[hit], span.basis[bound], p)
         np.subtract(part, p, out=part, where=part >= p)
+        lifted[hit, :k] = part
     lifted.setflags(write=False)
     pivots = [span.pivots[f] for f in old] + [f + k - d for f in kernel.pivots[split:]]
     dirs = Subspace(k + new, p, lifted[:-1], tuple(pivots))

@@ -16,7 +16,8 @@ one-step restriction equation.  ``extract_limit_prefix`` returns the
 witness, and the top point passes ``window_preimage``.  Plateau detection
 at a finite cutoff is heuristic evidence, never proof, so failures at the
 cutoff are reported as Unknown while every positive answer is verified
-independently.
+independently.  On a finite group a plateau is read only from the first
+level whose window is the whole group, where every level is the same.
 
 Inverse synthesis does not wait for kernel chains to stabilize: it solves
 the exact linear system "candidate_rule o automaton = identity" over the
@@ -158,6 +159,12 @@ class WindowSystem:
     def ambient(self, n: int) -> int:
         return self.ca.dim_v * len(self.cells(n)[0])
 
+    def covers_group(self, n: int) -> bool:
+        """Whether A_n is the whole group: on a finite group from some level
+        on, on an infinite group never."""
+        group = self.ca.group
+        return group.is_finite() and len(self.cells(n)[0]) == group.order
+
     def new_targets(self, n: int) -> tuple:
         """The cells of B_n minus B_{n-1}, in canonical order; B_{-1} is empty."""
         below = set(self.cells(n - 1)[1]) if n else set()
@@ -208,7 +215,8 @@ class ProjectiveAffineSequence:
 
         Those parameters span X_{n-1}'s RREF basis on the prefix A_{n-1} and
         a unit row at each new coordinate, so ``solve_in_lift`` reads X_n's
-        directions off one product, with one elimination per level whose
+        directions off one copy of X_{n-1}'s basis rows and one product on
+        the few rows that need it, with one elimination per level whose
         window grows, and never builds the unit rows.  A repeated window
         A_n = A_{n-1} has B_n = B_{n-1}, no new row and no new cell: X_n is
         X_{n-1} itself.
@@ -276,20 +284,28 @@ def universal_spaces(
     seq: ProjectiveAffineSequence, n: int, cutoff: int, plateau_k: int = 2
 ) -> UniversalChain:
     """Compute the image chain at level n up to the cutoff, stopping at the
-    first run of ``plateau_k`` equal images."""
+    first run of ``plateau_k`` equal images.
+
+    On a finite group a run counts only if it starts where the window is
+    the whole group.  From there on every level is the same, so the plateau
+    is exact; a run of equal images below it can still shrink later."""
     if cutoff < n:
         raise ValueError("cutoff must be >= n")
     if plateau_k < 1:
         raise ValueError("plateau_k must be >= 1")
+    ws = seq.windows
+    finite = ws.ca.group.is_finite()
     images: list[AffineSubspace] = []
     plateau = None
     for m in range(n, cutoff + 1):
         images.append(image_of_affine(seq.ambient(n), seq.level(m)))
-        if len(images) >= plateau_k:
-            run = images[-plateau_k:]
-            if all(r == run[0] for r in run[1:]):
-                plateau = m - plateau_k + 1
-                break
+        start = m - plateau_k + 1
+        if start < n or (finite and not ws.covers_group(start)):
+            continue
+        run = images[-plateau_k:]
+        if all(r == run[0] for r in run[1:]):
+            plateau = start
+            break
     return UniversalChain(n, images, plateau)
 
 

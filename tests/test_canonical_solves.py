@@ -1,13 +1,14 @@
 """Every solve is one elimination whose kernel comes out canonical.
 
 The library reads a kernel in RREF straight off the RREF of the
-column-reversed system, and the directions of a solve in a span off one
-product (see the ``linalg`` docstring).  These tests hold the results to the
-reference Gauss-Jordan of ``conftest``, hold every returned basis to its own
-re-reduction, count the eliminations, and check the precondition of the
-reduced span: A_{n-1} is the prefix of A_n.  The prefix images and
-constraints, read off the RREF rows, are held to ``from_spanning``, the
-reference solve and enumeration."""
+column-reversed system, and the directions of a solve in a span off a copy
+of the span's rows and one product on the rows that need it (see the
+``linalg`` docstring).  These tests hold the results to the reference
+Gauss-Jordan of ``conftest`` and to the lift written out, hold every
+returned basis to its own re-reduction, count the eliminations, and check
+the precondition of the reduced span: A_{n-1} is the prefix of A_n.  The
+prefix images and constraints, read off the RREF rows, are held to
+``from_spanning``, the reference solve and enumeration."""
 
 import random
 
@@ -232,6 +233,72 @@ def test_preimage_levels_match_the_reference(group_index, p, dim_v, seed, in_ima
         level = seq.level(m)
         assert_affine_canonical(level)
         assert level == reference_solve(ws.window(m).matrix, ws.target_vec(target, m), p), m
+
+
+def lift_coefficients(rng, p: int, d: int, new: int):
+    """(coeff, rhs) of a random system in the d + new lift parameters, of
+    one of four kinds, half of the right-hand sides in the image."""
+    rows = int(rng.integers(0, 5))
+    kind = rng.choice(("dense", "low-rank", "fix-old", "new-only"))
+    coeff = rng.integers(0, p, size=(rows, d + new))
+    if kind == "low-rank":
+        r = int(rng.integers(0, min(rows, d + new) + 1))
+        coeff = rng.integers(0, p, size=(rows, r)) @ rng.integers(0, p, size=(r, d + new)) % p
+    elif kind == "fix-old" and d:
+        # Unit rows fix old parameters: they are solved for, yet no kernel
+        # row reads them, only the point.
+        coeff = np.zeros((rows, d + new), dtype=np.int64)
+        coeff[np.arange(rows), rng.integers(0, d, size=rows)] = 1
+    elif kind == "new-only":
+        coeff[:, :d] = 0
+    rhs = rng.integers(0, p, size=rows)
+    if rng.random() < 0.5:
+        rhs = coeff @ rng.integers(0, p, size=d + new) % p
+    return coeff, rhs
+
+
+@pytest.mark.parametrize("p", [2, 3, 1048573])
+def test_solve_in_lift_matches_the_explicit_lift(p):
+    """``solve_in_lift`` against the lift written out: the parameters z of
+    coeff z = rhs by the reference solve, mapped through S = [[B, 0], [0,
+    I]] and below's point, then re-reduced.  The cases include lifts where
+    no row reads a parameter bound by the system, where only the point row
+    does and where several direction rows do, and lifts of GF(p)^0, of a
+    single point, by no new coordinate and with no solution."""
+    rng = np.random.default_rng(p)
+    seen = set()
+    for _ in range(300):
+        k, new = int(rng.integers(0, 7)), int(rng.integers(0, 4))
+        spanning = rng.integers(0, p, size=(int(rng.integers(0, k + 1)), k))
+        span = Subspace.from_spanning(spanning, k, p)
+        below = AffineSubspace.from_point_subspace(rng.integers(0, p, size=k), span)
+        d = span.dim
+        coeff, rhs = lift_coefficients(rng, p, d, new)
+        params = reference_solve(coeff, rhs, p)
+        lift = np.zeros((d + new, k + new), dtype=np.int64)
+        lift[:d, :k] = span.basis
+        lift[d:, k:] = np.eye(new, dtype=np.int64)
+        if params.is_empty:
+            expected = AffineSubspace.empty(k + new, p)
+            seen.add("no solution")
+        else:
+            point = np.concatenate([below.point, np.zeros(new, np.int64)]) + params.point @ lift
+            point %= p
+            dirs = Subspace.from_spanning(params.directions.basis @ lift % p, k + new, p)
+            expected = AffineSubspace.from_point_subspace(point, dirs)
+            bound = [f for f in range(d) if f not in params.directions.pivots]
+            readers = np.count_nonzero(params.directions.basis[:, bound].any(axis=1))
+            point_reads = bool(params.point[bound].any())
+            if readers == 0:
+                seen.add("point only" if point_reads else "none")
+            elif readers >= 2:
+                seen.add("several")
+        edges = {"k = 0": k, "d = 0": d, "new = 0": new}
+        seen.update(name for name, size in edges.items() if not size)
+        got = solve_in_lift(below, new, coeff, rhs - p * rng.integers(0, 3, size=len(rhs)))
+        assert_affine_canonical(got)
+        assert got == expected
+    assert seen >= {"none", "point only", "several", "no solution", "k = 0", "d = 0", "new = 0"}
 
 
 @pytest.fixture

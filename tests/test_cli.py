@@ -1,6 +1,7 @@
 """End-to-end command-line flows: formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from linca import IntegerGroup, LatticeGroup, LinearCA, cyclic_group, finite_support, periodic
-from linca import jsonio
+from linca import jsonio, solver
 from linca.cli import main
 from linca.gallery import MAX_FORCED_DEPTH
 
@@ -465,3 +466,42 @@ def test_module_invocation_subprocess(tmp_path):
         )
         assert proc2.returncode == 0
         assert "valid" in proc2.stdout
+
+
+def test_out_of_memory_is_unknown(tmp_path, monkeypatch, capsys):
+    """A preimage whose level does not fit the address space ends as an
+    honest Unknown: exit 20, one stderr line naming the allocation, and no
+    traceback.  The one-cell shift on Z^26 asks for a level of about 24,000
+    coordinates; the limit applies to the child process only.  A
+    MemoryError without a message still gets its one line."""
+    resource = pytest.importorskip("resource")
+    group = LatticeGroup(26)
+    ca = LinearCA(group, 2, 1, ((1,) + (0,) * 25,), ([[1]],))
+    ca_path = write(tmp_path, "ca.json", jsonio.encode_ca(ca))
+    delta = finite_support(2, 1, {(0,) * 26: [1]})
+    target = write(tmp_path, "target.json", jsonio.encode_config(group, delta))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "linca", "preimage", ca_path, target],
+        capture_output=True,
+        text=True,
+        cwd=SRC,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 20, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr
+    assert lines[0].startswith("unknown: out of memory (Unable to allocate")
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(solver, "preimage_extract", exhausted)
+    assert main(["preimage", ca_path, target]) == 20
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "unknown: out of memory (allocation failed)\n")

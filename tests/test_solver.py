@@ -401,6 +401,41 @@ def test_extraction_not_in_image_reports_empty_level():
     assert (direct.status, direct.witness.level) == ("not-in-image", 0)
 
 
+def test_finite_group_plateau_waits_for_the_whole_group():
+    """On Z/6 generated by 1 with memory {0, 1, 5}, A_0 = {0, 1, 5} and
+    the window is G from level 2 on.  Two equal images below that level
+    can still shrink, so a plateau counts only from there: no answer is
+    Unknown, and each agrees with the |G| dimV system over all of G."""
+    z6 = FiniteGroup(cyclic_group(6).table, generator_ids=[1])
+    cells, d, p = z6.elements(), 2, 3
+    statuses = []
+    for seed in range(17, 30):
+        rng = random.Random(seed)
+        ca = random_ca(rng, z6, p, d, (0, 1, 5))
+        ws = WindowSystem(ca)
+        assert not ws.covers_group(1) and ws.covers_group(2)
+        rows = np.zeros((d * len(cells), d * len(cells)), dtype=np.int64)
+        for g in cells:
+            for m, b in zip(ca.memory, ca.blocks):
+                h = z6.multiply(g, m)
+                rows[g * d : g * d + d, h * d : h * d + d] += b
+        image = ca.apply_config(random_finite_support(rng, z6, p, d, ws.cells(0)[0]))
+        other = random_finite_support(rng, z6, p, d, cells)
+        for target in (image, other):
+            y = pattern_to_vec(target, cells, d, p)
+            solvable = not reference_solve(rows, y, p).is_empty
+            res = preimage_extract(ca, target, 2, 8)
+            statuses.append(res.status)
+            if res.status == "ok":
+                x = pattern_to_vec(res.pattern, cells, d, p)
+                assert np.array_equal(rows @ x % p, y)
+            else:
+                assert res.status == "not-in-image" and res.witness.verify()
+            assert solvable is (res.status == "ok"), seed
+        assert statuses[-2] == "ok"
+    assert "unknown" not in statuses and "not-in-image" in statuses
+
+
 @pytest.mark.parametrize("group", [FreeGroup(2), cyclic_group(6)], ids=["F2", "Z6"])
 def test_periodic_target_off_the_integers_is_rejected(group):
     """A periodic configuration lives on Z only: preimage_extract rejects

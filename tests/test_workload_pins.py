@@ -1,9 +1,11 @@
 """The benchmark's smoke workloads write the same certificates, byte for
 byte.  Between them they cover every group kind and certificate path, so a
 refactor that changes any answer or encoding shows here first.  The full
-mixed-small batch pins every ``invert`` answer as well, Unknowns included,
-so a pruned search that could have succeeded shows too.  A change to the
-workload inputs under ``perfbench/`` updates these pins on purpose."""
+invert-sigma and preimage-plateau batches, whose levels are the large
+ones, are pinned the same way.  The full mixed-small batch pins every
+``invert`` answer as well, Unknowns included, so a pruned search that
+could have succeeded shows too.  A change to the workload inputs under
+``perfbench/`` updates these pins on purpose."""
 
 import hashlib
 from pathlib import Path
@@ -20,21 +22,33 @@ PINNED = {
     "preimage-plateau": (4, "bd98416b7efb8f50"),
     "mixed-small": (23, "76bc0667735a82fb"),
 }
+# The same for the full batches whose levels are large.
+PINNED_FULL = {
+    "invert-sigma": (6, "f8500f852636864b"),
+    "preimage-plateau": (6, "3c359eedb71b6517"),
+}
 
 
-@pytest.mark.parametrize("workload", sorted(PINNED))
-def test_smoke_certificate_bytes_are_pinned(workload, monkeypatch):
+@pytest.fixture
+def written(monkeypatch):
+    """Puts ``perfbench`` on the import path and returns the list that every
+    ``jsonio.dumps`` output is appended to, in order."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    import workloads
-
-    written = []
+    out = []
     dumps = jsonio.dumps
 
     def recording_dumps(obj):
-        written.append(dumps(obj))
-        return written[-1]
+        out.append(dumps(obj))
+        return out[-1]
 
     monkeypatch.setattr(jsonio, "dumps", recording_dumps)
+    return out
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED))
+def test_smoke_certificate_bytes_are_pinned(workload, written):
+    import workloads
+
     session = workloads.Session()
     for query in workloads.build(workload, 7, smoke=True):
         answer = query.run(session)
@@ -43,21 +57,26 @@ def test_smoke_certificate_bytes_are_pinned(workload, monkeypatch):
     assert (len(written), digest[:16]) == PINNED[workload]
 
 
-def test_mixed_small_invert_catalogue_is_pinned(monkeypatch):
+@pytest.mark.parametrize("workload", sorted(PINNED_FULL))
+def test_full_certificate_bytes_are_pinned(workload, written):
+    """The full batches at seed 7, with the large levels the smoke batches
+    shrink away."""
+    import workloads
+
+    session = workloads.Session()
+    for query in workloads.build(workload, 7):
+        answer = query.run(session)
+        assert answer.verified, (query.label, answer.detail)
+    digest = hashlib.sha256("".join(written).encode()).hexdigest()
+    assert (len(written), digest[:16]) == PINNED_FULL[workload]
+
+
+def test_mixed_small_invert_catalogue_is_pinned(written):
     """Every ``invert`` answer of the full mixed-small batch at seed 7: the
     certificate bytes, or the Unknown reason.  Pruning a search that cannot
     succeed must leave each of them unchanged."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
-    written = []
-    dumps = jsonio.dumps
-
-    def recording_dumps(obj):
-        written.append(dumps(obj))
-        return written[-1]
-
-    monkeypatch.setattr(jsonio, "dumps", recording_dumps)
     session = workloads.Session()
     answers = []
     for query in workloads.build("mixed-small", 7):
@@ -75,21 +94,12 @@ def test_mixed_small_invert_catalogue_is_pinned(monkeypatch):
     assert (len(answers), unknown, digest[:16]) == (144, 35, "7f4c9a8e7a5ab458")
 
 
-def test_mixed_small_preimage_catalogue_is_pinned(monkeypatch):
+def test_mixed_small_preimage_catalogue_is_pinned(written):
     """Every ``preimage`` answer of the full mixed-small batch at seed 7:
     the certificate bytes, or the extraction's reason for Unknown.  Moving
     the window decision must leave each of them unchanged."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
-    written = []
-    dumps = jsonio.dumps
-
-    def recording_dumps(obj):
-        written.append(dumps(obj))
-        return written[-1]
-
-    monkeypatch.setattr(jsonio, "dumps", recording_dumps)
     session = workloads.Session()
     answers = []
     for query in workloads.build("mixed-small", 7):
