@@ -7,7 +7,18 @@ of affine window fibers, restriction/induction between a group and its
 subgroups, and an executable gallery of infinite-dimensional
 counterexamples (a bijective automaton with no finite-memory inverse and
 an automaton with non-closed image) with machine-checkable witnesses.
+
+Importing the package pins BLAS to one thread unless the caller chose a
+count: the products here are small, and on a few cores a thread hand-off
+costs more than it saves.  The variables only act if numpy is not yet
+imported, and child processes inherit them.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .ca import (
     ConstantConfig,

@@ -201,6 +201,48 @@ class LatticeGroup(Group):
         return {"kind": "lattice", "dim": self.dim}
 
 
+def _reach(table: tuple, starts, steps) -> dict:
+    """Breadth-first distances from the ids ``starts`` in ``table`` under
+    right multiplication by the ids ``steps``, keyed by the ids reached."""
+    dist = dict.fromkeys(starts, 0)
+    frontier, d = list(dist), 0
+    while frontier:
+        d += 1
+        nxt = []
+        for x in frontier:
+            row = table[x]
+            for s in steps:
+                y = row[s]
+                if y not in dist:
+                    dist[y] = d
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+def _check_associative(table: tuple, t: np.ndarray, e: int) -> None:
+    """Raise unless ``table`` (also as the array ``t``), with identity ``e``
+    and inverses, is associative: Light's test, in O(n^2 log n).
+
+    The z with (x y) z = x (y z) for all x, y include e and are closed
+    under products: (x y)(z w) = ((x y) z) w = (x (y z)) w = x ((y z) w) =
+    x (y (z w)).  So it is enough to check generators, picked greedily:
+    each id that right multiplication by those checked so far does not
+    reach from e.  Those reach a subgroup, since each has its inverse among
+    its own powers, so each new one at least doubles the reach and at most
+    log2 n are checked."""
+    reached = {e: 0}
+    gens: list[int] = []
+    for g in range(len(table)):
+        if g in reached:
+            continue
+        # (x y) g = t[t[x, y], g] against x (y g) = t[x, t[y, g]].
+        if not np.array_equal(t[t, g], t[:, t[:, g]]):
+            raise GroupError("table is not associative")
+        gens.append(g)
+        reached = _reach(table, reached, gens)
+
+
 class FiniteGroup(Group):
     """A finite group given by its multiplication table.
 
@@ -213,15 +255,16 @@ class FiniteGroup(Group):
     kind = "finite"
 
     def __init__(self, table, generator_ids: Optional[Iterable[int]] = None):
-        tbl = tuple(tuple(int(x) for x in row) for row in table)
+        tbl = tuple(tuple(map(int, row)) for row in table)
         n = len(tbl)
         if n == 0 or any(len(row) != n for row in tbl):
             raise GroupError("multiplication table must be square and nonempty")
-        if any(x < 0 or x >= n for row in tbl for x in row):
+        t = np.array(tbl)  # an object array if an entry passes int64
+        if t.min() < 0 or t.max() >= n:
             raise GroupError("table entries must be element ids")
+        t = t.astype(np.intp)
         self.table = tbl
         self.order = n
-        t = np.array(tbl, dtype=np.intp)
         ids = np.arange(n)
         # The identity: the first e whose row and column read 0, ..., n-1.
         found = ((t == ids) & (t.T == ids)).all(axis=1)
@@ -234,37 +277,17 @@ class FiniteGroup(Group):
         if not found.all():
             raise GroupError(f"element {found.argmin()} has no inverse")
         self._inverse = tuple(mutual.argmax(axis=1).tolist())
-        # (i j) k = t[t[i, j], k] against i (j k) = t[i, t[j, k]], in blocks of
-        # about 2^20 triples, so a large table from outside takes bounded memory.
-        step = max(1, (1 << 20) // (n * n))
-        for rows in (t[i : i + step] for i in range(0, n, step)):
-            if not np.array_equal(t[rows], rows[:, t]):
-                raise GroupError("table is not associative")
+        _check_associative(tbl, t, e)
         if generator_ids is None:
-            gens = tuple(i for i in range(n) if i != self._identity) or (self._identity,)
+            # Every other element is a generator: norm 1, the identity 0.
+            self._generators = tuple(i for i in range(n) if i != e) or (e,)
+            self._distances = {i: int(i != e) for i in range(n)}
         else:
             gens = tuple(self.check(g) for g in generator_ids)
-        self._generators = gens
-        self._distances = self._bfs_distances()
+            self._generators = gens
+            self._distances = _reach(tbl, [e], set(gens) | {self._inverse[g] for g in gens})
         if len(self._distances) != n:
             raise GroupError("generators do not generate the whole group")
-
-    def _bfs_distances(self):
-        step = set(self._generators) | {self._inverse[g] for g in self._generators}
-        dist = {self._identity: 0}
-        frontier = [self._identity]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for g in frontier:
-                for s in step:
-                    h = self.table[g][s]
-                    if h not in dist:
-                        dist[h] = d
-                        nxt.append(h)
-            frontier = nxt
-        return dist
 
     def identity(self):
         return self._identity
@@ -628,7 +651,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     """The cyclic group Z/nZ as an explicit table."""
     if n < 1:
         raise GroupError("cyclic group order must be >= 1")
-    return FiniteGroup(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
+    ids = np.arange(n)
+    return FiniteGroup(((ids[:, None] + ids) % n).tolist())
 
 
 def symmetric_group_3() -> FiniteGroup:

@@ -51,13 +51,21 @@ converting it.  Internal callers pass int64 arrays and do not reduce them
 mod p first.
 
 Moduli are primes p < 2^20 (``require_prime``).  ``matmul`` computes
-every matrix product in float64 through BLAS, in blocks of the inner
-dimension short enough that each partial sum stays an exact integer below
-2^53 (see its docstring); that holds for any p in range.  The elimination
-kernel and ``Subspace.reduce`` stay in int64, accumulating up to
-dim * (p-1)^2, which is below 2^63 for the dimensions in scope (< 10^4);
-they are why the bound p < 2^20 is still required, since a larger p would
-wrap silently and give a wrong "exact" answer.
+every matrix product through BLAS in a float type that holds each partial
+sum as an exact integer: float32 when k (p-1)^2 < 2^24 for the inner
+dimension k (p = 2, 3 and 5 at every size in scope), float64 otherwise, in
+blocks of the inner dimension short enough that each partial sum stays
+below 2^53 (see its docstring).  Its products, ``as_matrix``'s copy and
+``_solve``'s system are reduced mod p by one helper, ``_reduce``: a floor
+division by p, about twice as fast per entry as int64 ``%`` on large
+arrays, with ``%`` kept below 512 entries, where its one numpy call beats
+three.  The elimination kernel keeps its own ``%=`` on each pivot row and
+row block: those are a few rows long, and a floor division there made
+many small eliminations slower when tried.  The kernel and
+``Subspace.reduce`` stay in int64, accumulating up to dim * (p-1)^2,
+which is below 2^63 for the dimensions in scope (< 10^4); they are why
+the bound p < 2^20 is still required, since a larger p would wrap
+silently and give a wrong "exact" answer.
 """
 
 from __future__ import annotations
@@ -75,6 +83,9 @@ ENUMERATION_CAP = 200_000
 MODULUS_BOUND = 1 << 20
 INT64_BOUND = 1 << 63
 FLOAT_EXACT_BOUND = 1 << 53  # float64 holds every integer below it exactly
+FLOAT32_EXACT_BOUND = 1 << 24  # float32 holds every integer below it exactly
+REDUCE_MIN = 512  # _reduce uses % below this many entries
+REDUCE_BLOCK = 1 << 14  # entries per quotient temporary in _reduce
 
 
 class LinalgError(ValueError):
@@ -97,13 +108,11 @@ def _is_prime(p: int) -> bool:
     return all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
-def _exact_int64(data, ndim: int) -> np.ndarray:
-    """A fresh C-ordered int64 copy of ``data``, which must have ``ndim``
-    axes of integers in the int64 range.  Bools count, and so do integral
-    floats below 2^53, where float64 is exact; anything that would be
-    truncated, parsed, rounded or wrapped (1.5, "1", None, 2^70) does not.
-    An int64 array is copied as is, with no other pass over its entries."""
-    a = np.asarray(data)
+def _require_int64(a: np.ndarray) -> None:
+    """Check that int64 holds every entry of ``a`` exactly.  Bools count,
+    and so do integral floats below 2^53, where float64 is exact; anything
+    that would be truncated, parsed, rounded or wrapped (1.5, "1", None,
+    2^70) does not.  An int64 array passes with no pass over its entries."""
     kind = a.dtype.kind
     exact = kind in "bi"
     if kind == "u":
@@ -112,16 +121,44 @@ def _exact_int64(data, ndim: int) -> np.ndarray:
         exact = bool(np.all((np.trunc(a) == a) & (np.abs(a) < FLOAT_EXACT_BOUND)))
     if not exact:
         raise LinalgError(f"entries must be integers in the int64 range, got {a.dtype} data")
+
+
+def _exact_int64(data, ndim: int) -> np.ndarray:
+    """A fresh C-ordered int64 copy of ``data``, which must have ``ndim``
+    axes of integers that ``_require_int64`` accepts."""
+    a = np.asarray(data)
+    _require_int64(a)
     if a.ndim != ndim:
         raise LinalgError(f"expected an array of ndim {ndim}, got ndim {a.ndim}")
     return np.array(a, dtype=np.int64, order="C")
 
 
+def _reduce(a: np.ndarray, p: int) -> np.ndarray:
+    """Reduce the C-contiguous int64 array ``a`` mod p in place; return it.
+
+    a - (a // p) p equals a % p, floor rule included, for every int64 a:
+    near -2^63 the product (a // p) p wraps, but the true result lies in
+    [0, p), so the wrapped difference is exact.  numpy divides by a scalar
+    through multiplication by a precomputed reciprocal, about twice as
+    fast per entry as its int64 ``%``, but it takes three calls to ``%``'s
+    one, so below ``REDUCE_MIN`` entries ``%`` is faster and is used.  The
+    quotient is taken over blocks of ``REDUCE_BLOCK`` entries, so it stays
+    in cache and a large array costs no second copy."""
+    if a.size < REDUCE_MIN:
+        a %= p
+        return a
+    flat = a.reshape(-1)
+    for s in range(0, flat.size, REDUCE_BLOCK):
+        part = flat[s : s + REDUCE_BLOCK]
+        q = part // p
+        q *= p
+        part -= q
+    return a
+
+
 def as_matrix(data, p: int) -> np.ndarray:
     """A fresh C-ordered 2-d int64 copy of ``data``, reduced mod p."""
-    a = _exact_int64(data, 2)
-    a %= p
-    return a
+    return _reduce(_exact_int64(data, 2), p)
 
 
 def as_vector(data, p: int) -> np.ndarray:
@@ -132,28 +169,34 @@ def as_vector(data, p: int) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact mod-p product as int64, computed in float64 through BLAS.
+    """Exact mod-p product as int64, computed in float32 or float64 through
+    BLAS.
 
     Precondition: both operands are already reduced into [0, p), as every
     caller in ``linalg``, ``solver`` and ``ca.compose`` guarantees.  Then
-    each term is at most (p-1)^2, so a product over an inner dimension of at
-    most ``step = (2^53 - 1) // (p-1)^2`` has every partial sum a
-    non-negative integer below 2^53, in any summation order and with or
-    without FMA, and float64 holds it exactly.  A longer inner dimension is
-    cut into blocks of ``step``; each block's product is reduced mod p
-    before the blocks are summed.  For p < 2^20, ``step`` >= 8192."""
+    each term is at most (p-1)^2, and every partial sum of a product over
+    the inner dimension k is a non-negative integer of at most k (p-1)^2,
+    in any summation order and with or without FMA.  If k (p-1)^2 < 2^24,
+    float32 holds every such sum exactly, and its product takes about half
+    the time of float64's.  Otherwise float64 does for k at most
+    ``step = (2^53 - 1) // (p-1)^2``; a longer inner dimension is cut into
+    blocks of ``step``, and each block's product is reduced mod p before
+    the blocks are summed.  For p < 2^20, ``step`` >= 8192.  Every
+    reduction goes through ``_reduce``."""
     if a.shape[-1] != b.shape[0]:
         raise LinalgError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    k = b.shape[0]
+    if k * (p - 1) ** 2 < FLOAT32_EXACT_BOUND:
+        out = np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)
+        return _reduce(out.astype(np.int64), p)
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
-    k = b.shape[0]
-    step = ((1 << 53) - 1) // (p - 1) ** 2
+    step = (FLOAT_EXACT_BOUND - 1) // (p - 1) ** 2
     if k <= step:
-        out = (x @ y).astype(np.int64)  # exact; int64 % is faster than float64's
-    else:
-        blocks = range(0, k, step)
-        out = sum((x[..., s : s + step] @ y[s : s + step]).astype(np.int64) % p for s in blocks)
-    return np.remainder(out, p, out=out)
+        return _reduce((x @ y).astype(np.int64), p)
+    blocks = range(0, k, step)
+    out = sum(_reduce((x[..., s : s + step] @ y[s : s + step]).astype(np.int64), p) for s in blocks)
+    return _reduce(out, p)
 
 
 def rref_inplace(a: np.ndarray, p: int) -> list[int]:
@@ -383,14 +426,21 @@ def _solve(mat, rhs_cols, p: int) -> tuple[Subspace, np.ndarray, np.ndarray]:
     """One elimination of [mat reversed | rhs_cols]: the kernel of ``mat``
     in RREF, one point per column of ``rhs_cols`` and whether it solves it.
     The reversed-columns fact of the module docstring makes the kernel and
-    the points canonical as read off."""
+    the points canonical as read off.  The system is the one copy of the
+    inputs: checked like ``as_matrix``'s, written once and reduced in
+    place."""
     a, b = np.asarray(mat), np.asarray(rhs_cols)
     if a.ndim != 2 or b.ndim != 2:
         raise LinalgError(f"expected matrices, got arrays of ndim {a.ndim} and {b.ndim}")
     rows, cols = a.shape
     if b.shape[0] != rows:
         raise LinalgError(f"rhs rows {b.shape[0]} do not match matrix rows {rows}")
-    aug = as_matrix(np.hstack([a[:, ::-1], b]), p)
+    _require_int64(a)
+    _require_int64(b)
+    aug = np.empty((rows, cols + b.shape[1]), dtype=np.int64)
+    aug[:, :cols] = a[:, ::-1]
+    aug[:, cols:] = b
+    _reduce(aug, p)
     pivots = np.array(rref_inplace(aug, p), dtype=np.intp)
     rk = np.count_nonzero(pivots < cols)
     bound = cols - 1 - pivots[:rk]  # original columns, decreasing

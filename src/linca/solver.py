@@ -777,7 +777,7 @@ def window_preimage(
 
     A_n is ball(r0 + n), so a pattern with fewer cells is rejected before
     the ball is built.  The image comes from the rule's plain int64 loop on
-    purpose: it shares no code with the window matrix or matmul's float64
+    purpose: it shares no code with the window matrix or matmul's float
     path, and it is linear in the listed cells."""
     ca, cells = ws.ca, pattern.cells
     if not ball_fits(ca.group, ws.r0 + n, len(cells)):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -172,17 +173,54 @@ def test_finite_table_checks_match_the_loop_reference(n):
     assert ("table is not associative" in verdicts) == (n == 3)
 
 
-def test_large_table_associativity_runs_in_blocks():
-    """Past order 101 associativity is checked over blocks of rows.  Z/120
-    passes; swapping the intercalate at rows 100, 40 and columns 110, 50
-    keeps a latin square with identity 0 and every inverse, but not a
-    group."""
+def test_large_table_associativity_is_checked_on_generators():
+    """Associativity is checked only at greedily picked generators (Light's
+    test).  Z/120 passes; swapping the intercalate at rows 100, 40 and
+    columns 110, 50 keeps a latin square with identity 0 and every
+    inverse, but not a group, and the generators catch it."""
     table = [list(row) for row in cyclic_group(120).table]
     assert FiniteGroup(table).order == 120
     for r, c in ((100, 110), (100, 50), (40, 110), (40, 50)):
         table[r][c] = (table[r][c] + 60) % 120
     with pytest.raises(GroupError, match="^table is not associative$"):
         FiniteGroup(table)
+
+
+def test_generator_checks_match_the_loop_reference_on_perturbed_groups():
+    """Tables one or two entry swaps away from a group, most of them with
+    an identity and inverses: the checks at generators reject exactly the
+    tables that the full triple loop rejects."""
+    rng = random.Random(61)
+    verdicts = set()
+    for base in (cyclic_group(4), cyclic_group(8), symmetric_group_3(), cyclic_group(2)):
+        n = base.order
+        for _ in range(60):
+            table = [list(row) for row in base.table]
+            for _ in range(rng.randint(1, 2)):
+                r, c1, c2 = (rng.randrange(n) for _ in range(3))
+                table[r][c1], table[r][c2] = table[r][c2], table[r][c1]
+            want = reference_axioms(table)
+            try:
+                group = FiniteGroup(table)
+            except GroupError as exc:
+                got = str(exc)
+            else:
+                got = group.identity(), tuple(map(group.inverse, range(n)))
+            assert got == want, table
+            verdicts.add(want if isinstance(want, str) else "group")
+    assert {"group", "table is not associative"} <= verdicts
+
+
+def test_cyclic_group_600_builds_fast():
+    """Light's test makes the associativity check O(n^2 log n): the n^3
+    check took seconds at order 600."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        group = cyclic_group(600)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
+    assert group.order == 600 and group.multiply(599, 2) == 1 and group.inverse(1) == 599
 
 
 # -- balls ---------------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Exact GF(p) linear and affine algebra."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ca, random_matrix
+import linca
 from linca import IntegerGroup, WindowSystem
 from linca.linalg import (
     AffineSubspace,
@@ -26,6 +32,7 @@ from linca.linalg import (
     rref,
     solve_affine,
     solve_affine_multi,
+    _reduce,
 )
 
 
@@ -78,9 +85,42 @@ def test_matmul_exact_across_float_block_boundary():
             assert (got == k * fill * fill % p).all(), (k, fill)
 
 
+def test_matmul_exact_on_both_sides_of_the_float32_bound():
+    # For p = 7 each term is at most 36: k = 466033 has k * 36 < 2^24 and
+    # multiplies in float32, k = 466034 does not and takes float64.
+    p = 7
+    for k in (466_033, 466_034):
+        a = np.full((1, k), p - 1, dtype=np.int64)
+        got = matmul(a, a.reshape(k, 1), p)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[k * (p - 1) ** 2 % p]], k
+    assert [466_033 * 36 < 2**24, 466_034 * 36 < 2**24] == [True, False]
+    # Further past the bound, one odd term makes the sum odd and above 2^24,
+    # which no float32 holds.
+    k = 700_000
+    a = np.full((1, k), p - 1, dtype=np.int64)
+    b = a.reshape(k, 1).copy()
+    a[0, -1] = b[-1, 0] = 1
+    assert matmul(a, b, p).tolist() == [[(36 * (k - 1) + 1) % p]]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1048573])
+def test_floor_division_reduction_matches_remainder_at_int64_extremes(p):
+    a = np.array([-(2**63), -(2**63) + 1, -1, 0, p - 1, p, 2**63 - 1], dtype=np.int64)
+    want = np.remainder(a, p)
+    assert want.tolist() == [int(x) % p for x in a.tolist()]
+    # 7 entries take %; 21000 take the floor division, over two blocks of
+    # the quotient temporary.
+    for reps in (1, 3000):
+        big = np.tile(a, reps).reshape(-1, 7)
+        with np.errstate(all="raise"):
+            got = _reduce(big.copy(), p)
+        assert np.array_equal(got, np.tile(want, reps).reshape(-1, 7))
+
+
 @st.composite
 def matmul_operands(draw):
-    p = draw(st.sampled_from((2, 3, 5, 1048573)))
+    p = draw(st.sampled_from((2, 3, 5, 7, 1048573)))
     rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
     ops = []
     for shape in ((rows, inner), (inner, cols)):
@@ -365,6 +405,7 @@ def test_inexact_entries_are_rejected_not_truncated(row):
         lambda: rref([row, [0, 1]], p),
         lambda: Subspace.from_spanning([row], 2, p),
         lambda: sub.reduce(row),
+        lambda: kernel_basis([row, [0, 1]], p),
     ):
         with pytest.raises(LinalgError, match="int64 range"):
             coerce()
@@ -379,6 +420,10 @@ def test_integral_floats_booleans_and_int64_extremes_are_accepted():
         assert as_vector(row, p).tolist() == expected
         assert as_matrix([row], p).tolist() == [expected]
     assert as_matrix(np.zeros((0, 3)), p).shape == (0, 3)
+    for q in (2, 3, 5, 7, 1048573):
+        want = [-(2**63) % q, (2**63 - 1) % q]
+        assert as_matrix([[-(2**63), 2**63 - 1]], q).tolist() == [want]
+        assert as_matrix([[-(2**63), 2**63 - 1] * 300], q).tolist() == [want * 300]
     with pytest.raises(LinalgError, match="ndim"):
         as_vector([row], p)
 
@@ -392,3 +437,50 @@ def test_zero_dimensional_edge_cases():
     assert rk == 0
     k = kernel_basis(np.zeros((2, 0), dtype=np.int64), 2)
     assert k.ambient == 0 and k.dim == 0
+
+
+def test_solve_holds_one_copy_of_the_system():
+    """A solve writes [mat reversed | rhs] once and reduces it in place:
+    next to the caller's 20000 x 300 int64 system (45.8 MiB) it allocates
+    about one more copy, not two."""
+    p = 3
+    mat = np.zeros((20000, 300), dtype=np.int64)
+    mat[np.arange(300), np.arange(300)] = p + 1  # the identity once reduced
+    tracemalloc.start()
+    try:
+        kernel = kernel_basis(mat, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel.ambient == 300 and kernel.dim == 0
+    assert peak < 1.25 * mat.nbytes
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_import_runs_blas_on_one_thread_unless_set():
+    """Importing linca before numpy pins BLAS to one thread; a value the
+    caller set is kept."""
+    code = (
+        "import os, linca, numpy as np\n"
+        "from linca.linalg import matmul\n"
+        "a = np.ones((200, 200), dtype=np.int64)\n"
+        "matmul(a, a, 2)\n"  # float32
+        "matmul(a, a, 1048573)\n"  # float64
+        "print(len(os.listdir('/proc/self/task')))\n"
+        f"print(*(os.environ[v] for v in {BLAS_THREAD_VARS!r}))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(linca.__file__).parents[1])
+
+    def run(**extra):
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**env, **extra}, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        return out.stdout.splitlines()
+
+    assert run() == ["1", "1 1 1"]
+    assert run(OMP_NUM_THREADS="2")[1] == "1 2 1"
