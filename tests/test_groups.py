@@ -173,11 +173,11 @@ def test_finite_table_checks_match_the_loop_reference(n):
     assert ("table is not associative" in verdicts) == (n == 3)
 
 
-def test_large_table_associativity_is_checked_on_generators():
-    """Associativity is checked only at greedily picked generators (Light's
-    test).  Z/120 passes; swapping the intercalate at rows 100, 40 and
-    columns 110, 50 keeps a latin square with identity 0 and every
-    inverse, but not a group, and the generators catch it."""
+def test_large_table_associativity_runs_in_blocks():
+    """Associativity is checked in one n-by-n block per greedily picked
+    generator (Light's test).  Z/120 passes; swapping the intercalate at
+    rows 100, 40 and columns 110, 50 keeps a latin square with identity 0
+    and every inverse, but not a group, and the generators catch it."""
     table = [list(row) for row in cyclic_group(120).table]
     assert FiniteGroup(table).order == 120
     for r, c in ((100, 110), (100, 50), (40, 110), (40, 50)):
