@@ -11,7 +11,9 @@ an automaton with non-closed image) with machine-checkable witnesses.
 Importing the package pins BLAS to one thread unless the caller chose a
 count: the products here are small, and on a few cores a thread hand-off
 costs more than it saves.  The variables only act if numpy is not yet
-imported, and child processes inherit them.
+imported.  Child processes inherit them, and so does every OpenMP or MKL
+library imported after this package in the same process (torch,
+scikit-learn, numexpr), which then also starts with one thread.
 """
 
 import os

@@ -57,11 +57,10 @@ dimension k (p = 2, 3 and 5 at every size in scope), float64 otherwise, in
 blocks of the inner dimension short enough that each partial sum stays
 below 2^53 (see its docstring).  Its products, ``as_matrix``'s copy and
 ``_solve``'s system are reduced mod p by one helper, ``_reduce``: a floor
-division by p, about twice as fast per entry as int64 ``%`` on large
-arrays, with ``%`` kept below 512 entries, where its one numpy call beats
-three.  The elimination kernel keeps its own ``%=`` on each pivot row and
-row block: those are a few rows long, and a floor division there made
-many small eliminations slower when tried.  The kernel and
+division by p, about twice as fast per entry as int64 ``%``.  The
+elimination kernel keeps its own ``%=`` on each pivot row and row block:
+those are a few rows long, and a floor division there made many small
+eliminations slower when tried.  The kernel and
 ``Subspace.reduce`` stay in int64, accumulating up to dim * (p-1)^2,
 which is below 2^63 for the dimensions in scope (< 10^4); they are why
 the bound p < 2^20 is still required, since a larger p would wrap
@@ -84,7 +83,6 @@ MODULUS_BOUND = 1 << 20
 INT64_BOUND = 1 << 63
 FLOAT_EXACT_BOUND = 1 << 53  # float64 holds every integer below it exactly
 FLOAT32_EXACT_BOUND = 1 << 24  # float32 holds every integer below it exactly
-REDUCE_MIN = 512  # _reduce uses % below this many entries
 REDUCE_BLOCK = 1 << 14  # entries per quotient temporary in _reduce
 
 
@@ -140,13 +138,9 @@ def _reduce(a: np.ndarray, p: int) -> np.ndarray:
     near -2^63 the product (a // p) p wraps, but the true result lies in
     [0, p), so the wrapped difference is exact.  numpy divides by a scalar
     through multiplication by a precomputed reciprocal, about twice as
-    fast per entry as its int64 ``%``, but it takes three calls to ``%``'s
-    one, so below ``REDUCE_MIN`` entries ``%`` is faster and is used.  The
-    quotient is taken over blocks of ``REDUCE_BLOCK`` entries, so it stays
-    in cache and a large array costs no second copy."""
-    if a.size < REDUCE_MIN:
-        a %= p
-        return a
+    fast per entry as its int64 ``%``.  The quotient is taken over blocks
+    of ``REDUCE_BLOCK`` entries, so it stays in cache and a large array
+    costs no second copy."""
     flat = a.reshape(-1)
     for s in range(0, flat.size, REDUCE_BLOCK):
         part = flat[s : s + REDUCE_BLOCK]

@@ -109,8 +109,7 @@ def test_floor_division_reduction_matches_remainder_at_int64_extremes(p):
     a = np.array([-(2**63), -(2**63) + 1, -1, 0, p - 1, p, 2**63 - 1], dtype=np.int64)
     want = np.remainder(a, p)
     assert want.tolist() == [int(x) % p for x in a.tolist()]
-    # 7 entries take %; 21000 take the floor division, over two blocks of
-    # the quotient temporary.
+    # 7 entries fit one block of the quotient temporary; 21000 take two.
     for reps in (1, 3000):
         big = np.tile(a, reps).reshape(-1, 7)
         with np.errstate(all="raise"):
@@ -423,7 +422,6 @@ def test_integral_floats_booleans_and_int64_extremes_are_accepted():
     for q in (2, 3, 5, 7, 1048573):
         want = [-(2**63) % q, (2**63 - 1) % q]
         assert as_matrix([[-(2**63), 2**63 - 1]], q).tolist() == [want]
-        assert as_matrix([[-(2**63), 2**63 - 1] * 300], q).tolist() == [want * 300]
     with pytest.raises(LinalgError, match="ndim"):
         as_vector([row], p)
 
