@@ -22,11 +22,18 @@ This module also owns the one evaluator, the plain loop
 ``LinearCA._evaluate`` that checks those matrices independently, and the
 cell layout of window vectors (``cell_view``).  ``_sum_by_cell`` is the one
 loop that sums rule blocks by cell, for ``push_forward`` and ``compose``.
+
+A rule's blocks are coerced once, in ``normalize_rule``: one
+``linalg.as_matrix`` call on their (k dimV) x dimV stack checks, copies
+and reduces them all, and the blocks kept are read-only views of it.
+``compose`` hands it its float sums unconverted, so they are converted to
+int64 and reduced in that one call.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
@@ -48,23 +55,41 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def normalize_rule(group: Group, p: int, dim_v: int, memory, blocks) -> tuple[tuple, tuple]:
     """Canonical form of a rule, as (memory, blocks): identity present, zero
     blocks pruned, memory in canonical order, blocks read-only.  The
-    represented global map is unchanged."""
+    represented global map is unchanged.  The blocks are coerced together,
+    by ``_block_stack``."""
     mem = [group.check(m) for m in memory]
     if len(set(mem)) != len(mem):
         raise CAError("memory elements must be pairwise distinct")
-    mats = [linalg.as_matrix(b, p) for b in blocks]
-    if len(mats) != len(mem):
-        raise CAError("block count must match memory size")
-    for b in mats:
-        if b.shape != (dim_v, dim_v):
-            raise CAError(f"block shape {b.shape} does not match dimV={dim_v}")
+    stack = _block_stack(blocks, p, dim_v, len(mem))
     e = group.identity()
-    table = {m: b for m, b in zip(mem, mats)}
-    kept = {m: b for m, b in table.items() if m == e or np.any(b)}
+    live = stack.reshape(len(mem), dim_v * dim_v).any(axis=1)
+    kept = {m: b for m, b, nonzero in zip(mem, stack, live) if nonzero or m == e}
     if e not in kept:
         kept[e] = np.zeros((dim_v, dim_v), dtype=np.int64)
     ordered = group.sort_elements(kept)
     return ordered, tuple(_freeze(kept[m]) for m in ordered)
+
+
+def _block_stack(blocks, p: int, dim_v: int, count: int) -> np.ndarray:
+    """The ``count`` blocks as one (count, dimV, dimV) int64 array reduced
+    mod p, from one ``linalg.as_matrix`` call on their (count dimV) x dimV
+    stack.  Blocks that do not stack to that shape (ragged, too many or too
+    few) or whose stack ``as_matrix`` rejects are coerced one by one, so
+    each check raises what it raises on the block alone, in the same order:
+    the entries, then the count, then the shapes."""
+    try:
+        stack = np.asarray(blocks)
+        if stack.shape == (count, dim_v, dim_v):
+            return linalg.as_matrix(stack.reshape(count * dim_v, dim_v), p).reshape(stack.shape)
+    except ValueError:  # ragged blocks, or entries outside int64 (a LinalgError)
+        pass
+    mats = [linalg.as_matrix(b, p) for b in blocks]
+    if len(mats) != count:
+        raise CAError("block count must match memory size")
+    for b in mats:
+        if b.shape != (dim_v, dim_v):
+            raise CAError(f"block shape {b.shape} does not match dimV={dim_v}")
+    return np.array(mats, dtype=np.int64).reshape(count, dim_v, dim_v)
 
 
 class LinearCA:
@@ -387,13 +412,16 @@ def config_equal(group: Group, dim_v: int, a: Configuration, b: Configuration) -
 # -- rule-level operations -------------------------------------------------
 
 
-def _sum_by_cell(group: Group, p: int, dim_v: int, cells: Iterable, blocks) -> LinearCA:
+def _sum_by_cell(group: Group, p: int, dim_v: int, cells: Sequence, blocks, dtype) -> LinearCA:
     """The rule on ``group`` whose block at u is the sum of the blocks whose
-    cell is u, reduced mod p as ``LinearCA`` reduces every block."""
-    sums: dict = {}
+    cell is u.  The sums are taken in place in ``dtype``, which must hold
+    each of them exactly; ``LinearCA`` converts them to int64 and reduces
+    them mod p, in one ``linalg.as_matrix`` call."""
+    slots = {u: i for i, u in enumerate(dict.fromkeys(cells))}
+    sums = np.zeros((len(slots), dim_v, dim_v), dtype=dtype)
     for u, b in zip(cells, blocks):
-        sums[u] = sums[u] + b if u in sums else b
-    return LinearCA(group, p, dim_v, tuple(sums), tuple(sums.values()))
+        sums[slots[u]] += b
+    return LinearCA(group, p, dim_v, tuple(slots), sums)
 
 
 def push_forward(ca: LinearCA, group: Group, phi: Callable) -> LinearCA:
@@ -404,19 +432,36 @@ def push_forward(ca: LinearCA, group: Group, phi: Callable) -> LinearCA:
     finite H, tau(v o phi)(g) = tau_H(v)(phi(g)) (Ceccherini-Silberstein &
     Coornaert, Cellular Automata and Groups, ch. 8).  Nothing is summed
     along a map injective on the memory."""
-    return _sum_by_cell(group, ca.p, ca.dim_v, map(phi, ca.memory), ca.blocks)
+    cells = [phi(m) for m in ca.memory]
+    return _sum_by_cell(group, ca.p, ca.dim_v, cells, ca.blocks, np.int64)
 
 
 def compose(outer: LinearCA, inner: LinearCA) -> LinearCA:
     """The automaton computing outer(inner(x)): the block at u sums b2 b1
-    over m2 m1 = u, all products from one matmul of inner dimension dimV."""
+    over m2 m1 = u.
+
+    All |M2| |M1| products come from one BLAS product of inner dimension
+    dimV, in the float type that ``linalg.exact_float`` gives for the
+    terms of the fullest cell, its pairs m2 m1 = u times dimV, so every
+    sum of a cell is exact.  They are summed per cell on views of that
+    product, with no copy of it, and ``LinearCA`` converts only the sums
+    to int64 and reduces them, once.  When float64 cannot hold a cell's sum
+    (for p < 2^20 that takes more than 8192 terms on one cell), each
+    product is reduced first by ``linalg.matmul`` and the sums are taken
+    in int64."""
     if outer.group != inner.group or outer.p != inner.p or outer.dim_v != inner.dim_v:
         raise CAError("composition requires matching group, field and dimV")
     g, p, d = outer.group, outer.p, outer.dim_v
-    prods = linalg.matmul(np.vstack(outer.blocks), np.hstack(inner.blocks), p)
+    n2, n1 = len(outer.memory), len(inner.memory)
     cells = [g.multiply(m2, m1) for m2 in outer.memory for m1 in inner.memory]
-    grid = prods.reshape(len(outer.memory), d, len(inner.memory), d).transpose(0, 2, 1, 3)
-    return _sum_by_cell(g, p, d, cells, grid.reshape(len(cells), d, d))
+    dtype = linalg.exact_float(max(Counter(cells).values()) * d, p)
+    if dtype is None:
+        prods = linalg.matmul(np.concatenate(outer.blocks), np.concatenate(inner.blocks, 1), p)
+    else:
+        prods = np.concatenate(outer.blocks, dtype=dtype) @ np.concatenate(inner.blocks, 1, dtype=dtype)
+    grid = prods.reshape(n2, d, n1, d)
+    blocks = (grid[i, :, j, :] for i in range(n2) for j in range(n1))
+    return _sum_by_cell(g, p, d, cells, blocks, prods.dtype)
 
 
 def identity_ca(group: Group, p: int, dim_v: int) -> LinearCA:

@@ -27,6 +27,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from . import linalg
+
 DEFAULT_BALL_LIMIT = 2_000_000
 
 
@@ -255,14 +257,23 @@ class FiniteGroup(Group):
     kind = "finite"
 
     def __init__(self, table, generator_ids: Optional[Iterable[int]] = None):
-        tbl = tuple(tuple(map(int, row)) for row in table)
-        n = len(tbl)
-        if n == 0 or any(len(row) != n for row in tbl):
+        try:
+            t = np.asarray(table)
+            square = t.ndim == 2 and t.shape[0] == t.shape[1] > 0
+        except ValueError:  # ragged rows
+            square = False
+        if not square:
             raise GroupError("multiplication table must be square and nonempty")
-        t = np.array(tbl)  # an object array if an entry passes int64
+        # Entries go through linalg's int64 rule: 1.0 and True read as 1,
+        # while 0.5, "1", None and 2^70 are rejected, not converted.
+        try:
+            t = linalg.as_int64(t, 2)
+        except linalg.LinalgError as exc:
+            raise GroupError(f"table entries must be element ids: {exc}") from None
+        n = len(t)
         if t.min() < 0 or t.max() >= n:
             raise GroupError("table entries must be element ids")
-        t = t.astype(np.intp)
+        tbl = tuple(map(tuple, t.tolist()))
         self.table = tbl
         self.order = n
         ids = np.arange(n)

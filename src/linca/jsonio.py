@@ -443,10 +443,13 @@ def preimage_certificate(
     """Raises CertificateError, with the reason ``solver.window_preimage``
     gives, unless the pattern passes that one check of a window preimage.
     The transcript records the cells B_window the check matched and the
-    image it computed there."""
-    failure, image = solver.window_preimage(
-        solver.WindowSystem(ca), target, window, result.pattern
-    )
+    image it computed there.  The check runs on the result's own window
+    system when it was computed for ``ca``, and on a fresh one otherwise,
+    as in the rebuild of ``verify_certificate``."""
+    ws = result.windows
+    if ws is None or ws.ca is not ca:
+        ws = solver.WindowSystem(ca)
+    failure, image = solver.window_preimage(ws, target, window, result.pattern)
     _require(failure is None, failure)
     payload = {
         "window": window,

@@ -30,6 +30,14 @@ that ends makes the image of det P a monomial, so det P is one (the map is
 injective on its exponents), and the digits of each degree of the series
 give the cells of A^-1.
 
+The recurrence is seeded with Q_0^-1 instead of I.  The terms D_k = C_k Q_0^-1
+follow the same recurrence, D_0 = Q_0^-1 and D_k = -sum_i M_i D_(k-i), and
+Q_0^-1 is invertible, so D_k is zero exactly when C_k is: the series ends
+at the same terms, and the D_k are the blocks of P^-1 as computed, with no
+product after the recurrence.  Q_0^-1 is the last block of the one RREF,
+[Q_0 | Q_1 ... | I] -> [I | M_1 ... | Q_0^-1], that also decides whether
+Q_0 is invertible.
+
 The terms are computed from the nonzero ones only: each pushes its products
 with the nonzero M_i onto the degrees they reach, so the work is bounded by
 the number of exponents that sums of memory offsets reach, not by T.
@@ -115,14 +123,15 @@ class Series(NamedTuple):
 UNDECIDED = Series(None)
 
 
-def _terms(offsets: list, m: np.ndarray, n: int, top: int, p: int) -> Optional[dict]:
-    """The nonzero terms C_k of (I + sum_i M_i s^i)^-1, M at ``offsets[i]``
-    stacked in ``m`` ((len(offsets) n) x n), or None once a term past
-    (n - 1) ``top`` is nonzero: the series does not end."""
+def _terms(offsets: list, m: np.ndarray, start: np.ndarray, top: int, p: int) -> Optional[dict]:
+    """The nonzero terms D_k of (I + sum_i M_i s^i)^-1 ``start``, M at
+    ``offsets[i]`` stacked in ``m`` ((len(offsets) n) x n), or None once a
+    term past (n - 1) ``top`` is nonzero: the series does not end."""
+    n = start.shape[0]
     terms: dict = {}
-    pending: dict = {}  # degree -> sum of M_i C_(k-i) over the terms found
+    pending: dict = {}  # degree -> sum of M_i D_(k-i) over the terms found
     heap: list = []
-    k, c = 0, np.eye(n, dtype=np.int64)
+    k, c = 0, start
     while True:
         if c.any():
             if k > (n - 1) * top:
@@ -143,7 +152,8 @@ def _terms(offsets: list, m: np.ndarray, n: int, top: int, p: int) -> Optional[d
 def inverse_series(ca: LinearCA) -> Series:
     """Decide on Z and Z^d whether det A is a unit from the inverse power
     series at an invertible end block, lowest first, and read the inverse
-    rule off it when it is (see the module docstring)."""
+    rule off it when it is: its terms, seeded with Q_end^-1, are the
+    inverse's blocks (see the module docstring)."""
     if not isinstance(ca.group, (IntegerGroup, LatticeGroup)):
         return UNDECIDED
     if ca.dim_v == 0:  # the 0 x 0 matrix is its own inverse
@@ -162,11 +172,9 @@ def inverse_series(ca: LinearCA) -> Series:
         split = n * (1 + len(others))
         m = r[:, n:split].reshape(n, len(others), n).transpose(1, 0, 2)
         offsets = [sign * (k - end) for k in others]
-        terms = _terms(offsets, m.reshape(-1, n), n, highest - lowest, p)
+        terms = _terms(offsets, m.reshape(-1, n), r[:, split:], highest - lowest, p)
         if terms is None:
             return Series(False)
         cells = [lm.element(sign * j - end) for j in terms]
-        stacked = np.vstack(list(terms.values()))
-        blocks = linalg.matmul(stacked, r[:, split:], p).reshape(-1, n, n)
-        return Series(True, LinearCA(ca.group, p, n, cells, list(blocks)))
+        return Series(True, LinearCA(ca.group, p, n, cells, list(terms.values())))
     return UNDECIDED

@@ -44,18 +44,23 @@ the RREF basis of the image; the rows with pivot >= k are zero on [:k].
 Coercion happens once, at the edge: ``rref`` and the public functions
 accept any integer array-like (lists, read-only or non-contiguous arrays)
 and ``as_matrix`` makes the single C-ordered int64 copy that the kernel
-reduces in place, so no caller's array is ever written.  ``as_matrix`` and
-``as_vector`` are the only coercions of outside numbers, and they reject
-what int64 would truncate, parse or wrap (1.5, "1", None, 2^70) instead of
-converting it.  Internal callers pass int64 arrays and do not reduce them
-mod p first.
+reduces in place, so no caller's array is ever written.  ``as_int64``, under
+``as_matrix`` and ``as_vector``, is the only coercion of outside numbers,
+and it rejects what int64 would truncate, parse or wrap (1.5, "1", None,
+2^70) instead of converting it; ``groups.FiniteGroup`` reads its table
+through it too.  ``ca.normalize_rule`` coerces a rule's blocks in one
+``as_matrix`` call.  Internal callers pass int64 arrays and do not reduce
+them mod p first.
 
-Moduli are primes p < 2^20 (``require_prime``).  ``matmul`` computes
-every matrix product through BLAS in a float type that holds each partial
-sum as an exact integer: float32 when k (p-1)^2 < 2^24 for the inner
-dimension k (p = 2, 3 and 5 at every size in scope), float64 otherwise, in
-blocks of the inner dimension short enough that each partial sum stays
-below 2^53 (see its docstring).  Its products, ``as_matrix``'s copy and
+Moduli are primes p < 2^20 (``require_prime``).  ``exact_float`` is the
+one rule for exact float arithmetic: the float type that holds every sum
+of k products of entries in [0, p), float32 when k (p-1)^2 < 2^24 and
+float64 when k (p-1)^2 < 2^53.  ``matmul`` computes every matrix product
+through BLAS in the type it gives for the inner dimension k (float32 for
+p = 2, 3 and 5 at every size in scope), and past float64 in blocks of the
+inner dimension short enough that each partial sum stays below 2^53 (see
+its docstring).  ``ca.compose`` applies the same rule to the terms of one
+output cell.  The products of ``matmul``, ``as_matrix``'s copy and
 ``_solve``'s system are reduced mod p by one helper, ``_reduce``: a floor
 division by p, about twice as fast per entry as int64 ``%``.  The
 elimination kernel keeps its own ``%=`` on each pivot row and row block:
@@ -121,9 +126,11 @@ def _require_int64(a: np.ndarray) -> None:
         raise LinalgError(f"entries must be integers in the int64 range, got {a.dtype} data")
 
 
-def _exact_int64(data, ndim: int) -> np.ndarray:
+def as_int64(data, ndim: int) -> np.ndarray:
     """A fresh C-ordered int64 copy of ``data``, which must have ``ndim``
-    axes of integers that ``_require_int64`` accepts."""
+    axes of integers that ``_require_int64`` accepts: the one int64 rule
+    for outside numbers, which ``as_matrix``, ``as_vector`` and the
+    multiplication tables of ``groups.FiniteGroup`` share."""
     a = np.asarray(data)
     _require_int64(a)
     if a.ndim != ndim:
@@ -152,14 +159,33 @@ def _reduce(a: np.ndarray, p: int) -> np.ndarray:
 
 def as_matrix(data, p: int) -> np.ndarray:
     """A fresh C-ordered 2-d int64 copy of ``data``, reduced mod p."""
-    return _reduce(_exact_int64(data, 2), p)
+    return _reduce(as_int64(data, 2), p)
 
 
 def as_vector(data, p: int) -> np.ndarray:
     """A fresh 1-d int64 copy of ``data``, reduced mod p."""
-    a = _exact_int64(data, 1)
+    a = as_int64(data, 1)
     a %= p
     return a
+
+
+def exact_float(k: int, p: int):
+    """The float type that holds every sum of k products of two entries
+    in [0, p) exactly, or None when neither does.
+
+    Each product is at most (p-1)^2, so every partial sum is a non-negative
+    integer of at most k (p-1)^2, in any summation order and with or
+    without FMA: float32 holds them all when k (p-1)^2 < 2^24, float64
+    when k (p-1)^2 < 2^53.  This is the one exactness rule of the float
+    products: ``matmul`` applies it to its inner dimension, and
+    ``ca.compose`` to the terms of one output cell, the pairs of memory
+    elements that land on it times dimV."""
+    top = k * (p - 1) ** 2
+    if top < FLOAT32_EXACT_BOUND:
+        return np.float32
+    if top < FLOAT_EXACT_BOUND:
+        return np.float64
+    return None
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -167,27 +193,23 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     BLAS.
 
     Precondition: both operands are already reduced into [0, p), as every
-    caller in ``linalg``, ``solver`` and ``ca.compose`` guarantees.  Then
-    each term is at most (p-1)^2, and every partial sum of a product over
-    the inner dimension k is a non-negative integer of at most k (p-1)^2,
-    in any summation order and with or without FMA.  If k (p-1)^2 < 2^24,
-    float32 holds every such sum exactly, and its product takes about half
-    the time of float64's.  Otherwise float64 does for k at most
-    ``step = (2^53 - 1) // (p-1)^2``; a longer inner dimension is cut into
-    blocks of ``step``, and each block's product is reduced mod p before
+    caller in ``linalg``, ``solver``, ``laurent`` and ``ca`` guarantees.
+    The float type is ``exact_float`` of the inner dimension k; float32
+    takes about half the time of float64.  When neither holds k (p-1)^2,
+    the inner dimension is cut into blocks of ``step = (2^53 - 1) //
+    (p-1)^2``, and each block's float64 product is reduced mod p before
     the blocks are summed.  For p < 2^20, ``step`` >= 8192.  Every
     reduction goes through ``_reduce``."""
     if a.shape[-1] != b.shape[0]:
         raise LinalgError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     k = b.shape[0]
-    if k * (p - 1) ** 2 < FLOAT32_EXACT_BOUND:
-        out = np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)
+    dtype = exact_float(k, p)
+    if dtype is not None:
+        out = np.asarray(a, dtype=dtype) @ np.asarray(b, dtype=dtype)
         return _reduce(out.astype(np.int64), p)
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
     step = (FLOAT_EXACT_BOUND - 1) // (p - 1) ** 2
-    if k <= step:
-        return _reduce((x @ y).astype(np.int64), p)
     blocks = range(0, k, step)
     out = sum(_reduce((x[..., s : s + step] @ y[s : s + step]).astype(np.int64), p) for s in blocks)
     return _reduce(out, p)

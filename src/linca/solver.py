@@ -755,7 +755,9 @@ class PreimageResult:
     level points it was lifted through; 'not-in-image' carries a verified
     empty-fiber witness at the first empty level; 'unknown' means the
     stabilization cutoff was hit, and ``detail`` says where.  ``chains``
-    holds the universal chains computed on the way."""
+    holds the universal chains computed on the way, and ``windows`` the
+    window system they were computed on, which the certificate builder
+    reuses."""
 
     status: str
     pattern: Optional[Pattern] = None
@@ -765,6 +767,7 @@ class PreimageResult:
     level_points: list = field(default_factory=list)
     chains: dict = field(default_factory=dict)
     detail: str = ""
+    windows: Optional[WindowSystem] = field(default=None, repr=False, compare=False)
 
 
 def window_preimage(
@@ -840,6 +843,7 @@ def extract_limit_prefix(
         matched_cells=matched,
         level_points=points,
         chains=chains,
+        windows=ws,
     )
 
 

@@ -6,7 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from conftest import free_group_map, random_ca, random_finite_support, random_integer_ca
+from conftest import (
+    free_group_map,
+    random_ca,
+    random_finite_support,
+    random_integer_ca,
+    random_matrix,
+)
 from linca import (
     FreeGroup,
     IntegerGroup,
@@ -27,6 +33,7 @@ from linca import (
     symmetric_group_3,
 )
 from linca.ca import CAError, cell_view, pattern_to_vec, vec_to_pattern
+from linca import linalg
 from linca.linalg import kernel_basis
 from linca.solver import _periodic_system
 
@@ -69,6 +76,40 @@ def test_normalize_idempotent():
 def test_duplicate_memory_rejected():
     with pytest.raises(CAError):
         LinearCA(Z, 2, 1, (1, 1), ([[1]], [[1]]))
+
+
+def test_blocks_are_read_only_views_of_one_reduced_stack():
+    ca = LinearCA(Z, 5, 2, (1, 0, 2), [[[6, 7], [8, 9]], [[0, 0], [0, 0]], [[-1, 5], [10, 2]]])
+    assert ca.memory == (0, 1, 2)
+    assert [b.tolist() for b in ca.blocks] == [[[0, 0], [0, 0]], [[1, 2], [3, 4]], [[4, 0], [0, 2]]]
+    assert all(b.dtype == np.int64 and b.shape == (2, 2) for b in ca.blocks)
+    assert not any(b.flags.writeable for b in ca.blocks)
+
+
+def test_block_checks_raise_as_on_each_block():
+    """The blocks are coerced in one stack, and a rule that does not stack
+    raises what each block raises on its own: the entries first, then the
+    count, then the shapes.  Ragged blocks are a CAError, not numpy's
+    ValueError."""
+    eye2, eye3 = np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)
+    shape = r"^block shape \(3, 3\) does not match dimV=2$"
+    for blocks in ([eye2, eye3], [eye2.tolist(), eye3.tolist()], [eye3, eye3]):
+        with pytest.raises(CAError, match=shape):
+            LinearCA(Z, 5, 2, (0, 1), blocks)
+    with pytest.raises(CAError, match="^block count must match memory size$"):
+        LinearCA(Z, 5, 2, (0, 1), [eye2])
+    with pytest.raises(CAError, match="^block count must match memory size$"):
+        LinearCA(Z, 5, 2, (0,), [eye2, eye3])
+    for bad in ([[0.5, 0], [0, 1]], [["1", "0"], ["0", "1"]], [[None, 0], [0, 1]], [[2**70, 0], [0, 1]]):
+        with pytest.raises(linalg.LinalgError, match="int64 range"):
+            LinearCA(Z, 5, 2, (0, 1), [eye2, bad])
+        with pytest.raises(linalg.LinalgError, match="int64 range"):
+            LinearCA(Z, 5, 2, (0, 1), [eye3, bad])  # the entries before the shapes
+    with pytest.raises(linalg.LinalgError, match="ndim 2, got ndim 1"):
+        LinearCA(Z, 5, 2, (0, 1), [eye2, [1, 0]])
+    # Integral floats and booleans read as integers.
+    ca = LinearCA(Z, 5, 2, (0, 1), [eye2.astype(float), eye2.astype(bool)])
+    assert [b.tolist() for b in ca.blocks] == [eye2.tolist()] * 2
 
 
 # -- pattern evaluation ----------------------------------------------------------
@@ -206,23 +247,94 @@ COMPOSE_GROUPS = [
     (symmetric_group_3(), (0, 1, 3, 5), (0, 2, 4)),
     (FreeGroup(2), ((), (1,), (-1,), (2,)), ((), (-1,), (1, 2), (-2, 1))),
     (LatticeGroup(2), ((0, 0), (1, 0), (0, 1)), ((0, 0), (-1, 0), (0, -1), (1, 1))),
+    # Cell 0 collects four products and cells -1 and 1 three each.
+    (Z, (0, 1, 2, 3), (0, -1, -2, -3)),
 ]
 
 
-@pytest.mark.parametrize("group,outer_memory,inner_memory", COMPOSE_GROUPS, ids=["S3", "F2", "Z2"])
+@pytest.mark.parametrize(
+    "group,outer_memory,inner_memory", COMPOSE_GROUPS, ids=["S3", "F2", "Z2", "Z-four-products"]
+)
 def test_compose_matches_integer_arithmetic(group, outer_memory, inner_memory):
     """Each memory pair has several products m2 m1 on the same cell, and
-    the blocks are summed there; p = 1048573 makes every product large."""
+    the blocks are summed there; p = 1048573 makes every product large,
+    and blocks whose entries are all p - 1 make every sum the largest it
+    can be."""
     rng = random.Random(29)
+    cells = [group.multiply(m2, m1) for m2 in outer_memory for m1 in inner_memory]
+    assert max(map(cells.count, cells)) >= 2
     for p, dim_v in itertools.product((2, 3, 1048573), (0, 1, 2, 3)):
         outer = random_ca(rng, group, p, dim_v, outer_memory)
         inner = random_ca(rng, group, p, dim_v, inner_memory)
-        for a, b in ((outer, inner), (inner, outer)):
+        full = [np.full((dim_v, dim_v), p - 1, dtype=np.int64)]
+        top_outer = LinearCA(group, p, dim_v, outer_memory, full * len(outer_memory))
+        top_inner = LinearCA(group, p, dim_v, inner_memory, full * len(inner_memory))
+        for a, b in ((outer, inner), (inner, outer), (top_outer, top_inner), (top_inner, outer)):
             composed = compose(a, b)
             want = reference_compose(a, b)
             assert composed.memory == group.sort_elements(want), (p, dim_v)
             got = {m: blk.tolist() for m, blk in zip(composed.memory, composed.blocks)}
             assert got == want, (p, dim_v)
+
+
+def _counted_matmul(monkeypatch) -> list:
+    """Counts the calls of ``linalg.matmul``, which ``compose`` makes only
+    when float64 cannot hold the sum of a cell."""
+    calls = []
+    matmul = linalg.matmul
+
+    def counted(a, b, p):
+        calls.append(b.shape[0])
+        return matmul(a, b, p)
+
+    monkeypatch.setattr(linalg, "matmul", counted)
+    return calls
+
+
+def test_compose_is_exact_at_the_float32_edge(monkeypatch):
+    """At p = 4093 one product of entries below p stays below 2^24 and two
+    need not: (p-1)^2 = 16,744,464 and 2^24 = 16,777,216.  So a cell that
+    collects one product sums in float32 and a cell that collects two in
+    float64.  Here cell 1 sums (p-2)^2 + (p-1)^2 = 33,480,745, which is odd
+    and past 2^24, so float32 would round it."""
+    p = 4093
+    assert [linalg.exact_float(k, p) for k in (1, 2)] == [np.float32, np.float64]
+    total = (p - 2) ** 2 + (p - 1) ** 2
+    assert total == 33_480_745 and int(np.float32(total)) != total
+    calls = _counted_matmul(monkeypatch)
+    a = LinearCA(Z, p, 1, (0, 1), ([[p - 2]], [[p - 1]]))
+    b = LinearCA(Z, p, 1, (0, 1), ([[p - 1]], [[p - 2]]))
+    one = LinearCA(Z, p, 1, (0,), ([[p - 1]],))  # one product per cell
+    for x, y in ((a, b), (b, a), (one, a), (a, one)):
+        got = compose(x, y)
+        assert {m: blk.tolist() for m, blk in zip(got.memory, got.blocks)} == reference_compose(x, y)
+    assert compose(a, b).block(1).tolist() == [[total % p]]
+    assert calls == []
+
+
+def test_compose_past_float64_reduces_each_product(monkeypatch):
+    """Past 2^53 the rule gives no float type (p = 1048573: 8192 terms fit,
+    8193 do not).  ``compose`` then takes each product reduced from
+    ``matmul`` and sums a cell in int64.  Lowering the float64 bound to
+    three products at p = 4093 makes a cell of four products take that
+    path at a size small enough to test."""
+    big = 1048573
+    assert linalg.exact_float(8192, big) is np.float64
+    assert linalg.exact_float(8193, big) is None
+    p = 4093
+    monkeypatch.setattr(linalg, "FLOAT_EXACT_BOUND", 3 * (p - 1) ** 2 + 1)
+    assert linalg.exact_float(3, p) is np.float64
+    assert linalg.exact_float(4, p) is None
+    calls = _counted_matmul(monkeypatch)
+    rng = random.Random(31)
+    memory = (0, 1, 2, 3)
+    for block in ([[p - 1]], [[p - 2]], None):
+        blocks = [block] * 4 if block else [random_matrix(rng, 1, 1, p) for _ in memory]
+        a = LinearCA(Z, p, 1, memory, blocks)
+        b = LinearCA(Z, p, 1, tuple(-m for m in memory), blocks)
+        got = compose(a, b)
+        assert {m: blk.tolist() for m, blk in zip(got.memory, got.blocks)} == reference_compose(a, b)
+    assert calls == [1, 1, 1]
 
 
 @pytest.mark.parametrize("group,s,t", [(symmetric_group_3(), 1, 3), (FreeGroup(2), (1,), (2,))])

@@ -265,6 +265,36 @@ def test_tampered_preimage_is_rejected_with_the_checks_reason(name, tamper, reas
     assert rejected(cert) == reason
 
 
+def test_preimage_certificate_reuses_the_result_window_system(monkeypatch):
+    """The builder checks the pattern on the window system the extraction
+    built; the rebuild in ``verify_certificate`` builds its own, and so
+    does the builder for a result without one or one for another rule.
+    The window system is left out of the result's repr and equality."""
+    ca = LinearCA(Z, 3, 1, (0, 1), ([[1]], [[2]]))
+    target = ca.apply_config(finite_support(3, 1, {0: [1], 2: [2]}))
+    result = solver.preimage_extract(ca, target, window_index=2, cutoff=8)
+    assert result.status == "ok" and result.windows.ca is ca
+    built = []
+    window_system = solver.WindowSystem
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return window_system(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "WindowSystem", counted)
+    cert = jsonio.preimage_certificate(ca, target, result, 2, 8)
+    assert built == []
+    assert jsonio.verify_certificate(jsonio.loads(jsonio.dumps(cert)))[0]
+    assert len(built) == 1
+    bare = solver.PreimageResult("ok", pattern=result.pattern)
+    assert jsonio.preimage_certificate(ca, target, bare, 2, 8) == cert
+    same = LinearCA(Z, 3, 1, (0, 1), ([[1]], [[2]]))
+    assert jsonio.preimage_certificate(same, target, result, 2, 8) == cert
+    assert [b is ca for b in built] == [False, True, False]
+    twin = solver.PreimageResult(**{**vars(result), "windows": None})
+    assert twin == result and repr(twin) == repr(result)
+
+
 def test_preimage_at_a_negative_window_is_rejected():
     """A forged preimage certificate at window -1 of a rule with r0 = 2:
     its pattern lists ball(r0 - 1) = {-1, 0, 1}, and its transcript is the

@@ -246,6 +246,15 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["invert", big_p]) == 3
 
 
+def test_ragged_blocks_in_a_ca_file_exit_3(tmp_path, capsys):
+    """A 3 x 3 block beside a 2 x 2 one with dimV = 2 is a format error,
+    reported with the block's shape, not a numpy failure."""
+    rule = jsonio.encode_ca(LinearCA(Z, 5, 2, (0, 1), ([[1, 0], [0, 1]], [[1, 1], [0, 1]])))
+    rule["blocks"][1] = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert main(["invert", write(tmp_path, "ragged.json", rule)]) == 3
+    assert "block shape (3, 3) does not match dimV=2" in capsys.readouterr().err
+
+
 BIG = 2**70
 
 

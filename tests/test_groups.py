@@ -151,6 +151,30 @@ def test_finite_table_validation():
     assert cyclic_group(6).order == 6
 
 
+def test_table_entries_follow_the_int64_rule():
+    """Table entries are read like every other outside number: 1.0 and
+    True are 1, while 0.5, "1", None and 2^70 are rejected, not converted.
+    The built-in tables come out as tuples of Python ints, as before."""
+    for bad in (0.5, "1", None, 2**70):
+        with pytest.raises(GroupError, match="^table entries must be element ids"):
+            FiniteGroup([[0, 1], [1, bad]])
+    for ragged in ([[0, 1], [1]], [], [[]], [0, 1], [[[0]]]):
+        with pytest.raises(GroupError, match="^multiplication table must be square and nonempty$"):
+            FiniteGroup(ragged)
+    assert FiniteGroup([[0, 1.0], [True, 0]]).table == ((0, 1), (1, 0))
+    z5 = cyclic_group(5).table
+    assert z5 == tuple(tuple((i + j) % 5 for j in range(5)) for i in range(5))
+    assert all(type(x) is int for row in z5 for x in row)
+    assert symmetric_group_3().table == (
+        (0, 1, 2, 3, 4, 5),
+        (1, 0, 4, 5, 2, 3),
+        (2, 3, 0, 1, 5, 4),
+        (3, 2, 5, 4, 0, 1),
+        (4, 5, 1, 0, 3, 2),
+        (5, 4, 3, 2, 1, 0),
+    )
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_finite_table_checks_match_the_loop_reference(n):
     """Every n x n table over {0, ..., n-1}: the vectorized checks accept

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_ca, random_matrix, unit_det_rule
+from conftest import random_ca, random_matrix, reference_rref, unit_det_rule
 from test_solver import _unitriangular_conjugate
 from linca import (
     IntegerGroup,
@@ -103,6 +103,88 @@ def test_series_verdict_matches_the_sympy_determinant(group):
         if series.ends:
             assert ReversibilityCertificate(ca, series.inverse).verify()
     assert verdicts == {True, False, None}
+
+
+def _py_mul(a: list, b: list, p: int) -> list:
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def _reference_series(ca: LinearCA):
+    """The series of the module docstring in Python ints, at the first
+    invertible end block, lowest first: D_0 = Q_end^-1 and D_k = -sum_i M_i
+    D_(k-i), M_i = Q_end^-1 Q_(end + sign i), up to degree n T.  Returns
+    (sign, {cell: D_k}) when every D_k past (n - 1) T is zero, (sign, None)
+    when one is not, and None when neither end block is invertible.  Only
+    the coefficient blocks and their cells come from ``laurent``."""
+    lm = laurent.coefficients(ca)
+    n, p = ca.dim_v, ca.p
+    blocks = {k: b.tolist() for k, b in lm.blocks.items()}
+    lowest, highest = min(blocks), max(blocks)
+    top = highest - lowest
+    for end, sign in ((lowest, 1), (highest, -1)):
+        rows = [blocks[end][i] + [int(i == j) for j in range(n)] for i in range(n)]
+        r, pivots = reference_rref(rows, 2 * n, p)
+        if pivots[:n] != list(range(n)):
+            continue
+        q_inv = [row[n:] for row in r[:n]]
+        m = {sign * (k - end): _py_mul(q_inv, b, p) for k, b in blocks.items() if k != end}
+        d = {0: q_inv}
+        for k in range(1, n * top + 1):
+            acc = [[0] * n for _ in range(n)]
+            for i, mi in m.items():
+                if i <= k:
+                    prod = _py_mul(mi, d[k - i], p)
+                    acc = [[x + y for x, y in zip(u, v)] for u, v in zip(acc, prod)]
+            d[k] = [[-x % p for x in row] for row in acc]
+        if any(any(map(any, d[k])) for k in range((n - 1) * top + 1, n * top + 1)):
+            return sign, None
+        return sign, {lm.element(sign * k - end): d[k] for k in d if any(map(any, d[k]))}
+    return None
+
+
+def _reflected(ca: LinearCA) -> LinearCA:
+    """The rule with every memory element negated, A(t) -> A(1/t): its
+    lowest and highest coefficient blocks trade places."""
+    neg = (lambda m: -m) if ca.group == Z else (lambda m: tuple(-x for x in m))
+    return LinearCA(ca.group, ca.p, ca.dim_v, [neg(m) for m in ca.memory], ca.blocks)
+
+
+@pytest.mark.parametrize("group", [Z, Z2], ids=["Z", "Z2"])
+def test_series_inverse_is_the_python_int_reference(group):
+    """Seeded unit-det rules and their reflections cover both ends: the
+    lowest block invertible, and only the highest one.  The inverse the
+    series returns is C_k Q_end^-1 as the reference computes it, and a
+    rule whose series does not end says so at either end."""
+    rng = random.Random(73)
+    branches = set()
+    for _ in range(24):
+        p, d = rng.choice((2, 3, 5, 1048573)), rng.randint(1, 3)
+        ca = unit_det_rule(rng, group, p, d, rng.randint(1, 4))
+        for rule in (ca, _reflected(ca)):
+            want = _reference_series(rule)
+            series = laurent.inverse_series(rule)
+            if want is None:
+                assert series.ends is None
+                continue
+            sign, cells = want
+            branches.add((sign == 1, True))
+            assert series.ends is True
+            got = {m: b.tolist() for m, b in zip(series.inverse.memory, series.inverse.blocks)}
+            assert {m: b for m, b in got.items() if any(map(any, b))} == cells, rule
+    # Determinants 1 + t and t^2 (1 + t^2) are not monomials; the second
+    # rule is singular at its low end, so its series is read from the high
+    # end.
+    e, t, t2 = (0, 1, 2) if group == Z else ((0, 0), (1, 0), (2, 0))
+    stuck = [
+        LinearCA(group, 5, 1, (e, t), ([[1]], [[1]])),
+        LinearCA(group, 3, 2, (e, t2), ([[1, 0], [0, 0]], [[1, 0], [0, 1]])),
+    ]
+    for rule in stuck + [_reflected(r) for r in stuck]:
+        sign, cells = _reference_series(rule)
+        assert cells is None
+        branches.add((sign == 1, False))
+        assert laurent.inverse_series(rule).ends is False
+    assert branches == {(True, True), (False, True), (True, False), (False, False)}
 
 
 @pytest.mark.parametrize("group", [Z, Z2], ids=["Z", "Z2"])

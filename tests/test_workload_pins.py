@@ -2,7 +2,8 @@
 byte.  Between them they cover every group kind and certificate path, so a
 refactor that changes any answer or encoding shows here first.  The full
 invert-sigma and preimage-plateau batches, whose levels are the large
-ones, are pinned the same way.  The full mixed-small batch pins every
+ones, are pinned the same way, and invert-sigma at a second seed too,
+whose conjugates and inverse series differ.  The full mixed-small batch pins every
 ``invert`` answer as well, Unknowns included, so a pruned search that
 could have succeeded shows too.  A change to the workload inputs under
 ``perfbench/`` updates these pins on purpose."""
@@ -22,10 +23,11 @@ PINNED = {
     "preimage-plateau": (4, "bd98416b7efb8f50"),
     "mixed-small": (23, "76bc0667735a82fb"),
 }
-# The same for the full batches whose levels are large.
+# The same for the full batches whose levels are large, by (workload, seed).
 PINNED_FULL = {
-    "invert-sigma": (6, "f8500f852636864b"),
-    "preimage-plateau": (6, "3c359eedb71b6517"),
+    ("invert-sigma", 7): (6, "f8500f852636864b"),
+    ("invert-sigma", 8): (6, "d14fcb0ee8b63915"),
+    ("preimage-plateau", 7): (6, "3c359eedb71b6517"),
 }
 
 
@@ -57,18 +59,22 @@ def test_smoke_certificate_bytes_are_pinned(workload, written):
     assert (len(written), digest[:16]) == PINNED[workload]
 
 
-@pytest.mark.parametrize("workload", sorted(PINNED_FULL))
-def test_full_certificate_bytes_are_pinned(workload, written):
-    """The full batches at seed 7, with the large levels the smoke batches
-    shrink away."""
+@pytest.mark.parametrize(
+    "workload,seed",
+    sorted(PINNED_FULL),
+    ids=[w if s == 7 else f"{w}-seed{s}" for w, s in sorted(PINNED_FULL)],
+)
+def test_full_certificate_bytes_are_pinned(workload, seed, written):
+    """The full batches, with the large levels the smoke batches shrink
+    away."""
     import workloads
 
     session = workloads.Session()
-    for query in workloads.build(workload, 7):
+    for query in workloads.build(workload, seed):
         answer = query.run(session)
         assert answer.verified, (query.label, answer.detail)
     digest = hashlib.sha256("".join(written).encode()).hexdigest()
-    assert (len(written), digest[:16]) == PINNED_FULL[workload]
+    assert (len(written), digest[:16]) == PINNED_FULL[workload, seed]
 
 
 def test_mixed_small_invert_catalogue_is_pinned(written):
