@@ -32,6 +32,7 @@ int64 and reduced in that one call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -417,11 +418,13 @@ def _sum_by_cell(group: Group, p: int, dim_v: int, cells: Sequence, blocks, dtyp
     cell is u.  The sums are taken in place in ``dtype``, which must hold
     each of them exactly; ``LinearCA`` converts them to int64 and reduces
     them mod p, in one ``linalg.as_matrix`` call."""
-    slots = {u: i for i, u in enumerate(dict.fromkeys(cells))}
-    sums = np.zeros((len(slots), dim_v, dim_v), dtype=dtype)
+    order = dict.fromkeys(cells)
+    sums = np.zeros((len(order), dim_v, dim_v), dtype=dtype)
+    views = dict(zip(order, sums))  # each cell's sum, a view into ``sums``
     for u, b in zip(cells, blocks):
-        sums[slots[u]] += b
-    return LinearCA(group, p, dim_v, tuple(slots), sums)
+        view = views[u]
+        view += b
+    return LinearCA(group, p, dim_v, tuple(order), sums)
 
 
 def push_forward(ca: LinearCA, group: Group, phi: Callable) -> LinearCA:
@@ -452,16 +455,16 @@ def compose(outer: LinearCA, inner: LinearCA) -> LinearCA:
     if outer.group != inner.group or outer.p != inner.p or outer.dim_v != inner.dim_v:
         raise CAError("composition requires matching group, field and dimV")
     g, p, d = outer.group, outer.p, outer.dim_v
-    n2, n1 = len(outer.memory), len(inner.memory)
     cells = [g.multiply(m2, m1) for m2 in outer.memory for m1 in inner.memory]
     dtype = linalg.exact_float(max(Counter(cells).values()) * d, p)
     if dtype is None:
         prods = linalg.matmul(np.concatenate(outer.blocks), np.concatenate(inner.blocks, 1), p)
     else:
         prods = np.concatenate(outer.blocks, dtype=dtype) @ np.concatenate(inner.blocks, 1, dtype=dtype)
-    grid = prods.reshape(n2, d, n1, d)
-    blocks = (grid[i, :, j, :] for i in range(n2) for j in range(n1))
-    return _sum_by_cell(g, p, d, cells, blocks, prods.dtype)
+    # Block (i, j) of the product is b2_i b1_j.  The swapped axes are a
+    # view, and iterating it yields those blocks as views, in pair order.
+    grid = prods.reshape(len(outer.memory), d, len(inner.memory), d).swapaxes(1, 2)
+    return _sum_by_cell(g, p, d, cells, itertools.chain.from_iterable(grid), prods.dtype)
 
 
 def identity_ca(group: Group, p: int, dim_v: int) -> LinearCA:
