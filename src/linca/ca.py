@@ -25,7 +25,8 @@ loop that sums rule blocks by cell, for ``push_forward`` and ``compose``.
 
 A rule's blocks are coerced once, in ``normalize_rule``: one
 ``linalg.as_matrix`` call on their (k dimV) x dimV stack checks, copies
-and reduces them all, and the blocks kept are read-only views of it.
+and reduces them all, and the blocks kept are read-only views of it, or of
+a compact copy when some are pruned, so no pruned block stays alive.
 ``compose`` hands it its float sums unconverted, so they are converted to
 int64 and reduced in that one call.
 """
@@ -64,7 +65,10 @@ def normalize_rule(group: Group, p: int, dim_v: int, memory, blocks) -> tuple[tu
     stack = _block_stack(blocks, p, dim_v, len(mem))
     e = group.identity()
     live = stack.reshape(len(mem), dim_v * dim_v).any(axis=1)
-    kept = {m: b for m, b, nonzero in zip(mem, stack, live) if nonzero or m == e}
+    keep = [i for i, m in enumerate(mem) if live[i] or m == e]
+    if len(keep) < len(mem):  # a compact copy: the kept views hold no pruned block
+        stack = stack[keep]
+    kept = dict(zip([mem[i] for i in keep], stack))
     if e not in kept:
         kept[e] = np.zeros((dim_v, dim_v), dtype=np.int64)
     ordered = group.sort_elements(kept)

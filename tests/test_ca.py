@@ -86,6 +86,18 @@ def test_blocks_are_read_only_views_of_one_reduced_stack():
     assert not any(b.flags.writeable for b in ca.blocks)
 
 
+def test_pruned_blocks_are_not_kept_alive():
+    """When blocks are pruned, the kept ones come from a compact copy of the
+    stack: a composition that collapses to the identity keeps one block's
+    memory, not that of every product."""
+    eye, zero = np.eye(3, dtype=np.int64), np.zeros((3, 3), dtype=np.int64)
+    ca = LinearCA(Z, 5, 3, (0, 1, 2, 3), [eye, zero, zero, zero])
+    assert ca.memory == (0,) and ca.blocks[0].base.shape == (1, 3, 3)
+    inverse = LinearCA(Z, 2, 2, (0, 1), (np.eye(2, dtype=np.int64), NILPOTENT))
+    identity = compose(inverse, sigma2_block_ca())
+    assert equals_identity(identity) and identity.blocks[0].base.shape == (1, 2, 2)
+
+
 def test_block_checks_raise_as_on_each_block():
     """The blocks are coerced in one stack, and a rule that does not stack
     raises what each block raises on its own: the entries first, then the
