@@ -57,8 +57,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def normalize_rule(group: Group, p: int, dim_v: int, memory, blocks) -> tuple[tuple, tuple]:
     """Canonical form of a rule, as (memory, blocks): identity present, zero
     blocks pruned, memory in canonical order, blocks read-only.  The
-    represented global map is unchanged.  The blocks are coerced together,
-    by ``_block_stack``."""
+    represented global map is unchanged.  The blocks are coerced in one
+    ``linalg.as_matrix`` call (``_block_stack``), and the kept blocks are
+    views of that stack, or of a compact copy of it when some are pruned."""
     mem = [group.check(m) for m in memory]
     if len(set(mem)) != len(mem):
         raise CAError("memory elements must be pairwise distinct")
